@@ -49,7 +49,6 @@ from .diffeo import (
     write_diffeo_csv,
 )
 from .operators import (
-    OperatorWorkspace,
     gateaux_df,
     inv_helmholtz,
     l_eta_conjugated,
@@ -86,8 +85,7 @@ __all__ = [
     "read_field_csv", "reflect", "write_field_csv",
     "Diffeo", "comp1", "comp2", "distance", "from_displacement", "invert",
     "modulus_estimate", "read_diffeo_csv", "write_diffeo_csv",
-    "OperatorWorkspace", "gateaux_df", "inv_helmholtz", "l_eta_conjugated",
-    "l_eta_direct", "l_op",
+    "gateaux_df", "inv_helmholtz", "l_eta_conjugated", "l_eta_direct", "l_op",
     "FlowState", "Trajectory", "conserved_quantities", "consistency_diagnostics",
     "integrate", "quadratic_source", "reconstruct_u", "rhs", "rk4_step",
     "ComparisonReport", "EulerianState", "compare", "euler_rhs",

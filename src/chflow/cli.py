@@ -35,7 +35,7 @@ __all__ = ["main"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -174,12 +174,7 @@ def _summary_items(traj: Trajectory, cfg: SimConfig, order: int):
 def cmd_run(args) -> int:
     cfg, out_dir, base_dir = _prepare(args)
     u0 = make_initial(cfg, base_dir=base_dir)
-    traj = integrate(u0, cfg.time.t_end, cfg.time.dt,
-                     record_every=cfg.time.record_every,
-                     eps_break=cfg.tolerances.eps_break,
-                     quad_order=args.order,
-                     tail_tol=cfg.tolerances.tail_tol,
-                     adaptive=cfg.time.adaptive)
+    traj = integrate(u0, **cfg.integrate_kwargs(args.order))
     _export_trajectory(traj, cfg, out_dir)
     if "summary" in cfg.output.formats:
         _write_kv(os.path.join(out_dir, "summary.txt"),
@@ -196,9 +191,16 @@ def cmd_converge(args) -> int:
     levels = [int(tok) for tok in args.levels.split(",") if tok]
     study = lagrangian_refinement(cfg, levels, quad_order=args.order,
                                   workers=args.workers, base_dir=base_dir)
-    items = []
-    for m in study.levels:
-        items.append((f"level_n{m.n}_h", m.h))
+    items = [(f"level_n{m.n}_h", m.h) for m in study.levels]
+    broken = [m for m in study.levels if m.breakdown_time is not None]
+    if broken:
+        # Final states at different times are not comparable: no gaps, no order.
+        items += [(f"breakdown_time_n{m.n}", m.breakdown_time) for m in broken]
+        items.append(("quad_order", args.order))
+        _write_kv(os.path.join(out_dir, "convergence.txt"), items)
+        _say(args, f"study stopped by wave breaking at n = {broken[0].n}, "
+                   f"t = {_fmt(broken[0].breakdown_time)}")
+        return 2
     for m, gap in zip(study.levels, study.gaps):
         items.append((f"gap_n{m.n}", gap))
     for m, order in zip(study.levels, study.orders):
@@ -244,11 +246,7 @@ def cmd_check_group(args) -> int:
 def cmd_oracle_compare(args) -> int:
     cfg, out_dir, base_dir = _prepare(args)
     u0 = make_initial(cfg, base_dir=base_dir)
-    traj = integrate(u0, cfg.time.t_end, cfg.time.dt,
-                     record_every=cfg.time.record_every,
-                     eps_break=cfg.tolerances.eps_break,
-                     quad_order=args.order,
-                     tail_tol=cfg.tolerances.tail_tol)
+    traj = integrate(u0, **cfg.integrate_kwargs(args.order))
     states = integrate_eulerian(u0, cfg.time.t_end, cfg.time.dt,
                                 record_every=cfg.time.record_every)
     times = ([float(tok) for tok in args.times.split(",") if tok]

@@ -96,6 +96,13 @@ class SimConfig:
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
+    def integrate_kwargs(self, order: int) -> dict:
+        """Keyword arguments of ``lagrangian.integrate`` for this run at scan order ``order``."""
+        return dict(t_end=self.time.t_end, dt=self.time.dt,
+                    record_every=self.time.record_every,
+                    eps_break=self.tolerances.eps_break, quad_order=order,
+                    tail_tol=self.tolerances.tail_tol, adaptive=self.time.adaptive)
+
 
 _SCHEMA = {
     "grid": {"x_min", "x_max", "n"},

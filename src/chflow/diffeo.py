@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ChartViolation, ConvergenceFailure, GridMismatch, ParseError
+from .errors import ChartViolation, ConvergenceFailure, GridMismatch
 from .fields import Grid, ScalarField1, norm_11, read_field_csv
 
 __all__ = [
@@ -209,8 +209,4 @@ def write_diffeo_csv(eta: Diffeo, path) -> None:
 
 
 def read_diffeo_csv(path) -> Diffeo:
-    try:
-        disp = read_field_csv(path, header=("x", "v", "dv"))
-    except ParseError:
-        raise
-    return Diffeo(disp)
+    return Diffeo(read_field_csv(path, header=("x", "v", "dv")))

@@ -32,7 +32,7 @@ from .fields import (
     check_membership,
 )
 from .lagrangian import Trajectory, reconstruct_u
-from .operators import OperatorWorkspace, l_op
+from .operators import l_op
 
 __all__ = [
     "EulerianState",
@@ -72,13 +72,12 @@ def fourth_order_dx(u: np.ndarray, h: float) -> np.ndarray:
     return (-up[4:] + 8.0 * up[3:-1] - 8.0 * up[1:-3] + up[:-4]) / (12.0 * h)
 
 
-def euler_rhs(state: EulerianState, *, order: int = 2,
-              workspace: OperatorWorkspace | None = None) -> np.ndarray:
+def euler_rhs(state: EulerianState, *, order: int = 2) -> np.ndarray:
     """u_t = -u u_x - L(u^2 + u_x^2 / 2) on the grid."""
     u = state.u
     ux = fourth_order_dx(u, state.grid.h)
     phi = ScalarField0(state.grid, u * u + 0.5 * ux * ux)
-    return -u * ux - l_op(phi, order=order, workspace=workspace).u
+    return -u * ux - l_op(phi, order=order).u
 
 
 def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
@@ -99,14 +98,6 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = u0.grid
-    workspace = OperatorWorkspace(grid)
-    h = grid.h
-
-    def f(u: np.ndarray, t: float) -> np.ndarray:
-        ux = fourth_order_dx(u, h)
-        phi = ScalarField0(grid, u * u + 0.5 * ux * ux)
-        return -u * ux - l_op(phi, order=order, workspace=workspace).u
-
     u = u0.u.copy()
     t = 0.0
     states = [EulerianState(t, grid, u)]
@@ -114,11 +105,13 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     while t < t_end - 1e-12 * max(1.0, t_end):
         step = min(dt, t_end - t)
         try:
-            k1 = f(u, t)
-            k2 = f(u + 0.5 * step * k1, t + 0.5 * step)
-            k3 = f(u + 0.5 * step * k2, t + 0.5 * step)
-            k4 = f(u + step * k3, t + step)
-            u_new = u + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # EulerianState rejects non-finite stage values with ValueError.
+            k = euler_rhs(EulerianState(t, grid, u), order=order)
+            total = k
+            for c, w in ((0.5 * step, 2.0), (0.5 * step, 2.0), (step, 1.0)):
+                k = euler_rhs(EulerianState(t + c, grid, u + c * k), order=order)
+                total = total + w * k
+            u_new = u + (step / 6.0) * total
         except ValueError:
             break
         if not np.isfinite(u_new).all():

@@ -28,11 +28,11 @@ non-finite values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeo import Diffeo, invert
+from .diffeo import DEFAULT_EPS_CHART, Diffeo, invert
 from .errors import AdmissibilityError, ChartViolation, GridMismatch
 from .fields import (
     DEFAULT_TAIL_TOL,
@@ -42,7 +42,7 @@ from .fields import (
     check_membership,
     _trapz,
 )
-from .operators import OperatorWorkspace, l_eta_direct
+from .operators import _l_eta_arrays, l_eta_direct
 
 __all__ = [
     "FlowState",
@@ -112,87 +112,98 @@ class Trajectory:
         return self.states[-1]
 
 
-def _require_chart(eta: Diffeo, eps_break: float, t: float | None):
+def _chart(y: np.ndarray, h: float, eps: float, t: float) -> None:
     # Both slope estimates must stay above the breaking guard: the evolved
     # derivative channel and the nodal increments (they agree to O(h^2) on
     # smooth states but separate as the map steepens toward breaking).
-    m = min(1.0 + float(eta.v.du.min()),
-            1.0 + float(np.diff(eta.v.u).min()) / eta.grid.h)
-    if m <= eps_break:
-        at = "" if t is None else f" at t = {t:.9g}"
+    # Written as not (m > eps) so that a NaN slope fails too, as an error
+    # rather than as wave breaking.
+    m = float(np.minimum(1.0 + y[1].min(), 1.0 + np.diff(y[0]).min() / h))
+    if not m > eps:
+        if np.isnan(m):
+            raise ValueError(f"flow map slope became non-finite at t = {t:.9g}")
         raise ChartViolation(
-            f"flow map slope reached {m:.6g} <= {eps_break:g}{at}; "
+            f"flow map slope reached {m:.6g} <= {eps:g} at t = {t:.9g}; "
             "wave breaking, chart lost", min_slope=m, time=t)
+
+
+def _source(y: np.ndarray) -> np.ndarray:
+    s = 1.0 + y[1]
+    return y[2] ** 2 + y[3] ** 2 / (2.0 * s * s)
+
+
+def _dydt(y: np.ndarray, x: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Right side (v, v', U, U')' = (U, U', -L_eta(source)) of the flat state."""
+    val, der = _l_eta_arrays(x + y[0], 1.0 + y[1], _source(y), h, order)
+    return np.stack((y[2], y[3], -val, -der))
+
+
+def _rk4(y: np.ndarray, t: float, dt: float, grid: Grid, eps: float,
+         order: int) -> np.ndarray:
+    """One classical RK4 step of the (4, n) state; checks the chart at every stage."""
+    x, h = grid.x, grid.h
+    k = _dydt(y, x, h, order)
+    total = k
+    for c, w in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+        stage = y + c * k
+        _chart(stage, h, eps, t + c)
+        k = _dydt(stage, x, h, order)
+        total = total + w * k
+    y_new = y + (dt / 6.0) * total
+    _chart(y_new, h, eps, t + dt)
+    return y_new
+
+
+def _pack(state: FlowState) -> np.ndarray:
+    return np.stack((state.eta.v.u, state.eta.v.du, state.U.u, state.U.du))
+
+
+def _unpack(y: np.ndarray, t: float, grid: Grid) -> FlowState:
+    return FlowState(t, Diffeo(ScalarField1(grid, y[0], y[1])),
+                     ScalarField1(grid, y[2], y[3]))
 
 
 def quadratic_source(state: FlowState, eps_break: float = DEFAULT_EPS_BREAK) -> ScalarField0:
     """The nonnegative source U^2 + U_x^2 / (2 eta_x^2) feeding the smoothing operator."""
-    _require_chart(state.eta, eps_break, state.t)
-    s = state.eta.slopes()
-    return ScalarField0(state.grid, state.U.u ** 2 + state.U.du ** 2 / (2.0 * s * s))
+    y = _pack(state)
+    _chart(y, state.grid.h, max(eps_break, DEFAULT_EPS_CHART), state.t)
+    return ScalarField0(state.grid, _source(y))
 
 
 def rhs(state: FlowState, *, eps_break: float = DEFAULT_EPS_BREAK,
-        quad_order: int = DEFAULT_QUAD_ORDER,
-        workspace: OperatorWorkspace | None = None) -> tuple[ScalarField1, ScalarField1]:
+        quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[ScalarField1, ScalarField1]:
     """Right side (d eta/dt, dU/dt) of the first-order system.
 
     d eta/dt = U in both channels; dU/dt = -L_eta(source) with the operator's
     analytic derivative channel, so no channel is ever differenced.
     """
-    f = l_eta_direct(quadratic_source(state, eps_break), state.eta,
-                     order=quad_order, workspace=workspace)
+    f = l_eta_direct(quadratic_source(state, eps_break), state.eta, order=quad_order)
     return state.U, ScalarField1(state.grid, -f.u, -f.du)
 
 
-def _shifted(state: FlowState, t: float, dv: ScalarField1, dU: ScalarField1,
-             c: float, eps_break: float) -> FlowState:
-    v = ScalarField1(state.grid, state.eta.v.u + c * dv.u, state.eta.v.du + c * dv.du)
-    eta = Diffeo(v)
-    _require_chart(eta, eps_break, t)
-    U = ScalarField1(state.grid, state.U.u + c * dU.u, state.U.du + c * dU.du)
-    return FlowState(t, eta, U)
-
-
 def rk4_step(state: FlowState, dt: float, *, eps_break: float = DEFAULT_EPS_BREAK,
-             quad_order: int = DEFAULT_QUAD_ORDER,
-             workspace: OperatorWorkspace | None = None) -> FlowState:
+             quad_order: int = DEFAULT_QUAD_ORDER) -> FlowState:
     """One classical four-stage Runge-Kutta step; revalidates the chart throughout."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be positive and finite, got {dt}")
-    t, h2 = state.t, 0.5 * dt
-    kw = dict(eps_break=eps_break, quad_order=quad_order, workspace=workspace)
-    k1v, k1u = rhs(state, **kw)
-    k2v, k2u = rhs(_shifted(state, t + h2, k1v, k1u, h2, eps_break), **kw)
-    k3v, k3u = rhs(_shifted(state, t + h2, k2v, k2u, h2, eps_break), **kw)
-    k4v, k4u = rhs(_shifted(state, t + dt, k3v, k3u, dt, eps_break), **kw)
-    w = dt / 6.0
-    grid = state.grid
-    v_new = ScalarField1(
-        grid,
-        state.eta.v.u + w * (k1v.u + 2.0 * k2v.u + 2.0 * k3v.u + k4v.u),
-        state.eta.v.du + w * (k1v.du + 2.0 * k2v.du + 2.0 * k3v.du + k4v.du))
-    U_new = ScalarField1(
-        grid,
-        state.U.u + w * (k1u.u + 2.0 * k2u.u + 2.0 * k3u.u + k4u.u),
-        state.U.du + w * (k1u.du + 2.0 * k2u.du + 2.0 * k3u.du + k4u.du))
-    eta_new = Diffeo(v_new)
-    _require_chart(eta_new, eps_break, t + dt)
-    return FlowState(t + dt, eta_new, U_new)
+    eps = max(eps_break, DEFAULT_EPS_CHART)
+    y = _pack(state)
+    _chart(y, state.grid.h, eps, state.t)
+    return _unpack(_rk4(y, state.t, dt, state.grid, eps, quad_order),
+                   state.t + dt, state.grid)
 
 
-def _diag_row(state: FlowState) -> tuple[float, float, float, float, float]:
+def _diag_row(t: float, y: np.ndarray, h: float) -> tuple[float, float, float, float, float]:
     """Energy/momentum in Lagrangian variables by change of variables.
 
     int (u^2 + u_x^2) dx = int (U^2 eta_x + U_x^2 / eta_x) dy and
     int u dx = int U eta_x dy, so no inversion is needed per step.
     """
-    s = state.eta.slopes()
-    h = state.grid.h
-    energy = _trapz(state.U.u ** 2 * s + state.U.du ** 2 / s, h)
-    momentum = _trapz(state.U.u * s, h)
-    return (state.t, float(energy), float(momentum),
-            float(s.min()), float(np.abs(state.U.u).max()))
+    s = 1.0 + y[1]
+    energy = _trapz(y[2] ** 2 * s + y[3] ** 2 / s, h)
+    momentum = _trapz(y[2] * s, h)
+    return (t, float(energy), float(momentum),
+            float(s.min()), float(np.abs(y[2]).max()))
 
 
 def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100,
@@ -206,6 +217,9 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     the final time; diagnostics are recorded every step.  On wave breaking
     the trajectory ends at the last valid state and carries the breakdown
     time; no non-finite value is ever stored.
+
+    The stage loop evolves one (4, n) array (v, v', U, U'); typed states are
+    built only for the recorded times.
     """
     report = check_membership(u0, tail_tol)
     if not report.ok:
@@ -219,45 +233,45 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
         raise ValueError("record_every must be a positive integer")
 
     grid = u0.grid
-    workspace = OperatorWorkspace(grid)
-    state = FlowState(0.0, Diffeo.identity(grid), u0)
-    states = [state]
-    rows = [_diag_row(state)]
+    eps = max(eps_break, DEFAULT_EPS_CHART)
+    states = [FlowState(0.0, Diffeo.identity(grid), u0)]
+    t = 0.0
+    y = _pack(states[0])
+    rows = [_diag_row(t, y, grid.h)]
     breakdown_time = None
     breakdown_slope = None
-    kw = dict(eps_break=eps_break, quad_order=quad_order, workspace=workspace)
 
     steps_done = 0
     dt_cur = dt
     try:
-        while state.t < t_end - 1e-12 * max(1.0, t_end):
-            step = min(dt_cur, t_end - state.t)
+        while t < t_end - 1e-12 * max(1.0, t_end):
+            step = min(dt_cur, t_end - t)
             if adaptive:
-                full = rk4_step(state, step, **kw)
-                half = rk4_step(rk4_step(state, 0.5 * step, **kw), 0.5 * step, **kw)
-                err = max(
-                    float(np.abs(full.eta.v.u - half.eta.v.u).max()),
-                    float(np.abs(full.eta.v.du - half.eta.v.du).max()),
-                    float(np.abs(full.U.u - half.U.u).max()),
-                    float(np.abs(full.U.du - half.U.du).max()))
+                full = _rk4(y, t, step, grid, eps, quad_order)
+                t_mid = t + 0.5 * step
+                mid = _rk4(y, t, 0.5 * step, grid, eps, quad_order)
+                half = _rk4(mid, t_mid, 0.5 * step, grid, eps, quad_order)
+                err = float(np.abs(full - half).max())
                 if err > adapt_tol and step > dt * 2.0 ** -12:
                     dt_cur = 0.5 * step
                     continue
-                state = half
+                y, t = half, t_mid + 0.5 * step
                 if err < adapt_tol / 64.0:
                     dt_cur = min(2.0 * dt_cur, dt)
             else:
-                state = rk4_step(state, step, **kw)
+                y, t = _rk4(y, t, step, grid, eps, quad_order), t + step
+            if not np.isfinite(y).all():
+                raise ValueError(f"flow state became non-finite at t = {t:.9g}")
             steps_done += 1
-            rows.append(_diag_row(state))
+            rows.append(_diag_row(t, y, grid.h))
             if steps_done % record_every == 0:
-                states.append(state)
+                states.append(_unpack(y, t, grid))
     except ChartViolation as exc:
-        breakdown_time = exc.time if exc.time is not None else state.t
+        breakdown_time = exc.time
         breakdown_slope = exc.min_slope
 
-    if states[-1] is not state:
-        states.append(state)
+    if steps_done % record_every:
+        states.append(_unpack(y, t, grid))
     cols = np.array(rows).T
     diags = StepDiagnostics(t=cols[0], energy=cols[1], momentum=cols[2],
                             min_eta_x=cols[3], sup_u=cols[4])

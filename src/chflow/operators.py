@@ -36,35 +36,19 @@ supported margin away from the ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .diffeo import Diffeo, invert
 from .errors import GridMismatch
-from .fields import Grid, ScalarField0, ScalarField1
+from .fields import ScalarField0, ScalarField1
 
 __all__ = [
-    "OperatorWorkspace",
     "inv_helmholtz",
     "l_op",
     "l_eta_direct",
     "l_eta_conjugated",
     "gateaux_df",
 ]
-
-
-@dataclass
-class OperatorWorkspace:
-    """Scratch accumulators reused across operator evaluations on one grid."""
-
-    grid: Grid
-    left_acc: np.ndarray = field(init=False)
-    right_acc: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.left_acc = np.zeros(self.grid.n)
-        self.right_acc = np.zeros(self.grid.n)
 
 
 def _fd_derivative(w: np.ndarray, h: float) -> np.ndarray:
@@ -78,7 +62,6 @@ def _fd_derivative(w: np.ndarray, h: float) -> np.ndarray:
 
 def _scan_pair(positions: np.ndarray, weights: np.ndarray, h: float,
                slopes: np.ndarray | None = None, order: int = 2,
-               workspace: OperatorWorkspace | None = None,
                _efactors: np.ndarray | None = None):
     """Left/right exponential-weighted prefix integrals of one weight array."""
     n = positions.shape[0]
@@ -88,27 +71,18 @@ def _scan_pair(positions: np.ndarray, weights: np.ndarray, h: float,
             raise ValueError("scan positions must be strictly increasing")
         _efactors = np.exp(-d)
 
-    if workspace is not None:
-        if workspace.grid.n != n:
-            raise GridMismatch("workspace was allocated for a different grid")
-        A, B = workspace.left_acc, workspace.right_acc
-    else:
-        A, B = np.zeros(n), np.zeros(n)
-
     ef = _efactors.tolist()
     wl = weights.tolist()
     half = 0.5 * h
-    la = A.tolist()
-    rb = B.tolist()
+    la = [0.0] * n
+    rb = [0.0] * n
 
     if order == 2:
         acc = 0.0
-        la[0] = 0.0
         for k in range(n - 1):
             acc = ef[k] * (acc + half * wl[k]) + half * wl[k + 1]
             la[k + 1] = acc
         acc = 0.0
-        rb[n - 1] = 0.0
         for k in range(n - 2, -1, -1):
             acc = ef[k] * (acc + half * wl[k + 1]) + half * wl[k]
             rb[k] = acc
@@ -120,37 +94,31 @@ def _scan_pair(positions: np.ndarray, weights: np.ndarray, h: float,
         ql = (slopes * weights + dw).tolist()
         sl = (dw - slopes * weights).tolist()
         acc = 0.0
-        la[0] = 0.0
         for k in range(n - 1):
             acc = ef[k] * (acc + half * wl[k] + c * ql[k]) + half * wl[k + 1] - c * ql[k + 1]
             la[k + 1] = acc
         acc = 0.0
-        rb[n - 1] = 0.0
         for k in range(n - 2, -1, -1):
             acc = ef[k] * (acc + half * wl[k + 1] - c * sl[k + 1]) + half * wl[k] + c * sl[k]
             rb[k] = acc
     else:
         raise ValueError(f"quadrature order must be 2 or 4, got {order}")
 
-    A[:] = la
-    B[:] = rb
-    return A, B
+    return np.array(la), np.array(rb)
 
 
-def inv_helmholtz(g: ScalarField0, *, order: int = 2,
-                  workspace: OperatorWorkspace | None = None) -> ScalarField1:
+def inv_helmholtz(g: ScalarField0, *, order: int = 2) -> ScalarField1:
     """Solve f - f'' = g with decay at infinity: f(x) = (1/2) int exp(-|x-y|) g(y) dy.
 
     The derivative channel is the kernel identity f' = L g, evaluated from the
     same accumulators rather than by differencing f.
     """
     grid = g.grid
-    A, B = _scan_pair(grid.x, g.g, grid.h, order=order, workspace=workspace)
+    A, B = _scan_pair(grid.x, g.g, grid.h, order=order)
     return ScalarField1(grid, 0.5 * (A + B), 0.5 * (B - A))
 
 
-def l_op(phi: ScalarField0, *, order: int = 2,
-         workspace: OperatorWorkspace | None = None) -> ScalarField1:
+def l_op(phi: ScalarField0, *, order: int = 2) -> ScalarField1:
     """The smoothing derivative L = d_x (1 - d_xx)^(-1) with exponential kernel.
 
     Values follow the split-kernel form
@@ -161,12 +129,18 @@ def l_op(phi: ScalarField0, *, order: int = 2,
     and the derivative channel uses d_x L = (1 - d_xx)^(-1) - id.
     """
     grid = phi.grid
-    A, B = _scan_pair(grid.x, phi.g, grid.h, order=order, workspace=workspace)
+    A, B = _scan_pair(grid.x, phi.g, grid.h, order=order)
     return ScalarField1(grid, 0.5 * (B - A), 0.5 * (A + B) - phi.g)
 
 
-def l_eta_direct(phi: ScalarField0, eta: Diffeo, *, order: int = 2,
-                 workspace: OperatorWorkspace | None = None) -> ScalarField1:
+def _l_eta_arrays(m: np.ndarray, slopes: np.ndarray, phi: np.ndarray, h: float,
+                  order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(value, derivative) of L_eta(phi) from raw node positions m = eta(x_k)."""
+    A, B = _scan_pair(m, phi * slopes, h, slopes=slopes, order=order)
+    return 0.5 * (B - A), slopes * (0.5 * (A + B) - phi)
+
+
+def l_eta_direct(phi: ScalarField0, eta: Diffeo, *, order: int = 2) -> ScalarField1:
     """L conjugated by the flow map, evaluated directly from eta-weighted scans.
 
     f(x_k) = -1/2 A_k + 1/2 B_k with positions m = eta(x_k) and weight
@@ -177,12 +151,8 @@ def l_eta_direct(phi: ScalarField0, eta: Diffeo, *, order: int = 2,
     """
     if phi.grid != eta.grid:
         raise GridMismatch("source and diffeomorphism live on different grids")
-    grid = phi.grid
-    slopes = eta.slopes()
-    A, B = _scan_pair(eta.values(), phi.g * slopes, grid.h,
-                      slopes=slopes, order=order, workspace=workspace)
-    sym = 0.5 * (A + B)
-    return ScalarField1(grid, 0.5 * (B - A), slopes * (sym - phi.g))
+    val, der = _l_eta_arrays(eta.values(), eta.slopes(), phi.g, phi.grid.h, order)
+    return ScalarField1(phi.grid, val, der)
 
 
 def l_eta_conjugated(phi: ScalarField0, eta: Diffeo, *, order: int = 2,

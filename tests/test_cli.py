@@ -111,6 +111,24 @@ class TestConverge:
         assert 1.8 <= float(report["fitted_order"]) <= 2.2
         assert "gap_n128" in report and "gap_n256" in report
 
+    def test_breaking_levels_exit_two_without_gaps(self, tmp_path):
+        cfg = write_config(tmp_path, n=128, t_end=3.0, dt=8e-3, record_every=1000,
+                           kind="antisymmetric_gaussian", amplitude=-1.0)
+        out = tmp_path / "out"
+        code = main(["converge", "--config", str(cfg), "--out", str(out),
+                     "--levels", "128,256,512", "--workers", "1", "--quiet"])
+        assert code == 2
+        report = read_kv(out / "convergence.txt")
+        for n in (128, 256, 512):
+            assert 0.0 < float(report[f"breakdown_time_n{n}"]) < 2.0
+        assert not any(k.startswith(("gap_", "order_")) for k in report)
+        assert "fitted_order" not in report
+
+
+def assert_pass_flags_are_bits(report: dict) -> None:
+    flags = {k: v for k, v in report.items() if k.endswith("_pass")}
+    assert flags and all(v in ("0", "1") for v in flags.values()), flags
+
 
 class TestCheckSuites:
     def test_operators_report(self, tmp_path):
@@ -121,6 +139,7 @@ class TestCheckSuites:
         assert code == 0
         report = read_kv(out / "operator_report.txt")
         assert report["all_pass"] == "1"
+        assert_pass_flags_are_bits(report)
         ratios = [float(v) for k, v in report.items() if k.endswith("_ratio")]
         assert ratios and all(r <= 1.0 for r in ratios)
 
@@ -132,6 +151,7 @@ class TestCheckSuites:
         assert code == 0
         report = read_kv(out / "group_report.txt")
         assert report["all_pass"] == "1"
+        assert_pass_flags_are_bits(report)
 
 
 class TestOracleCompare:

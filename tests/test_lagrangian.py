@@ -18,6 +18,7 @@ from chflow import (
     rhs,
     rk4_step,
 )
+from chflow import lagrangian
 from chflow.errors import AdmissibilityError, ChartViolation
 from chflow.eulerian import EulerianState, euler_rhs
 from chflow.fields import norm_11
@@ -172,6 +173,39 @@ class TestIntegrate:
                              adaptive=True, adapt_tol=1e-10)
         assert adaptive.completed
         assert np.abs(fixed.final.U.u - adaptive.final.U.u).max() <= 1e-7
+
+    @pytest.mark.parametrize("steps, record_every", [(10, 10 ** 9), (100, 10 ** 9), (100, 10)])
+    def test_typed_containers_only_for_recorded_states(self, monkeypatch, steps,
+                                                       record_every):
+        # The stage loop evolves flat arrays; ScalarField1 is built for the
+        # recorded states only, however many steps the run takes.
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        u0 = gaussian_field(grid, amp=0.3)
+        built = []
+        original = ScalarField1.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(ScalarField1, "__post_init__", counting)
+        traj = integrate(u0, 0.2, 0.2 / steps, record_every=record_every)
+        assert len(traj.diagnostics.t) == steps + 1
+        assert len(built) <= 4 + 2 * len(traj.states)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_state_raises(self, monkeypatch):
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        real = lagrangian._l_eta_arrays
+
+        def poisoned(*args):
+            val, der = real(*args)
+            der[grid.n // 2] = -np.inf
+            return val, der
+
+        monkeypatch.setattr(lagrangian, "_l_eta_arrays", poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(gaussian_field(grid, amp=0.3), 0.1, 1e-2)
 
 
 class TestReconstruct:

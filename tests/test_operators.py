@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from chflow import (
     Diffeo,
     Grid,
-    OperatorWorkspace,
     ScalarField0,
     ScalarField1,
     from_displacement,
@@ -146,15 +145,6 @@ class TestLEtaDirect:
             f = l_eta_direct(phi, eta)
             boundary = max(abs(f.u[0]), abs(f.u[-1]), abs(f.du[0]), abs(f.du[-1]))
             assert boundary <= 1e-8
-
-    def test_workspace_reuse_matches(self, grid20, rng):
-        phi = random_bump_field0(grid20, rng)
-        eta = random_bump_diffeo(grid20, rng)
-        ws = OperatorWorkspace(grid20)
-        f1 = l_eta_direct(phi, eta, workspace=ws)
-        f2 = l_eta_direct(phi, eta)
-        np.testing.assert_array_equal(f1.u, f2.u)
-        np.testing.assert_array_equal(f1.du, f2.du)
 
     def test_grid_mismatch(self, grid20):
         other = Grid.from_interval(-20.0, 20.0, 513)
