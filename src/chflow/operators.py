@@ -6,9 +6,27 @@ Everything here reduces to two directional accumulators over the grid,
     B_k ~ integral_{x_k}^{x_end} exp(m_k - m(y)) w(y) dy,
 
 where m is either the identity (m = x) or an increasing flow map evaluated at
-the nodes.  Each cell contributes through the factor exp(-(m_{k+1} - m_k)),
-so no exponential is ever evaluated at a positive argument no matter how far
-the domain extends; the scans cost O(n) per direction.
+the nodes.  Both are linear recurrences, A_{k+1} = exp(-(m_{k+1} - m_k)) A_k
++ r_k, and are evaluated without a loop over nodes, in O(n) per direction.
+
+Blocked form.  The nodes are cut into blocks of consecutive nodes whose
+positions lie within an exponent span of _SPAN (= 8) of each other.  Inside
+a block anchored at node s the left accumulator is
+
+    A_k = exp(-(m_k - m_s)) * (C_s + sum_{s <= j < k} h w_j exp(m_j - m_s)) + q_k,
+
+one cumsum along each row of a padded (blocks x width) array, and the carry
+C_s into each block follows from the block totals by a short recurrence over
+blocks.  B mirrors it with every block anchored at its last node.  Each
+exponential has its argument in [-_SPAN, _SPAN] except the decay factor of
+the carry, whose argument is nonpositive, so no domain, however wide or
+coarse, can overflow.  Rounding stays eps times the kernel-weighted sum of
+|w|, as for the node-by-node recurrence; a wider span would add rounding of
+order eps * span through the exponent arguments m_j - m_s.
+
+The cell rule is shared by both quadrature orders: node j enters with weight
+h w_j, and q is the endpoint term of the rule at the output node, which also
+seeds the carry at the first node so that A_0 = B_end = 0.
 
 From the pair (A, B) a single pass yields, without any numerical
 differentiation:
@@ -26,12 +44,13 @@ differentiation:
   floor.
 
 Quadrature: per-cell trapezoid on the weighted integrand with the exponential
-factor pulled out per cell (order=2, the default).  order=4 adds the
-Euler-Maclaurin endpoint correction (h^2/12)(W'_left - W'_right) per cell with
-the integrand derivative estimated by centered differences, raising smooth
-accuracy to O(h^4) while keeping the same stable product form.  Integrals are
-truncated at the grid boundary; the error is O(exp(-a * margin)) for data
-supported margin away from the ends.
+factor pulled out per cell (order=2, the default), q = h w / 2.  order=4 adds
+the Euler-Maclaurin endpoint correction (h^2/12)(W'_left - W'_right) per cell
+with the integrand derivative estimated by centered differences, raising
+smooth accuracy to O(h^4); the corrections of adjacent cells cancel at every
+interior node and survive only in q.  Integrals are truncated at the grid
+boundary; the error is O(exp(-a * margin)) for data supported margin away
+from the ends.
 """
 
 from __future__ import annotations
@@ -51,60 +70,96 @@ __all__ = [
 ]
 
 
+# Longest exponent range m_e - m_s over the sources of one scan block.
+_SPAN = 8.0
+
+
 def _fd_derivative(w: np.ndarray, h: float) -> np.ndarray:
-    """Second-order derivative estimate of raw samples (one-sided at the ends)."""
+    """Second-order derivative estimate along the last axis (one-sided at the ends)."""
     dw = np.empty_like(w)
-    dw[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-    dw[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
-    dw[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h)
+    dw[..., 1:-1] = (w[..., 2:] - w[..., :-2]) / (2.0 * h)
+    dw[..., 0] = (-3.0 * w[..., 0] + 4.0 * w[..., 1] - w[..., 2]) / (2.0 * h)
+    dw[..., -1] = (3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]) / (2.0 * h)
     return dw
 
 
+def _decay_scans(m: np.ndarray, g: np.ndarray, carry0: np.ndarray) -> np.ndarray:
+    """Left and right exponential-decay prefix sums of the rows of g, shape (k, n).
+
+    Returns S of shape (k, 2, n) with
+
+        S[:, 0, k] = carry0[:, 0] exp(-(m_k - m_0))   + sum_{j<k} g_j exp(-(m_k - m_j)),
+        S[:, 1, k] = carry0[:, 1] exp(-(m_end - m_k)) + sum_{j>k} g_j exp(-(m_j - m_k)).
+
+    Both directions share one padded array: row r of the left half holds the
+    block's terms in node order after a zero column, the right half holds the
+    blocks mirrored (last block first, last node first), so one cumsum along
+    the rows gives every exclusive in-block sum of both directions.
+    """
+    n = m.shape[0]
+    # blocks: runs of nodes with one value of floor((m - m_0) / _SPAN)
+    key = np.floor((m - m[0]) * (1.0 / _SPAN))
+    cut = np.flatnonzero(key[1:] != key[:-1]) + 1
+    first = np.concatenate(([0], cut))
+    last = np.concatenate((cut - 1, [n - 1]))
+    lens = last - first + 1
+    blocks, width = first.size, int(lens.max()) + 1
+    size = blocks * width
+    # exponent offsets from each node's left and right block anchors, in [0, _SPAN]
+    e = np.exp(np.concatenate((m - np.repeat(m[first], lens),
+                               np.repeat(m[last], lens) - m))).reshape(2, n)
+    # node j of block r sits at column j - first[r] + 1 of row r; the mirrored
+    # right half puts it at flat index size - pos
+    pos = np.arange(1, n + 1) + np.repeat(np.arange(0, size, width) - first, lens)
+    slot = np.concatenate((pos, 2 * size - pos))
+
+    rows = g.shape[0]
+    z = np.zeros((rows, 2 * size))
+    z[:, slot] = (g[:, None, :] * e).reshape(rows, 2 * n)
+    z = z.reshape(rows, 2, blocks, width).cumsum(axis=-1)
+
+    # carries into the blocks in scan order: forward for both halves, since
+    # the right half is mirrored
+    ml, mr = m[first], m[last]
+    decay = np.exp(np.concatenate((ml[:-1] - ml[1:], mr[-2::-1] - mr[:0:-1])))
+    carry = [carry0]
+    for f, total in zip(decay.reshape(2, -1).T, z[..., -1].transpose(2, 0, 1)):
+        carry.append(f * (carry[-1] + total))
+    z += np.array(carry).transpose(1, 2, 0)[..., None]
+    # the exclusive sum at node j is one slot back; / e undoes the anchor offset
+    return z.reshape(rows, 2 * size)[:, slot - 1].reshape(rows, 2, n) / e
+
+
 def _scan_pair(positions: np.ndarray, weights: np.ndarray, h: float,
-               slopes: np.ndarray | None = None, order: int = 2,
-               _efactors: np.ndarray | None = None):
-    """Left/right exponential-weighted prefix integrals of one weight array."""
+               slopes: np.ndarray | None = None, order: int = 2):
+    """Left/right exponential-weighted prefix integrals along the last axis of weights.
+
+    weights may be (n,) or a stack (..., n); each row is scanned against the
+    same positions, and (A, B) have the shape of weights.
+    """
     n = positions.shape[0]
-    if _efactors is None:
-        d = np.diff(positions)
-        if d.min() <= 0.0:
-            raise ValueError("scan positions must be strictly increasing")
-        _efactors = np.exp(-d)
-
-    ef = _efactors.tolist()
-    wl = weights.tolist()
-    half = 0.5 * h
-    la = [0.0] * n
-    rb = [0.0] * n
-
+    if not (np.diff(positions).min() > 0.0
+            and np.isfinite(positions[-1] - positions[0])):
+        raise ValueError("scan positions must be finite and strictly increasing")
+    w = weights.reshape(-1, n)
+    hw = h * w
+    q = np.empty((w.shape[0], 2, n))
     if order == 2:
-        acc = 0.0
-        for k in range(n - 1):
-            acc = ef[k] * (acc + half * wl[k]) + half * wl[k + 1]
-            la[k + 1] = acc
-        acc = 0.0
-        for k in range(n - 2, -1, -1):
-            acc = ef[k] * (acc + half * wl[k + 1]) + half * wl[k]
-            rb[k] = acc
+        q[:, 0] = q[:, 1] = 0.5 * hw
     elif order == 4:
         if slopes is None:
             slopes = np.ones(n)
-        dw = _fd_derivative(weights, h)
         c = h * h / 12.0
-        ql = (slopes * weights + dw).tolist()
-        sl = (dw - slopes * weights).tolist()
-        acc = 0.0
-        for k in range(n - 1):
-            acc = ef[k] * (acc + half * wl[k] + c * ql[k]) + half * wl[k + 1] - c * ql[k + 1]
-            la[k + 1] = acc
-        acc = 0.0
-        for k in range(n - 2, -1, -1):
-            acc = ef[k] * (acc + half * wl[k + 1] - c * sl[k + 1]) + half * wl[k] + c * sl[k]
-            rb[k] = acc
+        mid = 0.5 * hw - c * (slopes * w)
+        corr = c * _fd_derivative(w, h)
+        q[:, 0] = mid - corr
+        q[:, 1] = mid + corr
     else:
         raise ValueError(f"quadrature order must be 2 or 4, got {order}")
-
-    return np.array(la), np.array(rb)
+    # -q at each direction's first node seeds its carry, so A_0 = B_end = 0
+    s = _decay_scans(positions, hw, -q[:, (0, 1), (0, -1)]) + q
+    s = s.reshape(weights.shape[:-1] + (2, n))
+    return s[..., 0, :], s[..., 1, :]
 
 
 def inv_helmholtz(g: ScalarField0, *, order: int = 2) -> ScalarField1:
@@ -196,10 +251,8 @@ def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1, *,
     grid = phi.grid
     m = eta.values()
     slopes = eta.slopes()
-    efac = np.exp(-np.diff(m))
     w1 = phi.g * slopes
-    A1, B1 = _scan_pair(m, w1, grid.h, slopes=slopes, order=order, _efactors=efac)
-    A2, B2 = _scan_pair(m, rho.u * w1, grid.h, slopes=slopes, order=order, _efactors=efac)
-    A3, B3 = _scan_pair(m, phi.g * rho.du, grid.h, slopes=slopes, order=order, _efactors=efac)
+    (A1, A2, A3), (B1, B2, B3) = _scan_pair(
+        m, np.stack((w1, rho.u * w1, phi.g * rho.du)), grid.h, slopes=slopes, order=order)
     value = 0.5 * (rho.u * (A1 + B1) - (A2 + B2) - (A3 - B3))
     return ScalarField1(grid, value, np.gradient(value, grid.h, edge_order=2))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chflow.cli import main
+from chflow.cli import _write_csv, main
 
 
 def write_config(tmp_path, *, n=256, t_end=0.5, dt=2e-3, record_every=50,
@@ -72,6 +73,51 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out1), "--quiet"]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(out2), "--quiet"]) == 0
         assert dir_digest(out1) == dir_digest(out2)
+
+    def test_odd_data_momentum_drift(self, tmp_path):
+        # Odd data carry momentum at rounding level: the relative drift is
+        # undefined there, the absolute drift stays small.
+        cfg = write_config(tmp_path, t_end=0.2, dt=5e-3, record_every=100,
+                           kind="antisymmetric_gaussian", amplitude=-1.0)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        summary = read_kv(out / "summary.txt")
+        energy = float(summary["energy_initial"])
+        assert abs(float(summary["momentum_initial"])) <= 1e-12 * energy
+        assert summary["momentum_drift_rel"] == "nan"
+        assert 0.0 <= float(summary["momentum_drift_abs"]) <= 1e-10 * energy
+
+    def test_even_data_momentum_drift(self, tmp_path):
+        cfg = write_config(tmp_path, t_end=0.2, dt=5e-3, record_every=100)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        summary = read_kv(out / "summary.txt")
+        drift_abs = float(summary["momentum_drift_abs"])
+        drift_rel = float(summary["momentum_drift_rel"])
+        assert drift_rel <= 1e-6
+        assert drift_rel == pytest.approx(drift_abs / float(summary["momentum_initial"]))
+
+
+def csv_module_writer(path, header, columns):
+    """The csv-module export the direct formatter must reproduce byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([f"{float(v):.17g}" for v in row])
+
+
+def test_csv_export_matches_csv_module_bytes(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)
+    columns = [
+        np.array([0.0, -0.0, tiny, -tiny, 1e300, -1e300]),
+        np.array([1.0, -2.0, 3.0, 4096.0, -0.0, 2.0 ** 53]),
+        np.array([0.1, 1.0 / 3.0, -2.5e-308, np.pi, 1e-5, 123456789.0]),
+    ]
+    header = ["a", "b", "c"]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    csv_module_writer(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestFailurePaths:

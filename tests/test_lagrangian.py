@@ -157,6 +157,21 @@ class TestIntegrate:
         assert np.all(np.diff(tail) < 0)
         assert d.min_eta_x[-1] > 0
 
+    def test_breaking_time_bound_and_scaling(self):
+        # Odd data with u0'(0) = A < 0 break before 2/|A| (Constantin-Escher),
+        # and u(t, x) -> l u(l t, x) maps the A = -1 run onto the A = -2 run
+        # (dt scaled by 1/l), so the breakdown time halves.
+        grid = Grid.from_interval(-20.0, 20.0, 512)
+        dt = 2e-3
+        times = {}
+        for amp in (-1.0, -2.0):
+            traj = integrate(antisymmetric_field(grid, amp=amp), 3.0 / abs(amp),
+                             dt / abs(amp), record_every=10 ** 9, adaptive=True)
+            assert not traj.completed
+            assert 0.0 < traj.breakdown_time < 2.0 / abs(amp)
+            times[amp] = traj.breakdown_time
+        assert abs(times[-1.0] - 2.0 * times[-2.0]) <= 2.0 * dt
+
     def test_recording_cadence(self):
         grid = Grid.from_interval(-20.0, 20.0, 256)
         traj = integrate(gaussian_field(grid, amp=0.2), 0.1, 1e-2, record_every=3)

@@ -17,12 +17,102 @@ from chflow import (
 )
 from chflow.checks import random_bump_diffeo, random_bump_field0, random_bump_field1
 from chflow.errors import GridMismatch
+from chflow.operators import _scan_pair
 
 from conftest import gaussian_field, gaussian_source
 
 
 def exp_kink_source(grid):
     return ScalarField0(grid, np.exp(-np.abs(grid.x)))
+
+
+def reference_scan_pair(positions, weights, h, slopes=None, order=2):
+    """Node-by-node recurrence for the left/right scans: the blocked scan's oracle."""
+    n = positions.shape[0]
+    ef = np.exp(-np.diff(positions)).tolist()
+    wl = weights.tolist()
+    half = 0.5 * h
+    la = [0.0] * n
+    rb = [0.0] * n
+    if order == 2:
+        acc = 0.0
+        for k in range(n - 1):
+            acc = ef[k] * (acc + half * wl[k]) + half * wl[k + 1]
+            la[k + 1] = acc
+        acc = 0.0
+        for k in range(n - 2, -1, -1):
+            acc = ef[k] * (acc + half * wl[k + 1]) + half * wl[k]
+            rb[k] = acc
+    else:
+        if slopes is None:
+            slopes = np.ones(n)
+        dw = np.empty_like(weights)
+        dw[1:-1] = (weights[2:] - weights[:-2]) / (2.0 * h)
+        dw[0] = (-3.0 * weights[0] + 4.0 * weights[1] - weights[2]) / (2.0 * h)
+        dw[-1] = (3.0 * weights[-1] - 4.0 * weights[-2] + weights[-3]) / (2.0 * h)
+        c = h * h / 12.0
+        ql = (slopes * weights + dw).tolist()
+        sl = (dw - slopes * weights).tolist()
+        acc = 0.0
+        for k in range(n - 1):
+            acc = ef[k] * (acc + half * wl[k] + c * ql[k]) + half * wl[k + 1] - c * ql[k + 1]
+            la[k + 1] = acc
+        acc = 0.0
+        for k in range(n - 2, -1, -1):
+            acc = ef[k] * (acc + half * wl[k + 1] - c * sl[k + 1]) + half * wl[k] + c * sl[k]
+            rb[k] = acc
+    return np.array(la), np.array(rb)
+
+
+def scan_cases():
+    """(name, positions, weights, h, slopes) for the scan agreement tests."""
+    rng = np.random.default_rng(7)
+    grid = Grid.from_interval(-20.0, 20.0, 1537)
+    x, h = grid.x, grid.h
+    yield "positive", x, rng.random(x.size), h, None
+    yield "signed", x, rng.standard_normal(x.size), h, None
+    # non-uniform monotone map m = x + v with slope 1 + v' in [0.6, 1.4]
+    bump = np.exp(-x * x / 50.0)
+    v = 0.4 * np.sin(x) * bump
+    slope = 1.0 + 0.4 * (np.cos(x) - x / 25.0 * np.sin(x)) * bump
+    yield "nonuniform", x + v, rng.standard_normal(x.size) * slope, h, slope
+    for lo, n in ((-3.0, 129), (-400.0, 2049), (-2000.0, 257)):
+        wide = Grid.from_interval(lo, -lo, n)
+        yield f"[{lo:g}, {-lo:g}] n={n}", wide.x, rng.standard_normal(n), wide.h, None
+
+
+class TestScanPair:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("case", list(scan_cases()), ids=lambda c: c[0])
+    def test_matches_reference_recurrence(self, case, order):
+        _, m, w, h, slopes = case
+        A, B = _scan_pair(m, w, h, slopes=slopes, order=order)
+        A0, B0 = reference_scan_pair(m, w, h, slopes=slopes, order=order)
+        assert np.isfinite(A).all() and np.isfinite(B).all()
+        scale = max(np.abs(A0).max(), np.abs(B0).max())
+        assert np.abs(A - A0).max() <= 1e-13 * scale
+        assert np.abs(B - B0).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_stacked_weights_equal_single_calls(self, order):
+        _, m, w, h, slopes = list(scan_cases())[2]
+        rng = np.random.default_rng(3)
+        stack = np.stack((w, rng.random(m.size), rng.standard_normal(m.size)))
+        A, B = _scan_pair(m, stack, h, slopes=slopes, order=order)
+        assert A.shape == B.shape == stack.shape
+        for row, a, b in zip(stack, A, B):
+            a1, b1 = _scan_pair(m, row, h, slopes=slopes, order=order)
+            np.testing.assert_array_equal(a, a1)
+            np.testing.assert_array_equal(b, b1)
+
+    @pytest.mark.parametrize("positions", [
+        np.linspace(1.0, -1.0, 64),
+        np.append(np.linspace(-1.0, 1.0, 63), np.nan),
+        np.append(np.linspace(-1.0, 1.0, 63), np.inf),
+    ], ids=["decreasing", "nan", "inf"])
+    def test_rejects_bad_positions(self, positions):
+        with pytest.raises(ValueError):
+            _scan_pair(positions, np.ones(64), 2.0 / 63)
 
 
 class TestInvHelmholtz:
