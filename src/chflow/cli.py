@@ -204,6 +204,7 @@ def cmd_converge(args) -> int:
     study = lagrangian_refinement(cfg, levels, quad_order=args.order,
                                   workers=args.workers, base_dir=base_dir)
     items = [(f"level_n{m.n}_h", m.h) for m in study.levels]
+    items.append(("level_execution", study.execution))
     broken = [m for m in study.levels if m.breakdown_time is not None]
     if broken:
         # Final states at different times are not comparable: no gaps, no order.

@@ -112,46 +112,53 @@ class Trajectory:
         return self.states[-1]
 
 
-def _chart(y: np.ndarray, h: float, eps: float, t: float) -> None:
+def _chart(y: np.ndarray, grid: Grid, eps: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node positions m = x + v of the state and their gaps, after the chart check."""
     # Both slope estimates must stay above the breaking guard: the evolved
     # derivative channel and the nodal increments (they agree to O(h^2) on
     # smooth states but separate as the map steepens toward breaking).
     # Written as not (m > eps) so that a NaN slope fails too, as an error
     # rather than as wave breaking.
-    m = float(np.minimum(1.0 + y[1].min(), 1.0 + np.diff(y[0]).min() / h))
-    if not m > eps:
-        if np.isnan(m):
+    m = grid.x + y[0]
+    d = m[1:] - m[:-1]
+    slope = float(np.minimum(1.0 + y[1].min(), d.min() / grid.h))
+    if not slope > eps:
+        if np.isnan(slope):
             raise ValueError(f"flow map slope became non-finite at t = {t:.9g}")
         raise ChartViolation(
-            f"flow map slope reached {m:.6g} <= {eps:g} at t = {t:.9g}; "
-            "wave breaking, chart lost", min_slope=m, time=t)
+            f"flow map slope reached {slope:.6g} <= {eps:g} at t = {t:.9g}; "
+            "wave breaking, chart lost", min_slope=slope, time=t)
+    return m, d
 
 
-def _source(y: np.ndarray) -> np.ndarray:
-    s = 1.0 + y[1]
+def _source(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return y[2] ** 2 + y[3] ** 2 / (2.0 * s * s)
 
 
-def _dydt(y: np.ndarray, x: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Right side (v, v', U, U')' = (U, U', -L_eta(source)) of the flat state."""
-    val, der = _l_eta_arrays(x + y[0], 1.0 + y[1], _source(y), h, order)
-    return np.stack((y[2], y[3], -val, -der))
+def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int) -> np.ndarray:
+    """Right side (U, U', -L_eta(source)) of the flat state; checks y's chart at t."""
+    m, d = _chart(y, grid, eps, t)
+    s = 1.0 + y[1]
+    val, der = _l_eta_arrays(m, s, _source(y, s), grid.h, order, d)
+    k = np.empty_like(y)
+    k[:2], k[2:] = y[2:], np.negative((val, der))
+    return k
 
 
 def _rk4(y: np.ndarray, t: float, dt: float, grid: Grid, eps: float,
-         order: int) -> np.ndarray:
-    """One classical RK4 step of the (4, n) state; checks the chart at every stage."""
-    x, h = grid.x, grid.h
-    k = _dydt(y, x, h, order)
-    total = k
+         order: int, k1: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of the (4, n) state from k1 = f(y); checks every chart."""
+    stage, total, k = np.empty_like(y), k1.copy(), k1
     for c, w in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
-        stage = y + c * k
-        _chart(stage, h, eps, t + c)
-        k = _dydt(stage, x, h, order)
-        total = total + w * k
-    y_new = y + (dt / 6.0) * total
-    _chart(y_new, h, eps, t + dt)
-    return y_new
+        np.multiply(k, c, out=stage)
+        stage += y
+        k = _dydt(stage, t + c, grid, eps, order)
+        np.multiply(k, w, out=stage)
+        total += stage
+    total *= dt / 6.0
+    total += y
+    _chart(total, grid, eps, t + dt)
+    return total
 
 
 def _pack(state: FlowState) -> np.ndarray:
@@ -166,8 +173,8 @@ def _unpack(y: np.ndarray, t: float, grid: Grid) -> FlowState:
 def quadratic_source(state: FlowState, eps_break: float = DEFAULT_EPS_BREAK) -> ScalarField0:
     """The nonnegative source U^2 + U_x^2 / (2 eta_x^2) feeding the smoothing operator."""
     y = _pack(state)
-    _chart(y, state.grid.h, max(eps_break, DEFAULT_EPS_CHART), state.t)
-    return ScalarField0(state.grid, _source(y))
+    _chart(y, state.grid, max(eps_break, DEFAULT_EPS_CHART), state.t)
+    return ScalarField0(state.grid, _source(y, 1.0 + y[1]))
 
 
 def rhs(state: FlowState, *, eps_break: float = DEFAULT_EPS_BREAK,
@@ -188,8 +195,8 @@ def rk4_step(state: FlowState, dt: float, *, eps_break: float = DEFAULT_EPS_BREA
         raise ValueError(f"time step must be positive and finite, got {dt}")
     eps = max(eps_break, DEFAULT_EPS_CHART)
     y = _pack(state)
-    _chart(y, state.grid.h, eps, state.t)
-    return _unpack(_rk4(y, state.t, dt, state.grid, eps, quad_order),
+    k1 = _dydt(y, state.t, state.grid, eps, quad_order)
+    return _unpack(_rk4(y, state.t, dt, state.grid, eps, quad_order, k1),
                    state.t + dt, state.grid)
 
 
@@ -246,11 +253,14 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     try:
         while t < t_end - 1e-12 * max(1.0, t_end):
             step = min(dt_cur, t_end - t)
+            k1 = _dydt(y, t, grid, eps, quad_order)
             if adaptive:
-                full = _rk4(y, t, step, grid, eps, quad_order)
+                # the full step and the first half step share their first stage
+                full = _rk4(y, t, step, grid, eps, quad_order, k1)
                 t_mid = t + 0.5 * step
-                mid = _rk4(y, t, 0.5 * step, grid, eps, quad_order)
-                half = _rk4(mid, t_mid, 0.5 * step, grid, eps, quad_order)
+                mid = _rk4(y, t, 0.5 * step, grid, eps, quad_order, k1)
+                half = _rk4(mid, t_mid, 0.5 * step, grid, eps, quad_order,
+                            _dydt(mid, t_mid, grid, eps, quad_order))
                 err = float(np.abs(full - half).max())
                 if err > adapt_tol and step > dt * 2.0 ** -12:
                     dt_cur = 0.5 * step
@@ -259,7 +269,7 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
                 if err < adapt_tol / 64.0:
                     dt_cur = min(2.0 * dt_cur, dt)
             else:
-                y, t = _rk4(y, t, step, grid, eps, quad_order), t + step
+                y, t = _rk4(y, t, step, grid, eps, quad_order, k1), t + step
             if not np.isfinite(y).all():
                 raise ValueError(f"flow state became non-finite at t = {t:.9g}")
             steps_done += 1

@@ -9,20 +9,23 @@ where m is either the identity (m = x) or an increasing flow map evaluated at
 the nodes.  Both are linear recurrences, A_{k+1} = exp(-(m_{k+1} - m_k)) A_k
 + r_k, and are evaluated without a loop over nodes, in O(n) per direction.
 
-Blocked form.  The nodes are cut into blocks of consecutive nodes whose
-positions lie within an exponent span of _SPAN (= 8) of each other.  Inside
-a block anchored at node s the left accumulator is
+Blocked form.  The nodes are cut into blocks of W = min(n, floor(_SPAN / g) + 1)
+consecutive nodes, g the largest gap m_{j+1} - m_j and _SPAN = 8, so a block
+spans at most _SPAN; the last block is padded with copies of the last node
+of zero weight.  Inside a block anchored at its first node s the left
+accumulator is
 
     A_k = exp(-(m_k - m_s)) * (C_s + sum_{s <= j < k} h w_j exp(m_j - m_s)) + q_k,
 
-one cumsum along each row of a padded (blocks x width) array, and the carry
-C_s into each block follows from the block totals by a short recurrence over
-blocks.  B mirrors it with every block anchored at its last node.  Each
-exponential has its argument in [-_SPAN, _SPAN] except the decay factor of
-the carry, whose argument is nonpositive, so no domain, however wide or
-coarse, can overflow.  Rounding stays eps times the kernel-weighted sum of
-|w|, as for the node-by-node recurrence; a wider span would add rounding of
-order eps * span through the exponent arguments m_j - m_s.
+one cumsum along the rows of a (2, blocks, W + 1) array with a leading zero
+column, and the carry C_s into each block follows from the block totals by a
+short recurrence over blocks.  B is the same scan on the reversed, negated
+positions, its blocks anchored at their last node.  Each exponential has its
+argument in [-_SPAN, _SPAN] except the decay factor of the carry, whose
+argument is nonpositive, so no domain, however wide or coarse (W = 1), can
+overflow.  Rounding stays eps times the kernel-weighted sum of |w|, as for
+the node-by-node recurrence; a wider span would add rounding of order
+eps * span through the exponent arguments m_j - m_s.
 
 The cell rule is shared by both quadrature orders: node j enters with weight
 h w_j, and q is the endpoint term of the rule at the output node, which also
@@ -74,92 +77,84 @@ __all__ = [
 _SPAN = 8.0
 
 
-def _fd_derivative(w: np.ndarray, h: float) -> np.ndarray:
-    """Second-order derivative estimate along the last axis (one-sided at the ends)."""
-    dw = np.empty_like(w)
-    dw[..., 1:-1] = (w[..., 2:] - w[..., :-2]) / (2.0 * h)
-    dw[..., 0] = (-3.0 * w[..., 0] + 4.0 * w[..., 1] - w[..., 2]) / (2.0 * h)
-    dw[..., -1] = (3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]) / (2.0 * h)
-    return dw
-
-
-def _decay_scans(m: np.ndarray, g: np.ndarray, carry0: np.ndarray) -> np.ndarray:
+def _decay_scans(m: np.ndarray, g: np.ndarray, carry0: np.ndarray,
+                 gap: float) -> tuple[np.ndarray, np.ndarray]:
     """Left and right exponential-decay prefix sums of the rows of g, shape (k, n).
 
-    Returns S of shape (k, 2, n) with
+    Returns (L, R), each of shape (k, n), with
 
-        S[:, 0, k] = carry0[:, 0] exp(-(m_k - m_0))   + sum_{j<k} g_j exp(-(m_k - m_j)),
-        S[:, 1, k] = carry0[:, 1] exp(-(m_end - m_k)) + sum_{j>k} g_j exp(-(m_j - m_k)).
+        L[:, k] = carry0[:, 0] exp(-(m_k - m_0))   + sum_{j<k} g_j exp(-(m_k - m_j)),
+        R[:, k] = carry0[:, 1] exp(-(m_end - m_k)) + sum_{j>k} g_j exp(-(m_j - m_k)),
 
-    Both directions share one padded array: row r of the left half holds the
-    block's terms in node order after a zero column, the right half holds the
-    blocks mirrored (last block first, last node first), so one cumsum along
-    the rows gives every exclusive in-block sum of both directions.
+    gap being the largest m_{j+1} - m_j.  R is the left scan of the reversed,
+    negated positions, so one cumsum along the rows of a padded
+    (2, blocks, width + 1) array with a leading zero column gives every
+    exclusive in-block sum of both directions.
     """
-    n = m.shape[0]
-    # blocks: runs of nodes with one value of floor((m - m_0) / _SPAN)
-    key = np.floor((m - m[0]) * (1.0 / _SPAN))
-    cut = np.flatnonzero(key[1:] != key[:-1]) + 1
-    first = np.concatenate(([0], cut))
-    last = np.concatenate((cut - 1, [n - 1]))
-    lens = last - first + 1
-    blocks, width = first.size, int(lens.max()) + 1
+    rows, n = g.shape
+    width = n if gap * n <= _SPAN else int(_SPAN / gap) + 1
+    blocks = -(-n // width)
     size = blocks * width
-    # exponent offsets from each node's left and right block anchors, in [0, _SPAN]
-    e = np.exp(np.concatenate((m - np.repeat(m[first], lens),
-                               np.repeat(m[last], lens) - m))).reshape(2, n)
-    # node j of block r sits at column j - first[r] + 1 of row r; the mirrored
-    # right half puts it at flat index size - pos
-    pos = np.arange(1, n + 1) + np.repeat(np.arange(0, size, width) - first, lens)
-    slot = np.concatenate((pos, 2 * size - pos))
-
-    rows = g.shape[0]
-    z = np.zeros((rows, 2 * size))
-    z[:, slot] = (g[:, None, :] * e).reshape(rows, 2 * n)
-    z = z.reshape(rows, 2, blocks, width).cumsum(axis=-1)
-
-    # carries into the blocks in scan order: forward for both halves, since
-    # the right half is mirrored
-    ml, mr = m[first], m[last]
-    decay = np.exp(np.concatenate((ml[:-1] - ml[1:], mr[-2::-1] - mr[:0:-1])))
-    carry = [carry0]
-    for f, total in zip(decay.reshape(2, -1).T, z[..., -1].transpose(2, 0, 1)):
-        carry.append(f * (carry[-1] + total))
-    z += np.array(carry).transpose(1, 2, 0)[..., None]
-    # the exclusive sum at node j is one slot back; / e undoes the anchor offset
-    return z.reshape(rows, 2 * size)[:, slot - 1].reshape(rows, 2, n) / e
+    # pad to blocks * width nodes by repeating the last one, with zero weight
+    p = np.concatenate((m, np.full(size - n, m[-1])))
+    p = np.array((p, -p[::-1])).reshape(2, blocks, width)
+    # offsets from each row's first node, in [0, _SPAN]
+    e = np.exp(p - p[..., :1])
+    z = np.zeros((rows, 2, size))
+    np.multiply(g, e.reshape(2, size)[0, :n], out=z[:, 0, :n])
+    np.multiply(g[:, ::-1], e.reshape(2, size)[1, size - n:], out=z[:, 1, size - n:])
+    s = np.zeros((rows, 2, blocks, width + 1))
+    np.add.accumulate(z.reshape(rows, 2, blocks, width), axis=-1, out=s[..., 1:])
+    # carries into the blocks: one short recurrence per row and direction
+    anchor = p[..., 0]
+    decay = np.exp(anchor[:, :-1] - anchor[:, 1:]).tolist()
+    totals = s[..., :-1, -1].reshape(2 * rows, blocks - 1).tolist()
+    carry = []
+    for i, c in enumerate(carry0.ravel().tolist()):
+        carry.append(c)
+        for f, total in zip(decay[i % 2], totals[i]):
+            c = f * (c + total)
+            carry.append(c)
+    s[..., :-1] += np.reshape(carry, (rows, 2, blocks, 1))
+    # / e undoes the anchor offset
+    out = np.divide(s[..., :-1], e).reshape(rows, 2, size)
+    return out[:, 0, :n], out[:, 1, ::-1][:, :n]
 
 
 def _scan_pair(positions: np.ndarray, weights: np.ndarray, h: float,
-               slopes: np.ndarray | None = None, order: int = 2):
+               slopes: np.ndarray | None = None, order: int = 2,
+               gaps: np.ndarray | None = None):
     """Left/right exponential-weighted prefix integrals along the last axis of weights.
 
     weights may be (n,) or a stack (..., n); each row is scanned against the
-    same positions, and (A, B) have the shape of weights.
+    same positions, and (A, B) have the shape of weights.  gaps is np.diff(positions).
     """
     n = positions.shape[0]
-    if not (np.diff(positions).min() > 0.0
-            and np.isfinite(positions[-1] - positions[0])):
+    d = np.diff(positions) if gaps is None else gaps
+    if not (d.min() > 0.0 and np.isfinite(positions[-1] - positions[0])):
         raise ValueError("scan positions must be finite and strictly increasing")
     w = weights.reshape(-1, n)
-    hw = h * w
     q = np.empty((w.shape[0], 2, n))
     if order == 2:
-        q[:, 0] = q[:, 1] = 0.5 * hw
+        q[:, 0] = q[:, 1] = (0.5 * h) * w
     elif order == 4:
-        if slopes is None:
-            slopes = np.ones(n)
-        c = h * h / 12.0
-        mid = 0.5 * hw - c * (slopes * w)
-        corr = c * _fd_derivative(w, h)
-        q[:, 0] = mid - corr
-        q[:, 1] = mid + corr
+        # q = h w / 2 - c slopes w -+ c w', w' by second-order differences
+        c, f = h * h / 12.0, h / 24.0
+        corr = q[:, 1]
+        corr[:, 1:-1] = f * (w[:, 2:] - w[:, :-2])
+        corr[:, 0] = f * (-3.0 * w[:, 0] + 4.0 * w[:, 1] - w[:, 2])
+        corr[:, -1] = f * (3.0 * w[:, -1] - 4.0 * w[:, -2] + w[:, -3])
+        mid = w * (0.5 * h - c * (1.0 if slopes is None else slopes))
+        np.subtract(mid, corr, out=q[:, 0])
+        corr += mid
     else:
         raise ValueError(f"quadrature order must be 2 or 4, got {order}")
     # -q at each direction's first node seeds its carry, so A_0 = B_end = 0
-    s = _decay_scans(positions, hw, -q[:, (0, 1), (0, -1)]) + q
-    s = s.reshape(weights.shape[:-1] + (2, n))
-    return s[..., 0, :], s[..., 1, :]
+    left, right = _decay_scans(positions, h * w, -q[:, (0, 1), (0, -1)], d.max())
+    q[:, 0] += left
+    q[:, 1] += right
+    q = q.reshape(weights.shape[:-1] + (2, n))
+    return q[..., 0, :], q[..., 1, :]
 
 
 def inv_helmholtz(g: ScalarField0, *, order: int = 2) -> ScalarField1:
@@ -189,9 +184,9 @@ def l_op(phi: ScalarField0, *, order: int = 2) -> ScalarField1:
 
 
 def _l_eta_arrays(m: np.ndarray, slopes: np.ndarray, phi: np.ndarray, h: float,
-                  order: int) -> tuple[np.ndarray, np.ndarray]:
+                  order: int, gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(value, derivative) of L_eta(phi) from raw node positions m = eta(x_k)."""
-    A, B = _scan_pair(m, phi * slopes, h, slopes=slopes, order=order)
+    A, B = _scan_pair(m, phi * slopes, h, slopes=slopes, order=order, gaps=gaps)
     return 0.5 * (B - A), slopes * (0.5 * (A + B) - phi)
 
 

@@ -9,8 +9,9 @@ Observed orders come from consecutive gap ratios plus a least-squares fit of
 log(gap) against log(h).
 
 Levels are independent, so the flow-map runs execute in a process pool when
-one can be started; they run serially otherwise.  An error raised by a level
-itself propagates once and is not retried.
+one can be started, finest level first; they run serially otherwise, and the
+study records which.  An error raised by a level itself propagates once and
+is not retried.
 """
 
 from __future__ import annotations
@@ -54,13 +55,14 @@ class RefinementStudy:
     level i.  orders[i] is the observed rate between consecutive gaps and
     fitted_order the least-squares slope over all of them.  A self-convergence
     study in which any level broke down has no gaps: its final states belong
-    to different times.
+    to different times.  execution is "pool" or "serial": how the levels ran.
     """
 
     levels: list[LevelResult]
     gaps: list[float]
     orders: list[float]
     fitted_order: float | None
+    execution: str = "serial"
 
 
 def scaled_config(cfg: SimConfig, n: int) -> SimConfig:
@@ -86,15 +88,16 @@ def _solve_level(payload) -> tuple[LevelResult, ScalarField1]:
 
 def _run_levels(cfg: SimConfig, levels: list[int], quad_order: int,
                 workers: int | None,
-                base_dir: str | None) -> list[tuple[LevelResult, ScalarField1]]:
+                base_dir: str | None) -> tuple[list[tuple[LevelResult, ScalarField1]], str]:
     payloads = [(cfg, n, quad_order, base_dir) for n in levels]
     if workers is None or workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers or min(len(levels), 4)) as pool:
-                return list(pool.map(_solve_level, payloads))
+                # the ladder increases: submit the finest, slowest level first
+                return list(pool.map(_solve_level, payloads[::-1]))[::-1], "pool"
         except (OSError, BrokenProcessPool):
             pass  # no usable process pool in this environment; a level's own error propagates
-    return [_solve_level(p) for p in payloads]
+    return [_solve_level(p) for p in payloads], "serial"
 
 
 def _orders(gaps: list[float], hs: list[float]) -> tuple[list[float], float | None]:
@@ -122,16 +125,17 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
         raise ValueError("a refinement study needs at least two levels")
     if sorted(levels) != list(levels):
         raise ValueError("levels must be increasing")
-    meta, solutions = zip(*_run_levels(cfg, levels, quad_order, workers, base_dir))
-    meta = list(meta)
+    results, execution = _run_levels(cfg, levels, quad_order, workers, base_dir)
+    meta, solutions = zip(*results)
+    study = RefinementStudy(list(meta), gaps=[], orders=[], fitted_order=None,
+                            execution=execution)
     if any(m.breakdown_time is not None for m in meta):
-        return RefinementStudy(levels=meta, gaps=[], orders=[], fitted_order=None)
-    gaps = []
+        return study
     for coarse, fine in zip(solutions[:-1], solutions[1:]):
         fine_at_coarse, _ = fine.eval(coarse.grid.x)
-        gaps.append(float(np.abs(fine_at_coarse - coarse.u).max()))
-    orders, fitted = _orders(gaps, [m.h for m in meta[:-1]])
-    return RefinementStudy(levels=meta, gaps=gaps, orders=orders, fitted_order=fitted)
+        study.gaps.append(float(np.abs(fine_at_coarse - coarse.u).max()))
+    study.orders, study.fitted_order = _orders(study.gaps, [m.h for m in meta[:-1]])
+    return study
 
 
 def oracle_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int = 4,

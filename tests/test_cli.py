@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chflow import studies
 from chflow.cli import _write_csv, main
 
 
@@ -156,6 +157,18 @@ class TestConverge:
         # The baseline (order-2 scans) study measures its textbook rate.
         assert 1.8 <= float(report["fitted_order"]) <= 2.2
         assert "gap_n128" in report and "gap_n256" in report
+
+    def test_reports_serial_levels_when_pool_fails(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool")
+
+        monkeypatch.setattr(studies, "ProcessPoolExecutor", no_pool)
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=8e-3, record_every=1000)
+        out = tmp_path / "out"
+        code = main(["converge", "--config", str(cfg), "--out", str(out),
+                     "--levels", "128,256", "--workers", "2", "--quiet"])
+        assert code == 0
+        assert read_kv(out / "convergence.txt")["level_execution"] == "serial"
 
     def test_breaking_levels_exit_two_without_gaps(self, tmp_path):
         cfg = write_config(tmp_path, n=128, t_end=3.0, dt=8e-3, record_every=1000,

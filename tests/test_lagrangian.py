@@ -172,6 +172,20 @@ class TestIntegrate:
             times[amp] = traj.breakdown_time
         assert abs(times[-1.0] - 2.0 * times[-2.0]) <= 2.0 * dt
 
+    def test_scaling_maps_whole_trajectory(self):
+        # u(t, x) -> 2 u(2 t, x) maps the A = -1 run onto the A = -2 run with
+        # dt halved: at every recorded state eta agrees and U doubles.
+        grid = Grid.from_interval(-20.0, 20.0, 512)
+        one = integrate(antisymmetric_field(grid, amp=-1.0), 1.0, 2e-3, record_every=25)
+        two = integrate(antisymmetric_field(grid, amp=-2.0), 0.5, 1e-3, record_every=25)
+        assert one.completed and two.completed
+        assert len(one.states) == len(two.states) == 21
+        for a, b in zip(one.states, two.states):
+            assert b.t == pytest.approx(0.5 * a.t, abs=1e-12)
+            for x1, x2 in ((a.eta.v.u, b.eta.v.u), (a.eta.v.du, b.eta.v.du),
+                           (2.0 * a.U.u, b.U.u), (2.0 * a.U.du, b.U.du)):
+                assert np.abs(x2 - x1).max() <= 1e-13 * np.abs(x1).max()
+
     def test_recording_cadence(self):
         grid = Grid.from_interval(-20.0, 20.0, 256)
         traj = integrate(gaussian_field(grid, amp=0.2), 0.1, 1e-2, record_every=3)
@@ -208,6 +222,24 @@ class TestIntegrate:
         assert len(traj.diagnostics.t) == steps + 1
         assert len(built) <= 4 + 2 * len(traj.states)
 
+    def test_step_doubling_shares_first_stage(self, monkeypatch):
+        # Per accepted step: full step 4 + first half 3 (its first stage is the
+        # full step's) + second half 4 right-side evaluations.
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        calls = []
+        real = lagrangian._dydt
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lagrangian, "_dydt", counting)
+        traj = integrate(gaussian_field(grid, amp=0.3), 0.1, 1e-2, record_every=10 ** 9,
+                         adaptive=True)
+        accepted = len(traj.diagnostics.t) - 1
+        assert accepted == 10  # no rejected step
+        assert len(calls) == 11 * accepted
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_state_raises(self, monkeypatch):
         grid = Grid.from_interval(-20.0, 20.0, 128)
@@ -241,6 +273,22 @@ class TestReconstruct:
 
 
 class TestConservedQuantities:
+    def test_third_invariant(self):
+        # H2 = int u^3 + u u_x^2 dx = int U^3 eta_x + U U_x^2 / eta_x dy is
+        # conserved; its drift is quadrature error, falling at order 4 in h.
+        drift = {}
+        for n in (512, 1024):
+            grid = Grid.from_interval(-20.0, 20.0, n)
+            traj = integrate(gaussian_field(grid, amp=0.5), 1.0, 4e-3, record_every=25)
+            assert traj.completed and len(traj.states) == 11
+            h2 = []
+            for s in traj.states:
+                U, Ux, eta_x = s.U.u, s.U.du, 1.0 + s.eta.v.du
+                h2.append(np.trapezoid(U ** 3 * eta_x + U * Ux ** 2 / eta_x, dx=grid.h))
+            drift[n] = np.abs(np.array(h2) - h2[0]).max() / abs(h2[0])
+        assert drift[1024] <= 1e-7
+        assert drift[512] / drift[1024] >= 8.0
+
     def test_zero(self, grid20):
         assert conserved_quantities(ScalarField1.zeros(grid20)) == (0.0, 0.0)
 

@@ -79,6 +79,17 @@ def scan_cases():
     for lo, n in ((-3.0, 129), (-400.0, 2049), (-2000.0, 257)):
         wide = Grid.from_interval(lo, -lo, n)
         yield f"[{lo:g}, {-lo:g}] n={n}", wide.x, rng.standard_normal(n), wide.h, None
+    # gap 0.3: blocks of 8 / 0.3 + 1 = 27 nodes, which do not divide n = 1001
+    padded = Grid.from_interval(-150.0, 150.0, 1001)
+    yield "padded last block", padded.x, rng.standard_normal(1001), padded.h, None
+    # 300 nodes spanning 6.5 < 8: one block
+    one = Grid.from_interval(-3.0, 3.5, 300)
+    yield "single block", one.x + 0.1 * np.sin(one.x), rng.standard_normal(300), one.h, None
+    # one cell 20 times wider than the rest: blocks of about 8 / 0.4 = 20 nodes
+    gaps = np.full(1024, 0.02)
+    gaps[700] = 0.4
+    wide_cell = np.concatenate(([-10.0], -10.0 + np.cumsum(gaps)))
+    yield "one wide cell", wide_cell, rng.standard_normal(1025), 0.02, None
 
 
 class TestScanPair:
