@@ -272,7 +272,7 @@ def cmd_oracle_compare(args) -> int:
     if args.levels:
         levels = [int(tok) for tok in args.levels.split(",") if tok]
         study = oracle_refinement(cfg, levels, quad_order=args.order,
-                                  base_dir=base_dir)
+                                  base_dir=base_dir, base=(traj, states))
         for m, gap in zip(study.levels, study.gaps):
             items.append((f"gap_n{m.n}", gap))
         for m, order in zip(study.levels, study.orders):

@@ -7,7 +7,8 @@ required):
       "grid":       {"x_min": -20.0, "x_max": 20.0, "n": 2048},
       "time":       {"t_end": 2.0, "dt": 1e-3 (1e-3),
                      "record_every": 100 (100), "adaptive": false (false)},
-      "initial":    {"kind": "gaussian" | "antisymmetric_gaussian" | "custom_csv",
+      "initial":    {"kind": "gaussian" | "antisymmetric_gaussian" |
+                             "momentum_gaussian" | "custom_csv",
                      "amplitude": 1.0 (1.0), "center": 0.0 (0.0),
                      "width": 1.0 (1.0), "path": "ic.csv" (unset)},
       "tolerances": {"tail_tol": 1e-8 (1e-8), "eps_break": 1e-3 (1e-3),
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, ParseError, ValidationError
-from .fields import Grid, ScalarField1, check_membership, read_field_csv
+from .fields import Grid, ScalarField0, ScalarField1, check_membership, read_field_csv
+from .operators import inv_helmholtz
 
 __all__ = [
     "GridConfig",
@@ -44,7 +46,7 @@ __all__ = [
     "make_initial",
 ]
 
-INITIAL_KINDS = ("gaussian", "antisymmetric_gaussian", "custom_csv")
+INITIAL_KINDS = ("gaussian", "antisymmetric_gaussian", "momentum_gaussian", "custom_csv")
 OUTPUT_FORMATS = ("csv", "summary")
 
 
@@ -254,8 +256,9 @@ def _validate(cfg: SimConfig, problems: list[str]):
 def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1:
     """Construct the initial velocity field and verify its admissibility.
 
-    Analytic profiles carry exact derivative channels; custom CSV data must
-    provide both channels.  The field must pass the membership conditions of
+    Analytic profiles carry exact derivative channels, momentum_gaussian the
+    kernel-identity channel of inv_helmholtz; custom CSV data must provide
+    both channels.  The field must pass the membership conditions of
     the solution space or an AdmissibilityError names the failed condition.
     """
     grid = cfg.grid.build()
@@ -271,6 +274,11 @@ def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1
         u = ic.amplitude * (grid.x - ic.center) * bump
         du = ic.amplitude * (1.0 - 2.0 * z * z) * bump
         field1 = ScalarField1(grid, u, du)
+    elif ic.kind == "momentum_gaussian":
+        # u0 = (1 - d_xx)^(-1) m0 for the momentum density m0 = u0 - u0''
+        z = (grid.x - ic.center) / ic.width
+        m0 = ScalarField0(grid, ic.amplitude * np.exp(-z * z))
+        field1 = inv_helmholtz(m0, order=4)
     elif ic.kind == "custom_csv":
         path = ic.path
         if base_dir is not None and not os.path.isabs(path):

@@ -132,22 +132,38 @@ def _chart(y: np.ndarray, grid: Grid, eps: float, t: float) -> tuple[np.ndarray,
 
 
 def _source(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return y[2] ** 2 + y[3] ** 2 / (2.0 * s * s)
+    """U^2 + U_x^2 / (2 eta_x^2) of the flat state, s = eta_x."""
+    q = y[3] / s
+    q *= q
+    q *= 0.5
+    q += y[2] * y[2]
+    return q
 
 
-def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int) -> np.ndarray:
-    """Right side (U, U', -L_eta(source)) of the flat state; checks y's chart at t."""
-    m, d = _chart(y, grid, eps, t)
+def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int,
+          chart: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Right side (U, U', -L_eta(source)) of the flat state.
+
+    Checks y's chart at t, unless chart already holds its checked positions
+    and gaps.
+    """
+    m, d = _chart(y, grid, eps, t) if chart is None else chart
     s = 1.0 + y[1]
     val, der = _l_eta_arrays(m, s, _source(y, s), grid.h, order, d)
     k = np.empty_like(y)
-    k[:2], k[2:] = y[2:], np.negative((val, der))
+    k[:2] = y[2:]
+    np.negative(val, out=k[2])
+    np.negative(der, out=k[3])
     return k
 
 
 def _rk4(y: np.ndarray, t: float, dt: float, grid: Grid, eps: float,
-         order: int, k1: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of the (4, n) state from k1 = f(y); checks every chart."""
+         order: int, k1: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One classical RK4 step of the (4, n) state from k1 = f(y); checks every chart.
+
+    Returns the new state and its checked chart, which the next evaluation
+    of that state reuses.
+    """
     stage, total, k = np.empty_like(y), k1.copy(), k1
     for c, w in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
         np.multiply(k, c, out=stage)
@@ -157,8 +173,7 @@ def _rk4(y: np.ndarray, t: float, dt: float, grid: Grid, eps: float,
         total += stage
     total *= dt / 6.0
     total += y
-    _chart(total, grid, eps, t + dt)
-    return total
+    return total, _chart(total, grid, eps, t + dt)
 
 
 def _pack(state: FlowState) -> np.ndarray:
@@ -196,7 +211,7 @@ def rk4_step(state: FlowState, dt: float, *, eps_break: float = DEFAULT_EPS_BREA
     eps = max(eps_break, DEFAULT_EPS_CHART)
     y = _pack(state)
     k1 = _dydt(y, state.t, state.grid, eps, quad_order)
-    return _unpack(_rk4(y, state.t, dt, state.grid, eps, quad_order, k1),
+    return _unpack(_rk4(y, state.t, dt, state.grid, eps, quad_order, k1)[0],
                    state.t + dt, state.grid)
 
 
@@ -250,26 +265,28 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
 
     steps_done = 0
     dt_cur = dt
+    chart = None
     try:
         while t < t_end - 1e-12 * max(1.0, t_end):
             step = min(dt_cur, t_end - t)
-            k1 = _dydt(y, t, grid, eps, quad_order)
+            # the last step's chart check of y serves y's first stage
+            k1 = _dydt(y, t, grid, eps, quad_order, chart)
             if adaptive:
                 # the full step and the first half step share their first stage
-                full = _rk4(y, t, step, grid, eps, quad_order, k1)
+                full, _ = _rk4(y, t, step, grid, eps, quad_order, k1)
                 t_mid = t + 0.5 * step
-                mid = _rk4(y, t, 0.5 * step, grid, eps, quad_order, k1)
-                half = _rk4(mid, t_mid, 0.5 * step, grid, eps, quad_order,
-                            _dydt(mid, t_mid, grid, eps, quad_order))
+                mid, mid_chart = _rk4(y, t, 0.5 * step, grid, eps, quad_order, k1)
+                half, half_chart = _rk4(mid, t_mid, 0.5 * step, grid, eps, quad_order,
+                                        _dydt(mid, t_mid, grid, eps, quad_order, mid_chart))
                 err = float(np.abs(full - half).max())
                 if err > adapt_tol and step > dt * 2.0 ** -12:
                     dt_cur = 0.5 * step
                     continue
-                y, t = half, t_mid + 0.5 * step
+                y, chart, t = half, half_chart, t_mid + 0.5 * step
                 if err < adapt_tol / 64.0:
                     dt_cur = min(2.0 * dt_cur, dt)
             else:
-                y, t = _rk4(y, t, step, grid, eps, quad_order, k1), t + step
+                (y, chart), t = _rk4(y, t, step, grid, eps, quad_order, k1), t + step
             if not np.isfinite(y).all():
                 raise ValueError(f"flow state became non-finite at t = {t:.9g}")
             steps_done += 1

@@ -9,42 +9,48 @@ where m is either the identity (m = x) or an increasing flow map evaluated at
 the nodes.  Both are linear recurrences, A_{k+1} = exp(-(m_{k+1} - m_k)) A_k
 + r_k, and are evaluated without a loop over nodes, in O(n) per direction.
 
-Blocked form.  The nodes are cut into blocks of W = min(n, floor(_SPAN / g) + 1)
-consecutive nodes, g the largest gap m_{j+1} - m_j and _SPAN = 8, so a block
-spans at most _SPAN; the last block is padded with copies of the last node
-of zero weight.  Inside a block anchored at its first node s the left
-accumulator is
+Blocked form.  The nodes are cut into the fewest blocks of at most
+floor(_SPAN / g) + 1 consecutive nodes, g the largest gap m_{j+1} - m_j and
+_SPAN = 8, all of one width W, so a block spans at most _SPAN; the last block
+is padded with copies of the last node of zero weight, fewer than one per
+block.  Both directions share the blocks and, s being a block's first node,
+the factors e_k = exp(m_k - m_s) in [1, e^_SPAN] and r_k = 1/e_k, one
+exponential and one reciprocal per node.  Inside a block
 
-    A_k = exp(-(m_k - m_s)) * (C_s + sum_{s <= j < k} h w_j exp(m_j - m_s)) + q_k,
+    A_k = r_k (C_s + sum_{s <= j < k} h w_j e_j) + q_k,
+    B_k = e_k (D_s + sum_{k < j < s + W} h w_j r_j) + q'_k,
 
-one cumsum along the rows of a (2, blocks, W + 1) array with a leading zero
-column, and the carry C_s into each block follows from the block totals by a
-short recurrence over blocks.  B is the same scan on the reversed, negated
-positions, its blocks anchored at their last node.  Each exponential has its
-argument in [-_SPAN, _SPAN] except the decay factor of the carry, whose
-argument is nonpositive, so no domain, however wide or coarse (W = 1), can
-overflow.  Rounding stays eps times the kernel-weighted sum of |w|, as for
-the node-by-node recurrence; a wider span would add rounding of order
-eps * span through the exponent arguments m_j - m_s.
+each one cumsum, forward or backward, along a row of W + 1 entries that
+holds the block's terms and the carry ahead of them (A) or behind them (B).
+The carries C_s and D_s, both taken at the block's first node, follow from
+the block totals by short recurrences over blocks that share one decay
+factor exp(-(m_s' - m_s)) per block edge; the right carry starts at the last
+node as its seed times r_end.  Each exponential has its argument in
+[-_SPAN, _SPAN] except the decay factor, whose argument is nonpositive, so
+no domain, however wide or coarse (W = 1), can overflow.  Rounding stays eps
+times the kernel-weighted sum of |w|, as for the node-by-node recurrence; a
+wider span would add rounding of order eps * span through the exponent
+arguments m_j - m_s.
 
 The cell rule is shared by both quadrature orders: node j enters with weight
-h w_j, and q is the endpoint term of the rule at the output node, which also
-seeds the carry at the first node so that A_0 = B_end = 0.
+h w_j, and q, q' are the endpoint terms of the rule at the output node, which
+also seed the carries at the first and last node so that A_0 = B_end = 0.
 
-From the pair (A, B) a single pass yields, without any numerical
-differentiation:
+Every operator consumes only the half sum S = (A+B)/2 and the half
+difference D = (B-A)/2, which one scan entry returns (its scans run at half
+weight, so no pass forms A or B).  Without any numerical differentiation:
 
-* inverse Helmholtz  f = (1 - d_xx)^(-1) g:     f = (A+B)/2,  f' = (B-A)/2,
-* its x-derivative   L g = d_x (1 - d_xx)^(-1): value (B-A)/2, derivative
-  (A+B)/2 - g  (the operator gains one derivative),
+* inverse Helmholtz  f = (1 - d_xx)^(-1) g:     f = S,  f' = D,
+* its x-derivative   L g = d_x (1 - d_xx)^(-1): value D, derivative S - g
+  (the operator gains one derivative),
 * the flow-conjugated operator  L_eta(phi) = L(phi o eta^(-1)) o eta,
-  evaluated directly from eta-weighted scans with derivative channel
-  eta' * ((A+B)/2 - phi),
+  evaluated directly from eta-weighted scans: value D, derivative channel
+  eta' * (S - phi),
 * the directional derivative of (phi, eta) -> L_eta(phi) in eta, assembled
-  from three weighted scans; with the shared per-cell rule the assembly is
-  the exact algebraic derivative of the discrete direct operator, so central
-  finite differences of l_eta_direct converge to it at O(eps^2) with no grid
-  floor.
+  from three weighted scans as rho S_1 - S_2 + D_3; with the shared per-cell
+  rule the assembly is the exact algebraic derivative of the discrete direct
+  operator, so central finite differences of l_eta_direct converge to it at
+  O(eps^2) with no grid floor.
 
 Quadrature: per-cell trapezoid on the weighted integrand with the exponential
 factor pulled out per cell (order=2, the default), q = h w / 2.  order=4 adds
@@ -77,84 +83,118 @@ __all__ = [
 _SPAN = 8.0
 
 
-def _decay_scans(m: np.ndarray, g: np.ndarray, carry0: np.ndarray,
+def _decay_scans(m: np.ndarray, g: np.ndarray, seeds: list[tuple[float, float]],
                  gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right exponential-decay prefix sums of the rows of g, shape (k, n).
+    """Left and right exponential-decay sums of the rows of g, shape (k, n).
 
     Returns (L, R), each of shape (k, n), with
 
-        L[:, k] = carry0[:, 0] exp(-(m_k - m_0))   + sum_{j<k} g_j exp(-(m_k - m_j)),
-        R[:, k] = carry0[:, 1] exp(-(m_end - m_k)) + sum_{j>k} g_j exp(-(m_j - m_k)),
+        L[:, k] = cl exp(-(m_k - m_0))   + sum_{j<k} g_j exp(-(m_k - m_j)),
+        R[:, k] = cr exp(-(m_end - m_k)) + sum_{j>k} g_j exp(-(m_j - m_k)),
 
-    gap being the largest m_{j+1} - m_j.  R is the left scan of the reversed,
-    negated positions, so one cumsum along the rows of a padded
-    (2, blocks, width + 1) array with a leading zero column gives every
-    exclusive in-block sum of both directions.
+    seeds holding one pair of floats (cl, cr) per row and gap being the
+    largest m_{j+1} - m_j.  Both directions share the blocks and the factors
+    e = exp(m - m_s), r = 1/e of their first node s: L = r (C + prefix(g e))
+    and R = e (D + suffix(g r)).  Each block row of a (k, 2, blocks, width + 1)
+    buffer holds the carry ahead of the terms of a left scan and behind the
+    terms of a right scan, so a cumsum forward or backward along it gives
+    every exclusive in-block sum plus the carry.
     """
     rows, n = g.shape
-    width = n if gap * n <= _SPAN else int(_SPAN / gap) + 1
-    blocks = -(-n // width)
+    blocks = 1 if gap * n <= _SPAN else -(-n // (int(_SPAN / gap) + 1))
+    width = -(-n // blocks)
     size = blocks * width
-    # pad to blocks * width nodes by repeating the last one, with zero weight
-    p = np.concatenate((m, np.full(size - n, m[-1])))
-    p = np.array((p, -p[::-1])).reshape(2, blocks, width)
-    # offsets from each row's first node, in [0, _SPAN]
-    e = np.exp(p - p[..., :1])
-    z = np.zeros((rows, 2, size))
-    np.multiply(g, e.reshape(2, size)[0, :n], out=z[:, 0, :n])
-    np.multiply(g[:, ::-1], e.reshape(2, size)[1, size - n:], out=z[:, 1, size - n:])
+    p = m
+    if size > n:
+        # pad to blocks * width nodes by repeating the last one, with zero weight
+        p = np.concatenate((m, np.full(size - n, m[-1])))
+        g = np.concatenate((g, np.zeros((rows, size - n))), axis=1)
+    p = p.reshape(blocks, width)
+    g = g.reshape(rows, blocks, width)
+    # offsets from each block's first node lie in [0, _SPAN]
+    e = np.exp(p - p[:, :1])
+    r = 1.0 / e
     s = np.zeros((rows, 2, blocks, width + 1))
-    np.add.accumulate(z.reshape(rows, 2, blocks, width), axis=-1, out=s[..., 1:])
-    # carries into the blocks: one short recurrence per row and direction
-    anchor = p[..., 0]
-    decay = np.exp(anchor[:, :-1] - anchor[:, 1:]).tolist()
-    totals = s[..., :-1, -1].reshape(2 * rows, blocks - 1).tolist()
+    left, right = s[:, 0], s[:, 1]
+    np.multiply(g, e, out=left[..., 1:])
+    np.multiply(g, r, out=right[..., :-1])
+    # carries into the blocks at their first node: one decay per block edge
+    # serves both directions; the right seed enters at the last node
+    decay = np.exp(p[:-1, 0] - p[1:, 0]).tolist()
+    totals = np.add.reduce(s, axis=-1).tolist()
+    r_end = float(r.flat[n - 1])
     carry = []
-    for i, c in enumerate(carry0.ravel().tolist()):
-        carry.append(c)
-        for f, total in zip(decay[i % 2], totals[i]):
-            c = f * (c + total)
-            carry.append(c)
-    s[..., :-1] += np.reshape(carry, (rows, 2, blocks, 1))
-    # / e undoes the anchor offset
-    out = np.divide(s[..., :-1], e).reshape(rows, 2, size)
-    return out[:, 0, :n], out[:, 1, ::-1][:, :n]
+    for (cl, cr), (tl, tr) in zip(seeds, totals):
+        carry.append(cl)
+        for f, total in zip(decay, tl):
+            cl = f * (cl + total)
+            carry.append(cl)
+        right_carry = [cr * r_end]
+        for f, total in zip(decay[::-1], tr[:0:-1]):
+            right_carry.append(f * (right_carry[-1] + total))
+        carry += right_carry[::-1]
+    carry = np.array(carry).reshape(rows, 2, blocks)
+    left[..., 0] = carry[:, 0]
+    right[..., -1] = carry[:, 1]
+    np.add.accumulate(left, axis=-1, out=left)
+    np.add.accumulate(right[..., ::-1], axis=-1, out=right[..., ::-1])
+    left = np.multiply(left[..., :-1], r).reshape(rows, size)
+    right = np.multiply(right[..., 1:], e).reshape(rows, size)
+    return left[:, :n], right[:, :n]
 
 
-def _scan_pair(positions: np.ndarray, weights: np.ndarray, h: float,
-               slopes: np.ndarray | None = None, order: int = 2,
-               gaps: np.ndarray | None = None):
-    """Left/right exponential-weighted prefix integrals along the last axis of weights.
+def _scan_sd(positions: np.ndarray, weights: np.ndarray, h: float,
+             slopes: np.ndarray | None = None, order: int = 2,
+             gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Half sum S = (A+B)/2 and half difference D = (B-A)/2 of the left/right
+    exponential-weighted prefix integrals along the last axis of weights.
 
     weights may be (n,) or a stack (..., n); each row is scanned against the
-    same positions, and (A, B) have the shape of weights.  gaps is np.diff(positions).
+    same positions, and S, D have the shape of weights.  gaps is np.diff(positions).
     """
     n = positions.shape[0]
     d = np.diff(positions) if gaps is None else gaps
     if not (d.min() > 0.0 and np.isfinite(positions[-1] - positions[0])):
         raise ValueError("scan positions must be finite and strictly increasing")
     w = weights.reshape(-1, n)
-    q = np.empty((w.shape[0], 2, n))
+    # the scans run at half weight, so they return L/2 and R/2
+    g = (0.5 * h) * w
+    corr = None
     if order == 2:
-        q[:, 0] = q[:, 1] = (0.5 * h) * w
+        # q = h w / 2 in both directions
+        mid = g
+        seeds = [(-0.5 * a, -0.5 * b) for a, b in g[:, ::n - 1].tolist()]
     elif order == 4:
-        # q = h w / 2 - c slopes w -+ c w', w' by second-order differences
+        # q = mid -+ corr, mid = h w / 2 - c slopes w, corr = c w' with w'
+        # by second-order differences
         c, f = h * h / 12.0, h / 24.0
-        corr = q[:, 1]
-        corr[:, 1:-1] = f * (w[:, 2:] - w[:, :-2])
-        corr[:, 0] = f * (-3.0 * w[:, 0] + 4.0 * w[:, 1] - w[:, 2])
-        corr[:, -1] = f * (3.0 * w[:, -1] - 4.0 * w[:, -2] + w[:, -3])
         mid = w * (0.5 * h - c * (1.0 if slopes is None else slopes))
-        np.subtract(mid, corr, out=q[:, 0])
-        corr += mid
+        corr = np.empty_like(mid)
+        np.subtract(w[:, 2:], w[:, :-2], out=corr[:, 1:-1])
+        corr[:, 1:-1] *= f
+        seeds = []
+        for row, (a, b), (w0, w1, w2), (w3, w4, w5) in zip(
+                corr, mid[:, ::n - 1].tolist(), w[:, :3].tolist(), w[:, -3:].tolist()):
+            row[0] = c0 = f * (-3.0 * w0 + 4.0 * w1 - w2)
+            row[-1] = c1 = f * (3.0 * w5 - 4.0 * w4 + w3)
+            seeds.append((-0.5 * (a - c0), -0.5 * (b + c1)))
     else:
         raise ValueError(f"quadrature order must be 2 or 4, got {order}")
-    # -q at each direction's first node seeds its carry, so A_0 = B_end = 0
-    left, right = _decay_scans(positions, h * w, -q[:, (0, 1), (0, -1)], d.max())
-    q[:, 0] += left
-    q[:, 1] += right
-    q = q.reshape(weights.shape[:-1] + (2, n))
-    return q[..., 0, :], q[..., 1, :]
+    # -q/2 at each direction's first node seeds its carry, so A_0 = B_end = 0
+    left, right = _decay_scans(positions, g, seeds, d.max())
+    S = mid + left
+    S += right
+    D = right - left
+    if corr is not None:
+        D += corr
+    return S.reshape(weights.shape), D.reshape(weights.shape)
+
+
+def _scan_pair(positions: np.ndarray, weights: np.ndarray, h: float,
+               slopes: np.ndarray | None = None, order: int = 2):
+    """Left/right exponential-weighted prefix integrals (A, B) along the last axis of weights."""
+    S, D = _scan_sd(positions, weights, h, slopes, order)
+    return S - D, S + D
 
 
 def inv_helmholtz(g: ScalarField0, *, order: int = 2) -> ScalarField1:
@@ -164,8 +204,8 @@ def inv_helmholtz(g: ScalarField0, *, order: int = 2) -> ScalarField1:
     same accumulators rather than by differencing f.
     """
     grid = g.grid
-    A, B = _scan_pair(grid.x, g.g, grid.h, order=order)
-    return ScalarField1(grid, 0.5 * (A + B), 0.5 * (B - A))
+    S, D = _scan_sd(grid.x, g.g, grid.h, order=order)
+    return ScalarField1(grid, S, D)
 
 
 def l_op(phi: ScalarField0, *, order: int = 2) -> ScalarField1:
@@ -179,21 +219,23 @@ def l_op(phi: ScalarField0, *, order: int = 2) -> ScalarField1:
     and the derivative channel uses d_x L = (1 - d_xx)^(-1) - id.
     """
     grid = phi.grid
-    A, B = _scan_pair(grid.x, phi.g, grid.h, order=order)
-    return ScalarField1(grid, 0.5 * (B - A), 0.5 * (A + B) - phi.g)
+    S, D = _scan_sd(grid.x, phi.g, grid.h, order=order)
+    return ScalarField1(grid, D, S - phi.g)
 
 
 def _l_eta_arrays(m: np.ndarray, slopes: np.ndarray, phi: np.ndarray, h: float,
                   order: int, gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(value, derivative) of L_eta(phi) from raw node positions m = eta(x_k)."""
-    A, B = _scan_pair(m, phi * slopes, h, slopes=slopes, order=order, gaps=gaps)
-    return 0.5 * (B - A), slopes * (0.5 * (A + B) - phi)
+    S, D = _scan_sd(m, phi * slopes, h, slopes, order, gaps)
+    S -= phi
+    S *= slopes
+    return D, S
 
 
 def l_eta_direct(phi: ScalarField0, eta: Diffeo, *, order: int = 2) -> ScalarField1:
     """L conjugated by the flow map, evaluated directly from eta-weighted scans.
 
-    f(x_k) = -1/2 A_k + 1/2 B_k with positions m = eta(x_k) and weight
+    f(x_k) = D_k = (B_k - A_k)/2 with positions m = eta(x_k) and weight
     phi * eta'; monotonicity of eta keeps every per-cell exponent
     -(m_{k+1} - m_k) <= -a h < 0.  The derivative channel comes from the
     analytic identity f' = eta' * (S - phi) with S = (A + B)/2, which is the
@@ -234,7 +276,8 @@ def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1, *,
              + 1/2 int_x^{inf}   exp(eta(x)-eta(y)) phi(y)
                    (rho(x) eta'(y) - rho(y) eta'(y) + rho'(y)) dy,
 
-    assembled from three scans with weights phi*eta', phi*rho*eta', phi*rho'.
+    assembled as rho S_1 - S_2 + D_3 from three scans with weights phi*eta',
+    phi*rho*eta', phi*rho'.
     Sharing the per-cell rule with l_eta_direct makes this the exact
     derivative of the discrete operator, not merely a consistent one.
 
@@ -247,7 +290,7 @@ def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1, *,
     m = eta.values()
     slopes = eta.slopes()
     w1 = phi.g * slopes
-    (A1, A2, A3), (B1, B2, B3) = _scan_pair(
-        m, np.stack((w1, rho.u * w1, phi.g * rho.du)), grid.h, slopes=slopes, order=order)
-    value = 0.5 * (rho.u * (A1 + B1) - (A2 + B2) - (A3 - B3))
+    (S1, S2, _), (_, _, D3) = _scan_sd(
+        m, np.stack((w1, rho.u * w1, phi.g * rho.du)), grid.h, slopes, order)
+    value = rho.u * S1 - S2 + D3
     return ScalarField1(grid, value, np.gradient(value, grid.h, edge_order=2))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chflow import studies
+from chflow import cli, studies
 from chflow.cli import _write_csv, main
 
 
@@ -225,3 +225,30 @@ class TestOracleCompare:
         assert sup and sup[0] <= 1e-2
         eul = sorted(out.glob("eulerian_*.csv"))
         assert eul and eul[0].read_text().splitlines()[0] == "x,u,u_x"
+
+    def test_base_level_reuses_base_runs(self, tmp_path, monkeypatch):
+        # A ladder containing the config's own n takes that level from the
+        # base runs: two flow-map integrations for two levels, and the same
+        # bytes as integrating the level again.
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=1000)
+        calls = []
+        real_integrate, real_refinement = cli.integrate, cli.oracle_refinement
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_integrate(*args, **kwargs)
+
+        def without_base(*args, base=None, **kwargs):
+            return real_refinement(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate", counting)
+        monkeypatch.setattr(studies, "integrate", counting)
+        args = ["oracle-compare", "--config", str(cfg), "--levels", "128,256", "--quiet"]
+        assert main(args + ["--out", str(tmp_path / "reused")]) == 0
+        assert len(calls) == 2
+        monkeypatch.setattr(cli, "oracle_refinement", without_base)
+        assert main(args + ["--out", str(tmp_path / "rerun")]) == 0
+        assert len(calls) == 5
+        reused = (tmp_path / "reused" / "oracle_compare.txt").read_bytes()
+        assert reused == (tmp_path / "rerun" / "oracle_compare.txt").read_bytes()
+        assert b"gap_n128=" in reused and b"gap_n256=" in reused

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from chflow import ScalarField1, load_config, make_initial, norm_11, write_field_csv
 from chflow.config import config_from_dict
@@ -130,6 +131,19 @@ class TestMakeInitial:
         expected = antisymmetric_field(grid, amp=-1.0)
         assert np.abs(f.u - expected.u).max() <= 1e-15
         assert np.abs(f.du - expected.du).max() <= 1e-15
+
+    def test_momentum_gaussian_closed_form(self):
+        # u0 = (1 - d_xx)^(-1) A exp(-x^2)
+        #    = (A sqrt(pi) / 4) e^(1/4) (e^-x erfc(1/2 - x) + e^x erfc(1/2 + x))
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["initial"] = {"kind": "momentum_gaussian", "amplitude": 2.0}
+        payload["grid"]["n"] = 2049
+        f = make_initial(config_from_dict(payload))
+        x = f.grid.x
+        c = 2.0 * np.sqrt(np.pi) / 4.0 * np.exp(0.25)
+        left, right = np.exp(-x) * erfc(0.5 - x), np.exp(x) * erfc(0.5 + x)
+        assert np.abs(f.u - c * (left + right)).max() <= 1e-8
+        assert np.abs(f.du - c * (right - left)).max() <= 1e-7
 
     def test_wide_profile_fails_admissibility(self):
         payload = json.loads(json.dumps(MINIMAL))

@@ -19,6 +19,7 @@ from chflow import (
     rk4_step,
 )
 from chflow import lagrangian
+from chflow.config import config_from_dict, make_initial
 from chflow.errors import AdmissibilityError, ChartViolation
 from chflow.eulerian import EulerianState, euler_rhs
 from chflow.fields import norm_11
@@ -75,6 +76,17 @@ class TestRhs:
         _, dU = rhs(state, quad_order=2)
         direct = l_op(quadratic_source(state))
         np.testing.assert_array_equal(dU.u, -direct.u)
+        eul = euler_rhs(EulerianState(0.0, grid20, u0.u))
+        ux = np.gradient(u0.u, grid20.h, edge_order=2)
+        assert np.abs(dU.u - (eul + u0.u * ux)).max() <= 50 * grid20.h ** 2
+
+    def test_identity_map_matches_eulerian_nonlocal_term_order_4(self, grid20):
+        u0 = gaussian_field(grid20, amp=0.5)
+        state = id_state(grid20, u0)
+        _, dU = rhs(state, quad_order=4)
+        direct = l_op(quadratic_source(state), order=4)
+        np.testing.assert_array_equal(dU.u, -direct.u)
+        np.testing.assert_array_equal(dU.du, -direct.du)
         eul = euler_rhs(EulerianState(0.0, grid20, u0.u))
         ux = np.gradient(u0.u, grid20.h, edge_order=2)
         assert np.abs(dU.u - (eul + u0.u * ux)).max() <= 50 * grid20.h ** 2
@@ -239,6 +251,64 @@ class TestIntegrate:
         accepted = len(traj.diagnostics.t) - 1
         assert accepted == 10  # no rejected step
         assert len(calls) == 11 * accepted
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_chart_formed_once_per_state(self, monkeypatch, adaptive):
+        # A state's positions and gaps are formed once: by its own evaluation,
+        # or by the step that made it, which hands them to that evaluation.
+        # The full step of step doubling and the final state are checked but
+        # never evaluated.
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        charts, evals = [], []
+        real_chart, real_dydt = lagrangian._chart, lagrangian._dydt
+
+        def chart(*args):
+            charts.append(1)
+            return real_chart(*args)
+
+        def dydt(*args):
+            evals.append(1)
+            return real_dydt(*args)
+
+        monkeypatch.setattr(lagrangian, "_chart", chart)
+        monkeypatch.setattr(lagrangian, "_dydt", dydt)
+        traj = integrate(gaussian_field(grid, amp=0.3), 0.1, 1e-2, record_every=10 ** 9,
+                         adaptive=adaptive)
+        accepted = len(traj.diagnostics.t) - 1
+        assert accepted == 10  # no rejected step
+        assert len(evals) == (11 if adaptive else 4) * accepted
+        assert len(charts) == len(evals) + (accepted if adaptive else 0) + 1
+
+    def test_chart_reuse_leaves_breaking_run_unchanged(self, monkeypatch):
+        grid = Grid.from_interval(-20.0, 20.0, 256)
+        u0 = antisymmetric_field(grid, amp=-2.0)
+        reused = integrate(u0, 1.5, 2e-3, record_every=50, adaptive=True)
+        real = lagrangian._dydt
+
+        def fresh_chart(y, t, grid, eps, order, chart=None):
+            return real(y, t, grid, eps, order)
+
+        monkeypatch.setattr(lagrangian, "_dydt", fresh_chart)
+        fresh = integrate(u0, 1.5, 2e-3, record_every=50, adaptive=True)
+        assert not reused.completed
+        assert reused.breakdown_time == fresh.breakdown_time
+        assert reused.breakdown_min_slope == fresh.breakdown_min_slope
+        for a, b in zip(vars(reused.diagnostics).values(), vars(fresh.diagnostics).values()):
+            np.testing.assert_array_equal(a, b)
+        # no diagnostics row for the state that failed the chart check
+        assert reused.diagnostics.min_eta_x.min() > 1e-3
+
+    def test_nonnegative_momentum_never_breaks(self):
+        # m0 = u0 - u0'' >= 0 gives a global solution (Constantin-Escher,
+        # McKean): no breakdown, and the chart margin stays away from 0.
+        cfg = config_from_dict({
+            "grid": {"x_min": -20.0, "x_max": 20.0, "n": 512},
+            "time": {"t_end": 3.0, "dt": 2e-3, "adaptive": True},
+            "initial": {"kind": "momentum_gaussian", "amplitude": 2.0}})
+        traj = integrate(make_initial(cfg), **cfg.integrate_kwargs(4))
+        assert traj.completed
+        assert traj.final.t == pytest.approx(3.0, abs=1e-12)
+        assert traj.diagnostics.min_eta_x.min() >= 0.05
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_state_raises(self, monkeypatch):

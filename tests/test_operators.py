@@ -17,7 +17,7 @@ from chflow import (
 )
 from chflow.checks import random_bump_diffeo, random_bump_field0, random_bump_field1
 from chflow.errors import GridMismatch
-from chflow.operators import _scan_pair
+from chflow.operators import _decay_scans, _l_eta_arrays, _scan_pair
 
 from conftest import gaussian_field, gaussian_source
 
@@ -115,6 +115,41 @@ class TestScanPair:
             a1, b1 = _scan_pair(m, row, h, slopes=slopes, order=order)
             np.testing.assert_array_equal(a, a1)
             np.testing.assert_array_equal(b, b1)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("case", list(scan_cases()), ids=lambda c: c[0])
+    def test_l_eta_arrays_match_reference_recombined(self, case, order):
+        # value (B - A)/2 and derivative eta' ((A + B)/2 - phi) of the node loop
+        _, m, phi, h, slopes = case
+        slopes = np.ones_like(m) if slopes is None else slopes
+        val, der = _l_eta_arrays(m, slopes, phi, h, order)
+        A0, B0 = reference_scan_pair(m, phi * slopes, h, slopes=slopes, order=order)
+        scale = max(np.abs(A0).max(), np.abs(B0).max())
+        assert np.abs(val - 0.5 * (B0 - A0)).max() <= 1e-13 * scale
+        expected = slopes * (0.5 * (A0 + B0) - phi)
+        assert np.abs(der - expected).max() <= 1e-13 * scale * slopes.max()
+
+    @pytest.mark.parametrize("m", [
+        # gap 1/32: blocks of at most 8 * 32 + 1 = 257 nodes, so 4 blocks of
+        # exactly 256 and no padding
+        -16.0 + np.arange(1024) / 32.0,
+        # gap 0.3: 38 blocks of 27 nodes, the last one padded
+        np.linspace(-150.0, 150.0, 1001),
+        # span 6.5 < 8: one block
+        np.linspace(-3.0, 3.5, 300),
+    ], ids=["whole blocks", "padded", "single block"])
+    def test_decay_scans_match_double_sums(self, m):
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((2, m.size))
+        seeds = [(0.7, -1.3), (-0.2, 0.9)]
+        L, R = _decay_scans(m, g, seeds, float(np.diff(m).max()))
+        kernel = np.exp(-np.abs(m[:, None] - m[None, :]))
+        for row, (cl, cr), left, right in zip(g, seeds, L, R):
+            L0 = np.tril(kernel, -1) @ row + cl * np.exp(-(m - m[0]))
+            R0 = np.triu(kernel, 1) @ row + cr * np.exp(-(m[-1] - m))
+            scale = (kernel @ np.abs(row)).max() + abs(cl) + abs(cr)
+            assert np.abs(left - L0).max() <= 1e-13 * scale
+            assert np.abs(right - R0).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("positions", [
         np.linspace(1.0, -1.0, 64),
