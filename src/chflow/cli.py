@@ -176,10 +176,15 @@ def _summary_items(traj: Trajectory, cfg: SimConfig, order: int):
         ("momentum_drift_rel", momentum_rel),
         ("min_eta_x_final", float(d.min_eta_x[-1])),
         ("recorded_states", len(traj.states)),
+        ("steps_accepted", len(d.t) - 1),
+        ("steps_rejected", traj.steps_rejected),
+        ("steps_at_floor", traj.steps_at_floor),
+        ("rhs_evaluations", traj.rhs_evaluations),
     ]
     if traj.breakdown_time is not None:
-        items.insert(6, ("breakdown_time", traj.breakdown_time))
-        items.insert(7, ("breakdown_min_slope", traj.breakdown_min_slope))
+        items[6:6] = [("breakdown_time", traj.breakdown_time),
+                      ("breakdown_min_slope", traj.breakdown_min_slope),
+                      ("breaking_time_estimate", traj.breaking_time_estimate)]
     return items
 
 

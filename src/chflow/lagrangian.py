@@ -28,6 +28,7 @@ non-finite values.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,12 +92,16 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """Recorded states plus per-step diagnostics of one integration."""
+    """Recorded states plus per-step diagnostics and step counts of one integration."""
 
     states: list[FlowState]
     diagnostics: StepDiagnostics
     breakdown_time: float | None = None
     breakdown_min_slope: float | None = None
+    breaking_time_estimate: float | None = None
+    steps_rejected: int = 0
+    steps_at_floor: int = 0
+    rhs_evaluations: int = 0
 
     def __post_init__(self):
         times = [s.t for s in self.states]
@@ -140,14 +145,9 @@ def _source(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return q
 
 
-def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int,
-          chart: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Right side (U, U', -L_eta(source)) of the flat state.
-
-    Checks y's chart at t, unless chart already holds its checked positions
-    and gaps.
-    """
-    m, d = _chart(y, grid, eps, t) if chart is None else chart
+def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int) -> np.ndarray:
+    """Right side (U, U', -L_eta(source)) of the flat state; checks y's chart at t."""
+    m, d = _chart(y, grid, eps, t)
     s = 1.0 + y[1]
     val, der = _l_eta_arrays(m, s, _source(y, s), grid.h, order, d)
     k = np.empty_like(y)
@@ -157,23 +157,23 @@ def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int,
     return k
 
 
-def _rk4(y: np.ndarray, t: float, dt: float, grid: Grid, eps: float,
-         order: int, k1: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One classical RK4 step of the (4, n) state from k1 = f(y); checks every chart.
+def _rk4(y: np.ndarray, t: float, dt: float, f: Callable[[np.ndarray, float], np.ndarray],
+         k1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One classical RK4 step of the (4, n) state from k1 = f(y, t).
 
-    Returns the new state and its checked chart, which the next evaluation
-    of that state reuses.
+    Returns the new state, whose chart is not yet checked, and the last
+    stage k4.
     """
     stage, total, k = np.empty_like(y), k1.copy(), k1
     for c, w in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
         np.multiply(k, c, out=stage)
         stage += y
-        k = _dydt(stage, t + c, grid, eps, order)
+        k = f(stage, t + c)
         np.multiply(k, w, out=stage)
         total += stage
     total *= dt / 6.0
     total += y
-    return total, _chart(total, grid, eps, t + dt)
+    return total, k
 
 
 def _pack(state: FlowState) -> np.ndarray:
@@ -209,10 +209,15 @@ def rk4_step(state: FlowState, dt: float, *, eps_break: float = DEFAULT_EPS_BREA
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be positive and finite, got {dt}")
     eps = max(eps_break, DEFAULT_EPS_CHART)
+    grid, t = state.grid, state.t
     y = _pack(state)
-    k1 = _dydt(y, state.t, state.grid, eps, quad_order)
-    return _unpack(_rk4(y, state.t, dt, state.grid, eps, quad_order, k1)[0],
-                   state.t + dt, state.grid)
+
+    def f(z, tz):
+        return _dydt(z, tz, grid, eps, quad_order)
+
+    y, _ = _rk4(y, t, dt, f, f(y, t))
+    _chart(y, grid, eps, t + dt)
+    return _unpack(y, t + dt, grid)
 
 
 def _diag_row(t: float, y: np.ndarray, h: float) -> tuple[float, float, float, float, float]:
@@ -240,8 +245,10 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     the trajectory ends at the last valid state and carries the breakdown
     time; no non-finite value is ever stored.
 
-    The stage loop evolves one (4, n) array (v, v', U, U'); typed states are
-    built only for the recorded times.
+    Steps are RK4 whose fifth evaluation k5 = f(y_{n+1}) is the next k1;
+    adaptive steps keep dt/6 max |k4 - k5| over the eta channels below
+    adapt_tol, halving down to dt 2^-12.  The stage loop evolves one (4, n)
+    array (v, v', U, U'); typed states are built only for recorded times.
     """
     report = check_membership(u0, tail_tol)
     if not report.ok:
@@ -260,35 +267,37 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     t = 0.0
     y = _pack(states[0])
     rows = [_diag_row(t, y, grid.h)]
-    breakdown_time = None
-    breakdown_slope = None
+    breakdown_time = breakdown_slope = estimate = None
+    steps_done = rejected = at_floor = evals = 0
 
-    steps_done = 0
+    def f(z, tz):
+        nonlocal evals
+        evals += 1
+        return _dydt(z, tz, grid, eps, quad_order)
+
     dt_cur = dt
-    chart = None
     try:
+        k1 = f(y, t)
         while t < t_end - 1e-12 * max(1.0, t_end):
             step = min(dt_cur, t_end - t)
-            # the last step's chart check of y serves y's first stage
-            k1 = _dydt(y, t, grid, eps, quad_order, chart)
+            new, k4 = _rk4(y, t, step, f, k1)
+            if not np.isfinite(new).all():
+                raise ValueError(f"flow state became non-finite at t = {t + step:.9g}")
+            # checks the new chart; the next step's first stage (FSAL)
+            k5 = f(new, t + step)
             if adaptive:
-                # the full step and the first half step share their first stage
-                full, _ = _rk4(y, t, step, grid, eps, quad_order, k1)
-                t_mid = t + 0.5 * step
-                mid, mid_chart = _rk4(y, t, 0.5 * step, grid, eps, quad_order, k1)
-                half, half_chart = _rk4(mid, t_mid, 0.5 * step, grid, eps, quad_order,
-                                        _dydt(mid, t_mid, grid, eps, quad_order, mid_chart))
-                err = float(np.abs(full - half).max())
-                if err > adapt_tol and step > dt * 2.0 ** -12:
-                    dt_cur = 0.5 * step
-                    continue
-                y, chart, t = half, half_chart, t_mid + 0.5 * step
-                if err < adapt_tol / 64.0:
+                # embedded third-order error, weights (1/6, 1/3, 1/3, 0, 1/6),
+                # on the eta channels only: invariant under u -> l u(l t, .)
+                err = step / 6.0 * float(np.abs(k4[:2] - k5[:2]).max())
+                if err > adapt_tol:
+                    if step > dt * 2.0 ** -12:
+                        dt_cur = 0.5 * step
+                        rejected += 1
+                        continue
+                    at_floor += 1
+                elif err < adapt_tol / 64.0:
                     dt_cur = min(2.0 * dt_cur, dt)
-            else:
-                (y, chart), t = _rk4(y, t, step, grid, eps, quad_order, k1), t + step
-            if not np.isfinite(y).all():
-                raise ValueError(f"flow state became non-finite at t = {t:.9g}")
+            y, k1, t = new, k5, t + step
             steps_done += 1
             rows.append(_diag_row(t, y, grid.h))
             if steps_done % record_every == 0:
@@ -296,6 +305,9 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     except ChartViolation as exc:
         breakdown_time = exc.time
         breakdown_slope = exc.min_slope
+        # T* from the blow-up rate (T* - t) inf u_x -> -2, u_x o eta = U_x / eta_x
+        inf_ux = float((y[3] / (1.0 + y[1])).min())
+        estimate = t - 2.0 / inf_ux if inf_ux < 0.0 else float("nan")
 
     if steps_done % record_every:
         states.append(_unpack(y, t, grid))
@@ -304,7 +316,9 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
                             min_eta_x=cols[3], sup_u=cols[4])
     return Trajectory(states=states, diagnostics=diags,
                       breakdown_time=breakdown_time,
-                      breakdown_min_slope=breakdown_slope)
+                      breakdown_min_slope=breakdown_slope,
+                      breaking_time_estimate=estimate, steps_rejected=rejected,
+                      steps_at_floor=at_floor, rhs_evaluations=evals)
 
 
 def reconstruct_u(state: FlowState, *, inv_tol: float = 1e-12) -> ScalarField1:

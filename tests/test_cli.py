@@ -68,6 +68,23 @@ class TestRun:
         assert summary["breakdown"] == "1"
         assert np.isfinite(float(summary["breakdown_time"]))
 
+    def test_summary_step_telemetry(self, tmp_path):
+        cfg = write_config(tmp_path, n=128, t_end=0.1, dt=5e-3, record_every=10)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        summary = read_kv(out / "summary.txt")
+        assert (summary["steps_accepted"], summary["steps_rejected"],
+                summary["steps_at_floor"], summary["rhs_evaluations"]) == ("20", "0", "0", "81")
+        assert "breaking_time_estimate" not in summary
+
+    def test_breakdown_reports_breaking_time_estimate(self, tmp_path):
+        cfg = write_config(tmp_path, n=256, t_end=5.0, dt=2e-3, record_every=200,
+                           kind="antisymmetric_gaussian", amplitude=-1.0)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        summary = read_kv(out / "summary.txt")
+        assert float(summary["breakdown_time"]) < float(summary["breaking_time_estimate"]) < 2.0
+
     def test_deterministic_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, n=128, t_end=0.1, dt=5e-3, record_every=10)
         out1, out2 = tmp_path / "a", tmp_path / "b"

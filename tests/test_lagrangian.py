@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ from conftest import antisymmetric_field, gaussian_field
 
 def id_state(grid, U):
     return FlowState(0.0, Diffeo.identity(grid), U)
+
+
+@functools.lru_cache(maxsize=None)
+def breaking_run(amp, n=512, eps_break=1e-3):
+    """Adaptive run of odd data with u0'(0) = amp < 0, dt and t_end scaled by 1/|amp|."""
+    grid = Grid.from_interval(-20.0, 20.0, n)
+    return integrate(antisymmetric_field(grid, amp=amp), 3.0 / abs(amp), 2e-3 / abs(amp),
+                     record_every=10 ** 9, eps_break=eps_break, adaptive=True)
 
 
 class TestQuadraticSource:
@@ -127,6 +137,19 @@ class TestRk4Step:
                              np.abs(one.U.du - two.U.du).max(),
                              np.abs(one.eta.v.du - two.eta.v.du).max()))
         assert np.log2(diffs[0] / diffs[1]) >= 4.5
+
+    def test_end_state_chart_checked(self, grid20, monkeypatch):
+        # Stages are checked where they are evaluated; the returned state is
+        # checked by rk4_step itself.  A constant right side lowers eta_x at
+        # x = 0 from 1 to 1 - dt without any stage check in the way.
+        k = np.zeros((4, grid20.n))
+        k[1] = -np.exp(-grid20.x ** 2)
+        monkeypatch.setattr(lagrangian, "_dydt", lambda y, t, grid, eps, order: k)
+        state = id_state(grid20, ScalarField1.zeros(grid20))
+        assert rk4_step(state, 0.998).eta.v.du.min() == pytest.approx(-0.998)
+        with pytest.raises(ChartViolation) as exc:
+            rk4_step(state, 0.9995)
+        assert exc.value.time == 0.9995
 
 
 class TestIntegrate:
@@ -234,9 +257,11 @@ class TestIntegrate:
         assert len(traj.diagnostics.t) == steps + 1
         assert len(built) <= 4 + 2 * len(traj.states)
 
-    def test_step_doubling_shares_first_stage(self, monkeypatch):
-        # Per accepted step: full step 4 + first half 3 (its first stage is the
-        # full step's) + second half 4 right-side evaluations.
+    @pytest.mark.parametrize("adaptive, adapt_tol", [
+        (False, 1e-10), (True, 1e-10), (True, 1e-14)])
+    def test_four_evaluations_per_step_plus_one(self, monkeypatch, adaptive, adapt_tol):
+        # The last evaluation of a step is the next step's first stage (FSAL):
+        # 4 right-side evaluations per accepted or rejected step, plus one.
         grid = Grid.from_interval(-20.0, 20.0, 128)
         calls = []
         real = lagrangian._dydt
@@ -247,17 +272,18 @@ class TestIntegrate:
 
         monkeypatch.setattr(lagrangian, "_dydt", counting)
         traj = integrate(gaussian_field(grid, amp=0.3), 0.1, 1e-2, record_every=10 ** 9,
-                         adaptive=True)
+                         adaptive=adaptive, adapt_tol=adapt_tol)
         accepted = len(traj.diagnostics.t) - 1
-        assert accepted == 10  # no rejected step
-        assert len(calls) == 11 * accepted
+        assert traj.completed
+        assert accepted >= 10
+        assert (traj.steps_rejected > 0) == (adapt_tol < 1e-12)
+        assert traj.steps_at_floor == 0
+        assert len(calls) == traj.rhs_evaluations == 4 * (accepted + traj.steps_rejected) + 1
 
     @pytest.mark.parametrize("adaptive", [False, True])
-    def test_chart_formed_once_per_state(self, monkeypatch, adaptive):
-        # A state's positions and gaps are formed once: by its own evaluation,
-        # or by the step that made it, which hands them to that evaluation.
-        # The full step of step doubling and the final state are checked but
-        # never evaluated.
+    def test_chart_formed_once_per_evaluation(self, monkeypatch, adaptive):
+        # Every evaluation checks its own state's chart, the new state's
+        # included (its evaluation is the next step's first stage).
         grid = Grid.from_interval(-20.0, 20.0, 128)
         charts, evals = [], []
         real_chart, real_dydt = lagrangian._chart, lagrangian._dydt
@@ -274,29 +300,57 @@ class TestIntegrate:
         monkeypatch.setattr(lagrangian, "_dydt", dydt)
         traj = integrate(gaussian_field(grid, amp=0.3), 0.1, 1e-2, record_every=10 ** 9,
                          adaptive=adaptive)
-        accepted = len(traj.diagnostics.t) - 1
-        assert accepted == 10  # no rejected step
-        assert len(evals) == (11 if adaptive else 4) * accepted
-        assert len(charts) == len(evals) + (accepted if adaptive else 0) + 1
+        assert len(traj.diagnostics.t) - 1 == 10
+        assert len(evals) == 41
+        assert len(charts) == len(evals)
 
-    def test_chart_reuse_leaves_breaking_run_unchanged(self, monkeypatch):
+    def test_unreachable_tolerance_accepts_at_floor(self):
+        # No step meets adapt_tol: the first step, 6 dt 2^-12 long, is halved
+        # until it is at most dt 2^-12, and every step is accepted there and
+        # counted.
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        dt = 1e-2
+        traj = integrate(gaussian_field(grid, amp=0.3), 6.0 * dt * 2.0 ** -12, dt,
+                         record_every=10 ** 9, adaptive=True, adapt_tol=1e-30)
+        assert traj.completed
+        assert traj.steps_rejected == 3
+        assert traj.steps_at_floor == len(traj.diagnostics.t) - 1 == 8
+
+    def test_step_grows_back_when_error_falls(self):
+        # Expanding odd data (A > 0) spread out: after the first steps are
+        # halved, the error estimate falls below adapt_tol / 64 on the way
+        # and the step doubles again, never beyond dt.
         grid = Grid.from_interval(-20.0, 20.0, 256)
-        u0 = antisymmetric_field(grid, amp=-2.0)
-        reused = integrate(u0, 1.5, 2e-3, record_every=50, adaptive=True)
-        real = lagrangian._dydt
+        traj = integrate(antisymmetric_field(grid, amp=1.0), 2.0, 0.1, record_every=10 ** 9,
+                         adaptive=True)
+        steps = np.diff(traj.diagnostics.t)
+        assert traj.completed and traj.steps_rejected > 0
+        assert (steps[1:] > 1.5 * steps[:-1]).any()
+        assert steps.max() <= 0.1
 
-        def fresh_chart(y, t, grid, eps, order, chart=None):
-            return real(y, t, grid, eps, order)
+    def test_adaptive_steps_follow_scaling(self):
+        # u -> 2 u(2 t, .) with dt halved leaves the eta-channel error estimate
+        # unchanged, so the A = -2 run takes the A = -1 run's steps, halved.
+        one, two = breaking_run(-1.0), breaking_run(-2.0)
+        assert not one.completed and not two.completed
+        assert len(one.diagnostics.t) == len(two.diagnostics.t)
+        assert one.steps_rejected == two.steps_rejected
+        assert np.abs(two.diagnostics.t - 0.5 * one.diagnostics.t).max() <= 1e-12
+        assert abs(one.breakdown_time - 2.0 * two.breakdown_time) <= 1e-12
 
-        monkeypatch.setattr(lagrangian, "_dydt", fresh_chart)
-        fresh = integrate(u0, 1.5, 2e-3, record_every=50, adaptive=True)
-        assert not reused.completed
-        assert reused.breakdown_time == fresh.breakdown_time
-        assert reused.breakdown_min_slope == fresh.breakdown_min_slope
-        for a, b in zip(vars(reused.diagnostics).values(), vars(fresh.diagnostics).values()):
-            np.testing.assert_array_equal(a, b)
-        # no diagnostics row for the state that failed the chart check
-        assert reused.diagnostics.min_eta_x.min() > 1e-3
+    def test_breaking_time_estimate_independent_of_guard(self):
+        # The guard eps_break decides where the run stops, not the estimate
+        # of when the wave breaks; both stay below the bound 2/|A|.
+        near, deep = breaking_run(-1.0), breaking_run(-1.0, eps_break=1e-5)
+        assert deep.breakdown_time > near.breakdown_time + 0.02
+        assert abs(deep.breaking_time_estimate - near.breaking_time_estimate) <= 1e-4
+        for traj in (near, deep):
+            assert traj.breakdown_time < traj.breaking_time_estimate < 2.0
+
+    def test_breaking_time_estimate_scales_and_converges(self):
+        est = {n: breaking_run(-1.0, n).breaking_time_estimate for n in (512, 1024, 2048)}
+        assert abs(2.0 * breaking_run(-2.0).breaking_time_estimate - est[512]) <= 1e-12
+        assert abs(est[2048] - est[1024]) < abs(est[1024] - est[512])
 
     def test_nonnegative_momentum_never_breaks(self):
         # m0 = u0 - u0'' >= 0 gives a global solution (Constantin-Escher,
@@ -323,6 +377,26 @@ class TestIntegrate:
         monkeypatch.setattr(lagrangian, "_l_eta_arrays", poisoned)
         with pytest.raises(ValueError, match="non-finite"):
             integrate(gaussian_field(grid, amp=0.3), 0.1, 1e-2)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_velocity_raises_before_step_control(self, monkeypatch):
+        # Only the last stage of the first step is poisoned: the new state's
+        # flow-map channels stay finite, so no chart check catches it, and
+        # step control would only halve the step and go on.
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        real = lagrangian._l_eta_arrays
+        calls = []
+
+        def poisoned(*args):
+            val, der = real(*args)
+            calls.append(1)
+            if len(calls) == 4:
+                der[grid.n // 2] = -np.inf
+            return val, der
+
+        monkeypatch.setattr(lagrangian, "_l_eta_arrays", poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(gaussian_field(grid, amp=0.3), 1e-2, 1e-2, adaptive=True)
 
 
 class TestReconstruct:
