@@ -26,7 +26,8 @@ import numpy as np
 from .checks import group_suite, operator_bound_suite
 from .config import SimConfig, load_config, make_initial
 from .errors import CHFlowError, ParseError
-from .eulerian import compare, fourth_order_dx, integrate_eulerian
+from .eulerian import compare, fourth_order_dx
+from .eulerian import integrate_eulerian  # noqa: F401  bound here for perfbench/tracer.py
 from .lagrangian import StepDiagnostics, Trajectory, integrate, reconstruct_u
 from .studies import lagrangian_refinement, oracle_refinement
 
@@ -214,6 +215,11 @@ def cmd_converge(args) -> int:
     if broken:
         # Final states at different times are not comparable: no gaps, no order.
         items += [(f"breakdown_time_n{m.n}", m.breakdown_time) for m in broken]
+        # The breaking-time estimates are comparable across levels instead.
+        items += [(f"breaking_time_estimate_n{m.n}", m.breaking_time_estimate)
+                  for m in broken]
+        if study.estimate_order is not None:
+            items.append(("breaking_time_estimate_fitted_order", study.estimate_order))
         items.append(("quad_order", args.order))
         _write_kv(os.path.join(out_dir, "convergence.txt"), items)
         _say(args, f"study stopped by wave breaking at n = {broken[0].n}, "
@@ -263,10 +269,10 @@ def cmd_check_group(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     cfg, out_dir, base_dir = _prepare(args)
-    u0 = make_initial(cfg, base_dir=base_dir)
-    traj = integrate(u0, **cfg.integrate_kwargs(args.order))
-    states = integrate_eulerian(u0, cfg.time.t_end, cfg.time.dt,
-                                record_every=cfg.time.record_every)
+    levels = [int(tok) for tok in args.levels.split(",") if tok] if args.levels else []
+    # Both solvers of every level, cfg's own n included, run as tasks of the study.
+    study = oracle_refinement(cfg, levels, quad_order=args.order, base_dir=base_dir)
+    traj, states = study.base
     times = ([float(tok) for tok in args.times.split(",") if tok]
              if args.times else [cfg.time.t_end])
     report = compare(traj, states, times, inv_tol=cfg.tolerances.inv_tol)
@@ -274,10 +280,8 @@ def cmd_oracle_compare(args) -> int:
     for t, sup, l2 in report.rows():
         items.append((f"sup_diff_t{_fmt(t)}", sup))
         items.append((f"l2_diff_t{_fmt(t)}", l2))
-    if args.levels:
-        levels = [int(tok) for tok in args.levels.split(",") if tok]
-        study = oracle_refinement(cfg, levels, quad_order=args.order,
-                                  base_dir=base_dir, base=(traj, states))
+    items.append(("level_execution", study.execution))
+    if levels:
         for m, gap in zip(study.levels, study.gaps):
             items.append((f"gap_n{m.n}", gap))
         for m, order in zip(study.levels, study.orders):

@@ -7,9 +7,10 @@ Discretizes
 directly on the grid: u_x by fourth-order centered differences (with the
 zero continuation outside the domain supplying the boundary stencils, which
 is consistent with the decay convention), the nonlocal term by the same
-kernel scans as the flow-map solver, and classical RK4 in time.  The two
-solvers share only the kernel code, so comparing them isolates the
-formulation (flow map versus fixed grid), not the kernel.
+kernel scans as the flow-map solver, and classical RK4 in time through the
+flow-map solver's stepper.  The two solvers share only the kernel and the RK4
+core, so comparing them isolates the formulation (flow map versus fixed
+grid), not the kernel.
 
 This is a cross-validation oracle, not a production solver: it has no shock
 capturing and simply halts when a value stops being finite (an Eulerian
@@ -31,7 +32,7 @@ from .fields import (
     _trapz,
     check_membership,
 )
-from .lagrangian import Trajectory, reconstruct_u
+from .lagrangian import Trajectory, _rk4, reconstruct_u
 from .operators import l_op
 
 __all__ = [
@@ -72,12 +73,16 @@ def fourth_order_dx(u: np.ndarray, h: float) -> np.ndarray:
     return (-up[4:] + 8.0 * up[3:-1] - 8.0 * up[1:-3] + up[:-4]) / (12.0 * h)
 
 
+def _dudt(u: np.ndarray, grid: Grid, order: int) -> np.ndarray:
+    """u_t of the grid samples u; ValueError when the source is not finite."""
+    ux = fourth_order_dx(u, grid.h)
+    phi = ScalarField0(grid, u * u + 0.5 * ux * ux)
+    return -u * ux - l_op(phi, order=order).u
+
+
 def euler_rhs(state: EulerianState, *, order: int = 2) -> np.ndarray:
     """u_t = -u u_x - L(u^2 + u_x^2 / 2) on the grid."""
-    u = state.u
-    ux = fourth_order_dx(u, state.grid.h)
-    phi = ScalarField0(state.grid, u * u + 0.5 * ux * ux)
-    return -u * ux - l_op(phi, order=order).u
+    return _dudt(state.u, state.grid, order)
 
 
 def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
@@ -88,6 +93,8 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     Records the state at t = 0, every record_every steps, and at the final
     time.  If any value stops being finite the run halts and the states
     collected so far are returned (the last recorded state is always finite).
+    Steps reuse k5 = f(u_{n+1}) as the next k1 and advance a flat array;
+    typed states are built only for recorded times.
     """
     report = check_membership(u0, tail_tol)
     if not report.ok:
@@ -98,29 +105,29 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = u0.grid
-    u = u0.u.copy()
+    u = u0.u
     t = 0.0
     states = [EulerianState(t, grid, u)]
     step_no = 0
-    while t < t_end - 1e-12 * max(1.0, t_end):
-        step = min(dt, t_end - t)
-        try:
-            # EulerianState rejects non-finite stage values with ValueError.
-            k = euler_rhs(EulerianState(t, grid, u), order=order)
-            total = k
-            for c, w in ((0.5 * step, 2.0), (0.5 * step, 2.0), (step, 1.0)):
-                k = euler_rhs(EulerianState(t + c, grid, u + c * k), order=order)
-                total = total + w * k
-            u_new = u + (step / 6.0) * total
-        except ValueError:
-            break
-        if not np.isfinite(u_new).all():
-            break
-        u = u_new
-        t += step
-        step_no += 1
-        if step_no % record_every == 0:
-            states.append(EulerianState(t, grid, u))
+
+    def f(z, tz):
+        return _dudt(z, grid, order)
+
+    try:
+        k1 = f(u, t)
+        while t < t_end - 1e-12 * max(1.0, t_end):
+            step = min(dt, t_end - t)
+            u_new, _ = _rk4(u, t, step, f, k1)
+            if not np.isfinite(u_new).all():
+                break
+            u = u_new
+            t += step
+            step_no += 1
+            if step_no % record_every == 0:
+                states.append(EulerianState(t, grid, u))
+            k1 = f(u, t)
+    except ValueError:
+        pass  # a stage value stopped being finite; u is the last finite state
     if states[-1].t != t:
         states.append(EulerianState(t, grid, u))
     return states

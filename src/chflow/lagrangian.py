@@ -159,10 +159,11 @@ def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int) -> np.nda
 
 def _rk4(y: np.ndarray, t: float, dt: float, f: Callable[[np.ndarray, float], np.ndarray],
          k1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step of the (4, n) state from k1 = f(y, t).
+    """One classical RK4 step of the flat state y from k1 = f(y, t).
 
-    Returns the new state, whose chart is not yet checked, and the last
-    stage k4.
+    Returns the new state, not yet checked by f, and the last stage k4.
+    The flow-map (4, n) state and the Eulerian oracle's n samples both step
+    through it.
     """
     stage, total, k = np.empty_like(y), k1.copy(), k1
     for c, w in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):

@@ -8,14 +8,16 @@ gap between the flow-map solver and the Eulerian reference at the final time.
 Observed orders come from consecutive gap ratios plus a least-squares fit of
 log(gap) against log(h).
 
-Levels are independent, so the flow-map runs execute in a process pool when
-one can be started, finest level first; they run serially otherwise, and the
-study records which.  An error raised by a level itself propagates once and
-is not retried.
+Every solve of a study is an independent task: one per level for a
+self-convergence study, and one per solver and level for a cross-method
+study.  The tasks run in a process pool when one can be started, finest
+level first; they run serially otherwise, and the study records which.  An
+error raised by a task itself propagates once and is not retried.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -38,12 +40,17 @@ __all__ = [
 
 @dataclass
 class LevelResult:
-    """One rung of the ladder; breakdown_time is set when its run hit wave breaking."""
+    """One rung of the ladder.
+
+    breakdown_time and breaking_time_estimate are set when its run hit wave
+    breaking: the stop time and the extrapolated breaking time T*.
+    """
 
     n: int
     h: float
     dt: float
     breakdown_time: float | None = None
+    breaking_time_estimate: float | None = None
 
 
 @dataclass
@@ -55,7 +62,11 @@ class RefinementStudy:
     level i.  orders[i] is the observed rate between consecutive gaps and
     fitted_order the least-squares slope over all of them.  A self-convergence
     study in which any level broke down has no gaps: its final states belong
-    to different times.  execution is "pool" or "serial": how the levels ran.
+    to different times.  When every level broke, estimate_order is instead
+    the fitted order of the differences between consecutive breaking-time
+    estimates.  execution is "pool" or "serial": how the solves ran.  base is
+    the (trajectory, Eulerian states) pair at the configuration's own
+    resolution of a cross-method study.
     """
 
     levels: list[LevelResult]
@@ -63,6 +74,8 @@ class RefinementStudy:
     orders: list[float]
     fitted_order: float | None
     execution: str = "serial"
+    estimate_order: float | None = None
+    base: tuple[Trajectory, list[EulerianState]] | None = None
 
 
 def scaled_config(cfg: SimConfig, n: int) -> SimConfig:
@@ -72,9 +85,40 @@ def scaled_config(cfg: SimConfig, n: int) -> SimConfig:
                    time=replace(cfg.time, dt=cfg.time.dt * scale))
 
 
-def _level(level_cfg: SimConfig, breakdown_time: float | None = None) -> LevelResult:
-    return LevelResult(level_cfg.grid.n, level_cfg.grid.build().h, level_cfg.time.dt,
-                       breakdown_time)
+def _level(level_cfg: SimConfig, traj: Trajectory | None = None) -> LevelResult:
+    result = LevelResult(level_cfg.grid.n, level_cfg.grid.build().h, level_cfg.time.dt)
+    if traj is not None:
+        result.breakdown_time = traj.breakdown_time
+        result.breaking_time_estimate = traj.breaking_time_estimate
+    return result
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_tasks(task, payloads: list, workers: int | None) -> tuple[list, str]:
+    """task(p) for every payload, in a process pool when one can be started.
+
+    Payloads come slowest first, so the pool starts on them; the results keep
+    the payload order.  workers defaults to min(tasks, usable CPUs), and one
+    worker means serial.  Only a pool that cannot start or breaks falls back
+    to serial; a task's own error propagates once.
+    """
+    if workers is None:
+        workers = min(len(payloads), _usable_cpus())
+    if workers > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:  # exit waits for all
+                futures = [pool.submit(task, p) for p in payloads]
+        except (OSError, BrokenProcessPool):
+            pass  # no usable process pool in this environment
+        else:
+            if not any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
+                return [f.result() for f in futures], "pool"
+    return [task(p) for p in payloads], "serial"
 
 
 def _solve_level(payload) -> tuple[LevelResult, ScalarField1]:
@@ -82,22 +126,18 @@ def _solve_level(payload) -> tuple[LevelResult, ScalarField1]:
     level_cfg = scaled_config(cfg, n)
     u0 = make_initial(level_cfg, base_dir=base_dir)
     traj = integrate(u0, **level_cfg.integrate_kwargs(quad_order))
-    return (_level(level_cfg, traj.breakdown_time),
+    return (_level(level_cfg, traj),
             reconstruct_u(traj.final, inv_tol=level_cfg.tolerances.inv_tol))
 
 
-def _run_levels(cfg: SimConfig, levels: list[int], quad_order: int,
-                workers: int | None,
-                base_dir: str | None) -> tuple[list[tuple[LevelResult, ScalarField1]], str]:
-    payloads = [(cfg, n, quad_order, base_dir) for n in levels]
-    if workers is None or workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers or min(len(levels), 4)) as pool:
-                # the ladder increases: submit the finest, slowest level first
-                return list(pool.map(_solve_level, payloads[::-1]))[::-1], "pool"
-        except (OSError, BrokenProcessPool):
-            pass  # no usable process pool in this environment; a level's own error propagates
-    return [_solve_level(p) for p in payloads], "serial"
+def _solve_oracle(payload) -> Trajectory | list[EulerianState]:
+    solver, cfg, n, quad_order, base_dir = payload
+    level_cfg = scaled_config(cfg, n)
+    u0 = make_initial(level_cfg, base_dir=base_dir)
+    if solver == "flow_map":
+        return integrate(u0, **level_cfg.integrate_kwargs(quad_order))
+    return integrate_eulerian(u0, level_cfg.time.t_end, level_cfg.time.dt,
+                              record_every=level_cfg.time.record_every)
 
 
 def _orders(gaps: list[float], hs: list[float]) -> tuple[list[float], float | None]:
@@ -125,11 +165,16 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
         raise ValueError("a refinement study needs at least two levels")
     if sorted(levels) != list(levels):
         raise ValueError("levels must be increasing")
-    results, execution = _run_levels(cfg, levels, quad_order, workers, base_dir)
-    meta, solutions = zip(*results)
+    payloads = [(cfg, n, quad_order, base_dir) for n in levels[::-1]]
+    results, execution = _run_tasks(_solve_level, payloads, workers)
+    meta, solutions = zip(*results[::-1])
     study = RefinementStudy(list(meta), gaps=[], orders=[], fitted_order=None,
                             execution=execution)
     if any(m.breakdown_time is not None for m in meta):
+        if all(m.breakdown_time is not None for m in meta):
+            estimates = [m.breaking_time_estimate for m in meta]
+            diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
+            _, study.estimate_order = _orders(diffs, [m.h for m in meta[:-1]])
         return study
     for coarse, fine in zip(solutions[:-1], solutions[1:]):
         fine_at_coarse, _ = fine.eval(coarse.grid.x)
@@ -139,33 +184,31 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
 
 
 def oracle_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int = 4,
-                      base_dir: str | None = None,
-                      base: tuple[Trajectory, list[EulerianState]] | None = None
-                      ) -> RefinementStudy:
+                      workers: int | None = None,
+                      base_dir: str | None = None) -> RefinementStudy:
     """Gap between the flow-map solver and the Eulerian reference per level.
 
-    base, when given, is the (trajectory, Eulerian states) pair of cfg itself,
-    integrated at quad_order; the level at cfg's own resolution uses it instead
-    of running both solvers again.
+    Each solver runs once at every level and at cfg's own resolution, each
+    run a task of its own; study.base holds the pair at cfg's resolution, so
+    a caller can compare it at other times without solving again.  levels
+    may be empty: then only cfg's own resolution runs, and there are no gaps.
     """
-    if len(levels) < 1:
-        raise ValueError("need at least one level")
     if sorted(levels) != list(levels):
         raise ValueError("levels must be increasing")
+    resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
+    payloads = [(solver, cfg, n, quad_order, base_dir)
+                for n in resolutions for solver in ("flow_map", "eulerian")]
+    results, execution = _run_tasks(_solve_oracle, payloads, workers)
+    runs = {(p[0], p[2]): r for p, r in zip(payloads, results)}
     gaps = []
     meta = []
     for n in levels:
         level_cfg = scaled_config(cfg, n)
-        if base is not None and n == cfg.grid.n:
-            traj, states = base
-        else:
-            u0 = make_initial(level_cfg, base_dir=base_dir)
-            traj = integrate(u0, **level_cfg.integrate_kwargs(quad_order))
-            states = integrate_eulerian(u0, level_cfg.time.t_end, level_cfg.time.dt,
-                                        record_every=level_cfg.time.record_every)
-        report = compare(traj, states, [level_cfg.time.t_end],
+        report = compare(runs["flow_map", n], runs["eulerian", n], [level_cfg.time.t_end],
                          inv_tol=level_cfg.tolerances.inv_tol)
         gaps.append(report.sup_diff[0])
         meta.append(_level(level_cfg))
     orders, fitted = _orders(gaps, [m.h for m in meta])
-    return RefinementStudy(levels=meta, gaps=gaps, orders=orders, fitted_order=fitted)
+    return RefinementStudy(levels=meta, gaps=gaps, orders=orders, fitted_order=fitted,
+                           execution=execution,
+                           base=(runs["flow_map", cfg.grid.n], runs["eulerian", cfg.grid.n]))

@@ -200,6 +200,21 @@ class TestConverge:
         assert not any(k.startswith(("gap_", "order_")) for k in report)
         assert "fitted_order" not in report
 
+    def test_breaking_levels_report_estimate_order(self, tmp_path):
+        # Breaking-time estimates are comparable across levels, where final
+        # states are not: they stay below 2/|A| and converge at about order 2.
+        cfg = write_config(tmp_path, n=128, t_end=3.0, dt=8e-3, record_every=1000,
+                           kind="antisymmetric_gaussian", amplitude=-1.0)
+        out = tmp_path / "out"
+        code = main(["converge", "--config", str(cfg), "--out", str(out),
+                     "--levels", "128,256,512", "--quiet"])
+        assert code == 2
+        report = read_kv(out / "convergence.txt")
+        est = [float(report[f"breaking_time_estimate_n{n}"]) for n in (128, 256, 512)]
+        assert all(e < 2.0 for e in est)
+        assert abs(est[2] - est[1]) < abs(est[1] - est[0])
+        assert 1.5 <= float(report["breaking_time_estimate_fitted_order"]) <= 2.5
+
 
 def assert_pass_flags_are_bits(report: dict) -> None:
     flags = {k: v for k, v in report.items() if k.endswith("_pass")}
@@ -243,29 +258,56 @@ class TestOracleCompare:
         eul = sorted(out.glob("eulerian_*.csv"))
         assert eul and eul[0].read_text().splitlines()[0] == "x,u,u_x"
 
-    def test_base_level_reuses_base_runs(self, tmp_path, monkeypatch):
-        # A ladder containing the config's own n takes that level from the
-        # base runs: two flow-map integrations for two levels, and the same
-        # bytes as integrating the level again.
+    @pytest.mark.parametrize("levels, solved", [("128,256", [128, 256]),
+                                                ("64,256", [64, 128, 256])])
+    def test_each_solver_runs_once_per_level(self, tmp_path, monkeypatch, levels, solved):
+        # Serially, each solver runs once at every level and at the config's
+        # own n (the base comparison), and nothing else integrates.
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool")
+
+        runs = {"flow_map": [], "eulerian": []}
+
+        def counting(name, real):
+            def wrapper(u0, *args, **kwargs):
+                runs[name].append(u0.grid.n)
+                return real(u0, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(studies, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(studies, "integrate", counting("flow_map", studies.integrate))
+        monkeypatch.setattr(studies, "integrate_eulerian",
+                            counting("eulerian", studies.integrate_eulerian))
+        monkeypatch.setattr(cli, "integrate", counting("flow_map", cli.integrate))
         cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=1000)
-        calls = []
-        real_integrate, real_refinement = cli.integrate, cli.oracle_refinement
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", str(cfg), "--out", str(out),
+                     "--levels", levels, "--quiet"]) == 0
+        assert sorted(runs["flow_map"]) == solved
+        assert sorted(runs["eulerian"]) == solved
+        report = read_kv(out / "oracle_compare.txt")
+        assert report["level_execution"] == "serial"
+        assert all(f"gap_n{n}" in report for n in levels.split(","))
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real_integrate(*args, **kwargs)
+    def test_pool_report_matches_serial(self, tmp_path, monkeypatch):
+        # Trajectories and Eulerian states come back from the workers bit for bit.
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=20)
+        args = ["oracle-compare", "--config", str(cfg), "--levels", "64,256",
+                "--times", "0.08,0.25", "--quiet"]
+        assert main(args + ["--out", str(tmp_path / "pool")]) == 0
 
-        def without_base(*args, base=None, **kwargs):
-            return real_refinement(*args, **kwargs)
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool")
 
-        monkeypatch.setattr(cli, "integrate", counting)
-        monkeypatch.setattr(studies, "integrate", counting)
-        args = ["oracle-compare", "--config", str(cfg), "--levels", "128,256", "--quiet"]
-        assert main(args + ["--out", str(tmp_path / "reused")]) == 0
-        assert len(calls) == 2
-        monkeypatch.setattr(cli, "oracle_refinement", without_base)
-        assert main(args + ["--out", str(tmp_path / "rerun")]) == 0
-        assert len(calls) == 5
-        reused = (tmp_path / "reused" / "oracle_compare.txt").read_bytes()
-        assert reused == (tmp_path / "rerun" / "oracle_compare.txt").read_bytes()
-        assert b"gap_n128=" in reused and b"gap_n256=" in reused
+        monkeypatch.setattr(studies, "ProcessPoolExecutor", no_pool)
+        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+        pool, serial = (read_kv(tmp_path / d / "oracle_compare.txt")
+                        for d in ("pool", "serial"))
+        assert serial.pop("level_execution") == "serial"
+        assert pool.pop("level_execution") in ("pool", "serial")  # serial on one CPU
+        assert pool == serial
+        assert len([k for k in pool if k.startswith("sup_diff_t")]) == 2
+        digests = [dir_digest(tmp_path / d) for d in ("pool", "serial")]
+        for digest in digests:
+            del digest["oracle_compare.txt"]
+        assert digests[0] == digests[1] and "eulerian_00001.csv" in digests[0]

@@ -352,6 +352,17 @@ class TestIntegrate:
         assert abs(2.0 * breaking_run(-2.0).breaking_time_estimate - est[512]) <= 1e-12
         assert abs(est[2048] - est[1024]) < abs(est[1024] - est[512])
 
+    def test_blow_up_rate_at_recorded_states(self):
+        # Constantin-Escher: (T* - t) inf u_x -> -2, with u_x o eta = U_x / eta_x.
+        grid = Grid.from_interval(-20.0, 20.0, 512)
+        traj = integrate(antisymmetric_field(grid, amp=-1.0), 3.0, 2e-3, record_every=10,
+                         adaptive=True)
+        late = [s for s in traj.states if s.t >= 1.4]
+        assert len(late) >= 10
+        for s in late:
+            inf_ux = float((s.U.du / s.eta.slopes()).min())
+            assert abs((traj.breaking_time_estimate - s.t) * inf_ux + 2.0) <= 0.02
+
     def test_nonnegative_momentum_never_breaks(self):
         # m0 = u0 - u0'' >= 0 gives a global solution (Constantin-Escher,
         # McKean): no breakdown, and the chart margin stays away from 0.

@@ -43,3 +43,51 @@ def test_pool_matches_serial_in_ladder_order(tmp_path):
     assert [m.n for m in pool.levels] == [64, 128, 256]
     assert pool.levels == serial.levels
     assert pool.gaps == serial.gaps and pool.fitted_order == serial.fitted_order
+    # The cross-method study runs both solvers of every level as tasks.
+    pool = studies.oracle_refinement(cfg, [64, 128, 256], workers=2)
+    serial = studies.oracle_refinement(cfg, [64, 128, 256], workers=1)
+    assert (pool.execution, serial.execution) == ("pool", "serial")
+    assert [m.n for m in pool.levels] == [64, 128, 256]
+    assert pool.levels == serial.levels
+    assert pool.gaps == serial.gaps and pool.fitted_order == serial.fitted_order
+    assert (pool.base[0].final.U.u == serial.base[0].final.U.u).all()
+    assert (pool.base[1][-1].u == serial.base[1][-1].u).all()
+
+
+def test_oracle_task_error_propagates_without_serial_rerun(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
+        "time": {"t_end": 0.1, "dt": 1e-2},
+        "initial": {"kind": "gaussian", "amplitude": 0.5, "width": 15.0}}))
+    cfg = load_config(path)
+    parent_calls = []
+    real = studies.make_initial
+
+    def recording(*args, **kwargs):
+        parent_calls.append(1)  # pool workers append to their own copy
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "make_initial", recording)
+    with pytest.raises(AdmissibilityError):
+        studies.oracle_refinement(cfg, [64, 128], workers=2)
+    assert parent_calls == []
+
+
+_parent_runs = []
+
+
+def _failing_task(p):
+    _parent_runs.append(p)  # pool workers append to their own copy
+    if p > 0:
+        raise FileNotFoundError(f"task {p}")
+    return p
+
+
+def test_task_oserror_is_not_taken_for_a_pool_failure():
+    # A task's own OSError propagates once, the first in payload order, and
+    # does not send the tasks to a serial rerun.
+    _parent_runs.clear()
+    with pytest.raises(FileNotFoundError, match="task 2"):
+        studies._run_tasks(_failing_task, [0, 2, 1], workers=2)
+    assert _parent_runs == []
