@@ -26,8 +26,9 @@ import numpy as np
 from .checks import group_suite, operator_bound_suite
 from .config import SimConfig, load_config, make_initial
 from .errors import CHFlowError, ParseError
-from .eulerian import compare, fourth_order_dx
-from .eulerian import integrate_eulerian  # noqa: F401  bound here for perfbench/tracer.py
+from .eulerian import fourth_order_dx
+# Unused here; bound so that perfbench/tracer.py can patch them in this module.
+from .eulerian import compare, integrate_eulerian  # noqa: F401
 from .lagrangian import StepDiagnostics, Trajectory, integrate, reconstruct_u
 from .studies import lagrangian_refinement, oracle_refinement
 
@@ -270,12 +271,12 @@ def cmd_check_group(args) -> int:
 def cmd_oracle_compare(args) -> int:
     cfg, out_dir, base_dir = _prepare(args)
     levels = [int(tok) for tok in args.levels.split(",") if tok] if args.levels else []
+    times = [float(tok) for tok in args.times.split(",") if tok] if args.times else None
     # Both solvers of every level, cfg's own n included, run as tasks of the study.
-    study = oracle_refinement(cfg, levels, quad_order=args.order, base_dir=base_dir)
-    traj, states = study.base
-    times = ([float(tok) for tok in args.times.split(",") if tok]
-             if args.times else [cfg.time.t_end])
-    report = compare(traj, states, times, inv_tol=cfg.tolerances.inv_tol)
+    study = oracle_refinement(cfg, levels, times=times, quad_order=args.order,
+                              base_dir=base_dir)
+    _, states = study.base
+    report = study.report
     items = []
     for t, sup, l2 in report.rows():
         items.append((f"sup_diff_t{_fmt(t)}", sup))

@@ -93,8 +93,9 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     Records the state at t = 0, every record_every steps, and at the final
     time.  If any value stops being finite the run halts and the states
     collected so far are returned (the last recorded state is always finite).
-    Steps reuse k5 = f(u_{n+1}) as the next k1 and advance a flat array;
-    typed states are built only for recorded times.
+    Steps advance a flat array through the flow-map solver's RK4 core, four
+    right-side evaluations each; typed states are built only for recorded
+    times.
     """
     report = check_membership(u0, tail_tol)
     if not report.ok:
@@ -114,10 +115,9 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
         return _dudt(z, grid, order)
 
     try:
-        k1 = f(u, t)
         while t < t_end - 1e-12 * max(1.0, t_end):
             step = min(dt, t_end - t)
-            u_new, _ = _rk4(u, t, step, f, k1)
+            u_new, _ = _rk4(u, t, step, f, f(u, t))
             if not np.isfinite(u_new).all():
                 break
             u = u_new
@@ -125,7 +125,6 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
             step_no += 1
             if step_no % record_every == 0:
                 states.append(EulerianState(t, grid, u))
-            k1 = f(u, t)
     except ValueError:
         pass  # a stage value stopped being finite; u is the last finite state
     if states[-1].t != t:

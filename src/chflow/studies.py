@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SimConfig, make_initial
-from .eulerian import EulerianState, compare, integrate_eulerian
+from .eulerian import ComparisonReport, EulerianState, compare, integrate_eulerian
 from .fields import ScalarField1
 from .lagrangian import Trajectory, integrate, reconstruct_u
 
@@ -66,7 +66,8 @@ class RefinementStudy:
     the fitted order of the differences between consecutive breaking-time
     estimates.  execution is "pool" or "serial": how the solves ran.  base is
     the (trajectory, Eulerian states) pair at the configuration's own
-    resolution of a cross-method study.
+    resolution of a cross-method study and report compares it at the
+    requested times.
     """
 
     levels: list[LevelResult]
@@ -76,6 +77,7 @@ class RefinementStudy:
     execution: str = "serial"
     estimate_order: float | None = None
     base: tuple[Trajectory, list[EulerianState]] | None = None
+    report: ComparisonReport | None = None
 
 
 def scaled_config(cfg: SimConfig, n: int) -> SimConfig:
@@ -131,13 +133,15 @@ def _solve_level(payload) -> tuple[LevelResult, ScalarField1]:
 
 
 def _solve_oracle(payload) -> Trajectory | list[EulerianState]:
-    solver, cfg, n, quad_order, base_dir = payload
+    solver, cfg, n, quad_order, base_dir, keep_all = payload
     level_cfg = scaled_config(cfg, n)
     u0 = make_initial(level_cfg, base_dir=base_dir)
     if solver == "flow_map":
-        return integrate(u0, **level_cfg.integrate_kwargs(quad_order))
-    return integrate_eulerian(u0, level_cfg.time.t_end, level_cfg.time.dt,
-                              record_every=level_cfg.time.record_every)
+        traj = integrate(u0, **level_cfg.integrate_kwargs(quad_order))
+        return traj if keep_all else replace(traj, states=traj.states[-1:])
+    states = integrate_eulerian(u0, level_cfg.time.t_end, level_cfg.time.dt,
+                                record_every=level_cfg.time.record_every)
+    return states if keep_all else states[-1:]
 
 
 def _orders(gaps: list[float], hs: list[float]) -> tuple[list[float], float | None]:
@@ -183,32 +187,39 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
     return study
 
 
-def oracle_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int = 4,
-                      workers: int | None = None,
+def oracle_refinement(cfg: SimConfig, levels: list[int], *,
+                      times: list[float] | None = None, quad_order: int = 4,
                       base_dir: str | None = None) -> RefinementStudy:
     """Gap between the flow-map solver and the Eulerian reference per level.
 
     Each solver runs once at every level and at cfg's own resolution, each
-    run a task of its own; study.base holds the pair at cfg's resolution, so
-    a caller can compare it at other times without solving again.  levels
+    run a task of its own.  study.base holds the pair at cfg's resolution
+    and study.report compares it at times (default: t_end); a level at cfg's
+    resolution takes its gap from that report when t_end is among the times.
+    Other levels keep only their final states, all their gap reads.  levels
     may be empty: then only cfg's own resolution runs, and there are no gaps.
     """
     if sorted(levels) != list(levels):
         raise ValueError("levels must be increasing")
+    times = [cfg.time.t_end] if times is None else list(times)
     resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
-    payloads = [(solver, cfg, n, quad_order, base_dir)
+    payloads = [(solver, cfg, n, quad_order, base_dir, n == cfg.grid.n)
                 for n in resolutions for solver in ("flow_map", "eulerian")]
-    results, execution = _run_tasks(_solve_oracle, payloads, workers)
+    results, execution = _run_tasks(_solve_oracle, payloads, None)
     runs = {(p[0], p[2]): r for p, r in zip(payloads, results)}
+    base = (runs["flow_map", cfg.grid.n], runs["eulerian", cfg.grid.n])
+    report = compare(*base, times, inv_tol=cfg.tolerances.inv_tol)
     gaps = []
     meta = []
     for n in levels:
         level_cfg = scaled_config(cfg, n)
-        report = compare(runs["flow_map", n], runs["eulerian", n], [level_cfg.time.t_end],
-                         inv_tol=level_cfg.tolerances.inv_tol)
-        gaps.append(report.sup_diff[0])
+        t_end = level_cfg.time.t_end
+        if n == cfg.grid.n and t_end in times:
+            gaps.append(report.sup_diff[times.index(t_end)])
+        else:
+            gaps.append(compare(runs["flow_map", n], runs["eulerian", n], [t_end],
+                                inv_tol=level_cfg.tolerances.inv_tol).sup_diff[0])
         meta.append(_level(level_cfg))
     orders, fitted = _orders(gaps, [m.h for m in meta])
     return RefinementStudy(levels=meta, gaps=gaps, orders=orders, fitted_order=fitted,
-                           execution=execution,
-                           base=(runs["flow_map", cfg.grid.n], runs["eulerian", cfg.grid.n]))
+                           execution=execution, base=base, report=report)

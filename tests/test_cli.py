@@ -262,16 +262,16 @@ class TestOracleCompare:
                                                 ("64,256", [64, 128, 256])])
     def test_each_solver_runs_once_per_level(self, tmp_path, monkeypatch, levels, solved):
         # Serially, each solver runs once at every level and at the config's
-        # own n (the base comparison), and nothing else integrates.
+        # own n (the base comparison), and nothing else integrates or compares.
         def no_pool(*args, **kwargs):
             raise OSError("no process pool")
 
-        runs = {"flow_map": [], "eulerian": []}
+        runs = {"flow_map": [], "eulerian": [], "compare": []}
 
         def counting(name, real):
-            def wrapper(u0, *args, **kwargs):
-                runs[name].append(u0.grid.n)
-                return real(u0, *args, **kwargs)
+            def wrapper(first, *args, **kwargs):
+                runs[name].append(first.grid.n if name != "compare" else first.final.grid.n)
+                return real(first, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(studies, "ProcessPoolExecutor", no_pool)
@@ -279,21 +279,29 @@ class TestOracleCompare:
         monkeypatch.setattr(studies, "integrate_eulerian",
                             counting("eulerian", studies.integrate_eulerian))
         monkeypatch.setattr(cli, "integrate", counting("flow_map", cli.integrate))
+        monkeypatch.setattr(studies, "compare", counting("compare", studies.compare))
+        monkeypatch.setattr(cli, "compare", counting("compare", cli.compare))
         cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=1000)
         out = tmp_path / "out"
         assert main(["oracle-compare", "--config", str(cfg), "--out", str(out),
                      "--levels", levels, "--quiet"]) == 0
         assert sorted(runs["flow_map"]) == solved
         assert sorted(runs["eulerian"]) == solved
+        # One comparison per solved level: the config's own n at t_end
+        # serves both the report and its gap.
+        assert sorted(runs["compare"]) == solved
         report = read_kv(out / "oracle_compare.txt")
         assert report["level_execution"] == "serial"
         assert all(f"gap_n{n}" in report for n in levels.split(","))
+        if "128" in levels.split(","):
+            assert report["gap_n128"] == report["sup_diff_t0.25"]
 
     def test_pool_report_matches_serial(self, tmp_path, monkeypatch):
         # Trajectories and Eulerian states come back from the workers bit for bit.
         cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=20)
         args = ["oracle-compare", "--config", str(cfg), "--levels", "64,256",
                 "--times", "0.08,0.25", "--quiet"]
+        monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)  # a pool on one CPU too
         assert main(args + ["--out", str(tmp_path / "pool")]) == 0
 
         def no_pool(*args, **kwargs):
@@ -304,7 +312,7 @@ class TestOracleCompare:
         pool, serial = (read_kv(tmp_path / d / "oracle_compare.txt")
                         for d in ("pool", "serial"))
         assert serial.pop("level_execution") == "serial"
-        assert pool.pop("level_execution") in ("pool", "serial")  # serial on one CPU
+        assert pool.pop("level_execution") == "pool"
         assert pool == serial
         assert len([k for k in pool if k.startswith("sup_diff_t")]) == 2
         digests = [dir_digest(tmp_path / d) for d in ("pool", "serial")]
