@@ -27,6 +27,7 @@ from .checks import group_suite, operator_bound_suite
 from .config import SimConfig, load_config, make_initial
 from .errors import CHFlowError, ParseError
 from .eulerian import fourth_order_dx
+from .fields import write_csv
 # Unused here; bound so that perfbench/tracer.py can patch them in this module.
 from .eulerian import compare, integrate_eulerian  # noqa: F401
 from .lagrangian import StepDiagnostics, Trajectory, integrate, reconstruct_u
@@ -51,14 +52,6 @@ def _write_kv(path: str, items) -> None:
             fh.write(f"{key}={_fmt(value)}\n")
 
 
-def _write_csv(path: str, header, columns) -> None:
-    # Every value as %.17g, rows ended by \r\n as the csv module writes them.
-    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % tuple(row) for row in np.column_stack(columns).tolist())
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through the package's error type."""
 
@@ -74,8 +67,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", required=True, help="path to a JSON configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized suites")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
 
     p_run = sub.add_parser("run", help="integrate and export a trajectory")
@@ -97,11 +88,13 @@ def _build_parser() -> _Parser:
     p_ops = sub.add_parser("check-operators", help="operator bound suite")
     common(p_ops)
     p_ops.add_argument("--samples", type=int, default=200)
+    p_ops.add_argument("--seed", type=int, default=0, help="seed for the random samples")
     p_ops.set_defaults(func=cmd_check_operators)
 
     p_grp = sub.add_parser("check-group", help="group axiom and stability suite")
     common(p_grp)
     p_grp.add_argument("--samples", type=int, default=100)
+    p_grp.add_argument("--seed", type=int, default=0, help="seed for the random samples")
     p_grp.set_defaults(func=cmd_check_group)
 
     p_cmp = sub.add_parser("oracle-compare", help="flow-map versus Eulerian reference")
@@ -133,15 +126,15 @@ def _export_trajectory(traj: Trajectory, cfg: SimConfig, out_dir: str) -> None:
     if "csv" in formats:
         for i, state in enumerate(traj.states):
             u = reconstruct_u(state, inv_tol=cfg.tolerances.inv_tol)
-            _write_csv(
+            write_csv(
                 os.path.join(out_dir, f"state_{i:05d}.csv"),
                 ["x", "eta", "eta_x", "U", "U_x", "u", "u_x"],
                 [state.grid.x, state.eta.values(), state.eta.slopes(),
                  state.U.u, state.U.du, u.u, u.du])
         d = traj.diagnostics
-        _write_csv(os.path.join(out_dir, "diagnostics.csv"),
-                   ["t", "energy", "momentum", "min_eta_x", "sup_u"],
-                   [d.t, d.energy, d.momentum, d.min_eta_x, d.sup_u])
+        write_csv(os.path.join(out_dir, "diagnostics.csv"),
+                  ["t", "energy", "momentum", "min_eta_x", "sup_u"],
+                  [d.t, d.energy, d.momentum, d.min_eta_x, d.sup_u])
 
 
 def _drift(series: np.ndarray) -> float:
@@ -290,10 +283,9 @@ def cmd_oracle_compare(args) -> int:
         items.append(("fitted_order", study.fitted_order))
     if "csv" in cfg.output.formats:
         for i, state in enumerate(states):
-            _write_csv(os.path.join(out_dir, f"eulerian_{i:05d}.csv"),
-                       ["x", "u", "u_x"],
-                       [state.grid.x, state.u,
-                        fourth_order_dx(state.u, state.grid.h)])
+            write_csv(os.path.join(out_dir, f"eulerian_{i:05d}.csv"),
+                      ["x", "u", "u_x"],
+                      [state.grid.x, state.u, fourth_order_dx(state.u, state.grid.h)])
     _write_kv(os.path.join(out_dir, "oracle_compare.txt"), items)
     for t, sup, l2 in report.rows():
         _say(args, f"t = {_fmt(t)}: sup gap {_fmt(sup)}, L2 gap {_fmt(l2)}")

@@ -1,32 +1,17 @@
 """Run configuration: a nested key-value JSON file with strict validation.
 
-The schema (defaults in parentheses; grid, time.t_end, and initial.kind are
-required):
-
-    {
-      "grid":       {"x_min": -20.0, "x_max": 20.0, "n": 2048},
-      "time":       {"t_end": 2.0, "dt": 1e-3 (1e-3),
-                     "record_every": 100 (100), "adaptive": false (false)},
-      "initial":    {"kind": "gaussian" | "antisymmetric_gaussian" |
-                             "momentum_gaussian" | "custom_csv",
-                     "amplitude": 1.0 (1.0), "center": 0.0 (0.0),
-                     "width": 1.0 (1.0), "path": "ic.csv" (unset)},
-      "tolerances": {"tail_tol": 1e-8 (1e-8), "eps_break": 1e-3 (1e-3),
-                     "inv_tol": 1e-12 (1e-12)},
-      "output":     {"directory": "out" ("out"),
-                     "formats": ["csv", "summary"] (both)}
-    }
-
-Unknown or duplicate keys are parse errors; invariant violations are
-collected and reported together.
+The section dataclasses below are the schema.  Each section is a field of
+SimConfig and each key a field of its section's class: the field's name is
+the key, its annotation the JSON type, and a field without a default is
+required (grid, time.t_end and initial.kind).  Unknown or duplicate keys are
+parse errors.  Missing keys and wrong types are collected and reported
+together, and then, for a well-typed file, every invariant violation.
 """
-
-from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -106,16 +91,6 @@ class SimConfig:
                     tail_tol=self.tolerances.tail_tol, adaptive=self.time.adaptive)
 
 
-_SCHEMA = {
-    "grid": {"x_min", "x_max", "n"},
-    "time": {"t_end", "dt", "record_every", "adaptive"},
-    "initial": {"kind", "amplitude", "center", "width", "path"},
-    "tolerances": {"tail_tol", "eps_break", "inv_tol"},
-    "output": {"directory", "formats"},
-}
-_REQUIRED = {"grid": {"x_min", "x_max", "n"}, "time": {"t_end"}, "initial": {"kind"}}
-
-
 def _reject_duplicates(pairs):
     seen = {}
     for key, value in pairs:
@@ -139,83 +114,79 @@ def load_config(path) -> SimConfig:
     return config_from_dict(raw)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _to_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range, like 1e400
+        return math.inf if value > 0 else -math.inf
+
+
+# Field annotation -> (accepts the JSON value, converts it or None, what it
+# must be).  An int key's value that is no number is reported as such.
+_TYPES = {
+    float: (_is_number, _to_float, "a number"),
+    int: (_is_integer, int, "an integer"),
+    bool: (lambda v: isinstance(v, bool), None, "a boolean"),
+    str: (lambda v: isinstance(v, str), None, "a string"),
+    str | None: (lambda v: v is None or isinstance(v, str), None, "a string"),
+    list[str]: (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                None, "a list of strings"),
+}
+
+
+def _required(f) -> bool:
+    return f.default is MISSING and f.default_factory is MISSING
+
+
 def config_from_dict(raw: dict) -> SimConfig:
-    """Build a SimConfig from nested dictionaries, rejecting unknown keys."""
-    for section, body in raw.items():
-        if section not in _SCHEMA:
-            raise ParseError(f"unknown section '{section}'")
-        if not isinstance(body, dict):
-            raise ParseError(f"section '{section}' must be an object")
-        for key in body:
-            if key not in _SCHEMA[section]:
-                raise ParseError(f"unknown key '{section}.{key}'")
+    """Build a SimConfig from nested dictionaries, rejecting unknown keys.
+
+    The section dataclasses are the schema: a field's name is its key, its
+    annotation its type, and a field without a default is required.
+    """
+    sections = {f.name: f for f in fields(SimConfig)}
+    for name in raw:
+        if name not in sections:
+            raise ParseError(f"unknown section '{name}'")
     problems: list[str] = []
-    for section, keys in _REQUIRED.items():
-        if section not in raw:
-            problems.append(f"missing section '{section}'")
+    parsed = {}
+    for name, section in sections.items():
+        if name not in raw:
+            if _required(section):
+                problems.append(f"missing section '{name}'")
             continue
-        for key in keys:
-            if key not in raw[section]:
-                problems.append(f"missing key '{section}.{key}'")
+        body = raw[name]
+        if not isinstance(body, dict):
+            raise ParseError(f"section '{name}' must be an object")
+        keys = {f.name: f for f in fields(section.type)}
+        for key in body:
+            if key not in keys:
+                raise ParseError(f"unknown key '{name}.{key}'")
+        values = parsed[name] = {}
+        for key, f in keys.items():
+            if key not in body:
+                if _required(f):
+                    problems.append(f"missing key '{name}.{key}'")
+                continue
+            accepts, convert, what = _TYPES[f.type]
+            if accepts(body[key]):
+                values[key] = body[key] if convert is None else convert(body[key])
+            else:
+                if f.type is int and not _is_number(body[key]):
+                    what = "a number"
+                problems.append(f"{name}.{key} must be {what}")
     if problems:
         raise ValidationError(problems)
-
-    def num(section, key, default=None, *, integer=False, boolean=False):
-        body = raw.get(section, {})
-        if key not in body:
-            return default
-        val = body[key]
-        if boolean:
-            if not isinstance(val, bool):
-                problems.append(f"{section}.{key} must be a boolean")
-                return default
-            return val
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            problems.append(f"{section}.{key} must be a number")
-            return default
-        if integer:
-            if int(val) != val:
-                problems.append(f"{section}.{key} must be an integer")
-                return default
-            return int(val)
-        return float(val)
-
-    grid = GridConfig(
-        x_min=num("grid", "x_min"), x_max=num("grid", "x_max"),
-        n=num("grid", "n", integer=True))
-    time = TimeConfig(
-        t_end=num("time", "t_end"), dt=num("time", "dt", 1e-3),
-        record_every=num("time", "record_every", 100, integer=True),
-        adaptive=num("time", "adaptive", False, boolean=True))
-    kind = raw["initial"].get("kind")
-    if not isinstance(kind, str):
-        problems.append("initial.kind must be a string")
-        kind = ""
-    path = raw["initial"].get("path")
-    if path is not None and not isinstance(path, str):
-        problems.append("initial.path must be a string")
-        path = None
-    initial = InitialConfig(
-        kind=kind, amplitude=num("initial", "amplitude", 1.0),
-        center=num("initial", "center", 0.0), width=num("initial", "width", 1.0),
-        path=path)
-    tol = ToleranceConfig(
-        tail_tol=num("tolerances", "tail_tol", 1e-8),
-        eps_break=num("tolerances", "eps_break", 1e-3),
-        inv_tol=num("tolerances", "inv_tol", 1e-12))
-    formats = raw.get("output", {}).get("formats", list(OUTPUT_FORMATS))
-    if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)):
-        problems.append("output.formats must be a list of strings")
-        formats = list(OUTPUT_FORMATS)
-    directory = raw.get("output", {}).get("directory", "out")
-    if not isinstance(directory, str):
-        problems.append("output.directory must be a string")
-        directory = "out"
-    output = OutputConfig(directory=directory, formats=formats)
-    if problems:
-        raise ValidationError(problems)
-
-    cfg = SimConfig(grid=grid, time=time, initial=initial, tolerances=tol, output=output)
+    cfg = SimConfig(**{name: sections[name].type(**values)
+                       for name, values in parsed.items()})
     _validate(cfg, problems)
     if problems:
         raise ValidationError(problems)

@@ -18,13 +18,12 @@ modulus-of-continuity estimate for derivative channels.
 
 from __future__ import annotations
 
-import csv
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ChartViolation, ConvergenceFailure, GridMismatch
-from .fields import Grid, ScalarField1, norm_11, read_field_csv
+from .fields import Grid, ScalarField1, norm_11, read_field_csv, write_field_csv
 
 __all__ = [
     "Diffeo",
@@ -145,7 +144,8 @@ def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, max_iter: int = 80) -> Dif
     residual = np.inf
     for _ in range(max_iter):
         val, der = eta.eval(xi)
-        r = val - x
+        # pinned targets off the range of eta do not count: eta(x_0) - x_0 = v_0
+        r = np.where(outside, 0.0, val - x)
         residual = float(np.abs(r).max())
         if residual <= tol:
             break
@@ -201,11 +201,7 @@ def modulus_estimate(f: ScalarField1, radii: Sequence[float]) -> list[tuple[floa
 
 def write_diffeo_csv(eta: Diffeo, path) -> None:
     """Serialize the displacement as CSV columns x, v, dv."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "v", "dv"])
-        for x, v, dv in zip(eta.grid.x, eta.v.u, eta.v.du):
-            w.writerow([f"{x:.17g}", f"{v:.17g}", f"{dv:.17g}"])
+    write_field_csv(eta.v, path, header=("x", "v", "dv"))
 
 
 def read_diffeo_csv(path) -> Diffeo:

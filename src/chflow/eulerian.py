@@ -8,13 +8,16 @@ directly on the grid: u_x by fourth-order centered differences (with the
 zero continuation outside the domain supplying the boundary stencils, which
 is consistent with the decay convention), the nonlocal term by the same
 kernel scans as the flow-map solver, and classical RK4 in time through the
-flow-map solver's stepper.  The two solvers share only the kernel and the RK4
-core, so comparing them isolates the formulation (flow map versus fixed
-grid), not the kernel.
+flow-map solver's time loop (the FSAL RK4 march and its input check, at
+fixed dt).  The two solvers share only the kernel and the time loop, so
+comparing them isolates the formulation (flow map versus fixed grid), not
+the kernel.
 
 This is a cross-validation oracle, not a production solver: it has no shock
 capturing and simply halts when a value stops being finite (an Eulerian
-discretization blows up rather than hitting a chart boundary).
+discretization blows up rather than hitting a chart boundary).  Since the
+loop evaluates the right side of each new state before accepting it, a run
+that blows up ends at the last state whose right side is finite.
 """
 
 from __future__ import annotations
@@ -23,16 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, GridMismatch, TimeMismatch
+from .errors import GridMismatch, TimeMismatch
 from .fields import (
     DEFAULT_TAIL_TOL,
     Grid,
     ScalarField0,
     ScalarField1,
     _trapz,
-    check_membership,
 )
-from .lagrangian import Trajectory, _rk4, reconstruct_u
+from .lagrangian import Trajectory, _check_run, _march, reconstruct_u
 from .operators import l_op
 
 __all__ = [
@@ -91,42 +93,23 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     """RK4 time stepping of the Eulerian form from u0 to t_end.
 
     Records the state at t = 0, every record_every steps, and at the final
-    time.  If any value stops being finite the run halts and the states
-    collected so far are returned (the last recorded state is always finite).
-    Steps advance a flat array through the flow-map solver's RK4 core, four
-    right-side evaluations each; typed states are built only for recorded
-    times.
+    time.  Steps run through the flow-map solver's time loop and input
+    check, with fixed dt.  If a value stops being finite, in a stage, in the
+    new state or in its right side, the run halts and ends at the last state
+    whose right side is finite.
     """
-    report = check_membership(u0, tail_tol)
-    if not report.ok:
-        raise AdmissibilityError(
-            "initial data is not admissible: failed " + ", ".join(report.failures()))
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _check_run(u0, t_end, dt, record_every, tail_tol)
     grid = u0.grid
-    u = u0.u
-    t = 0.0
+    t, u = 0.0, u0.u
     states = [EulerianState(t, grid, u)]
-    step_no = 0
-
-    def f(z, tz):
-        return _dudt(z, grid, order)
-
+    steps = 0
     try:
-        while t < t_end - 1e-12 * max(1.0, t_end):
-            step = min(dt, t_end - t)
-            u_new, _ = _rk4(u, t, step, f, f(u, t))
-            if not np.isfinite(u_new).all():
-                break
-            u = u_new
-            t += step
-            step_no += 1
-            if step_no % record_every == 0:
+        for t, u in _march(u, t_end, dt, lambda z, tz: _dudt(z, grid, order)):
+            steps += 1
+            if steps % record_every == 0:
                 states.append(EulerianState(t, grid, u))
     except ValueError:
-        pass  # a stage value stopped being finite; u is the last finite state
+        pass  # a value stopped being finite: the Eulerian form blew up
     if states[-1].t != t:
         states.append(EulerianState(t, grid, u))
     return states

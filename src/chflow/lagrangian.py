@@ -28,6 +28,7 @@ non-finite values.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -234,6 +235,62 @@ def _diag_row(t: float, y: np.ndarray, h: float) -> tuple[float, float, float, f
             float(s.min()), float(np.abs(y[2]).max()))
 
 
+def _check_run(u0: ScalarField1, t_end: float, dt: float, record_every: int,
+               tail_tol: float) -> None:
+    """The input check shared by both solvers' time loops."""
+    report = check_membership(u0, tail_tol)
+    if not report.ok:
+        raise AdmissibilityError(
+            "initial data is not admissible: failed " + ", ".join(report.failures()))
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if record_every < 1:
+        raise ValueError("record_every must be a positive integer")
+
+
+def _march(y: np.ndarray, t_end: float, dt: float,
+           f: Callable[[np.ndarray, float], np.ndarray],
+           error: Callable[[float, np.ndarray, np.ndarray], float] | None = None,
+           tol: float = 0.0, tally: Counter | None = None):
+    """Accepted steps (t, y_n) of FSAL RK4 from the flat state y at t = 0 to t_end.
+
+    Each step is classical RK4 whose fifth evaluation k5 = f(y_{n+1}) is the
+    next step's k1, so f has accepted every yielded state; an error raised by
+    f, or a non-finite new state (ValueError), ends the march.  With error,
+    a step whose error(step, k4, k5) exceeds tol is halved and retried down
+    to dt 2^-12, where it is accepted anyway; dt doubles back up to dt after
+    a step below tol/64.  tally counts "rejected" and "at_floor" steps.
+    """
+    t, dt_cur = 0.0, dt
+    k1 = f(y, t)
+    while t < t_end - 1e-12 * max(1.0, t_end):
+        step = min(dt_cur, t_end - t)
+        new, k4 = _rk4(y, t, step, f, k1)
+        if not np.isfinite(new).all():
+            raise ValueError(f"state became non-finite at t = {t + step:.9g}")
+        k5 = f(new, t + step)
+        if error is not None:
+            err = error(step, k4, k5)
+            if err > tol:
+                if step > dt * 2.0 ** -12:
+                    dt_cur = 0.5 * step
+                    tally["rejected"] += 1
+                    continue
+                tally["at_floor"] += 1
+            elif err < tol / 64.0:
+                dt_cur = min(2.0 * dt_cur, dt)
+        y, k1, t = new, k5, t + step
+        yield t, y
+
+
+def _eta_error(step: float, k4: np.ndarray, k5: np.ndarray) -> float:
+    # embedded third-order error, weights (1/6, 1/3, 1/3, 0, 1/6), on the
+    # eta channels only: invariant under u -> l u(l t, .)
+    return step / 6.0 * float(np.abs(k4[:2] - k5[:2]).max())
+
+
 def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100,
               *, eps_break: float = DEFAULT_EPS_BREAK,
               quad_order: int = DEFAULT_QUAD_ORDER,
@@ -251,17 +308,7 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     adapt_tol, halving down to dt 2^-12.  The stage loop evolves one (4, n)
     array (v, v', U, U'); typed states are built only for recorded times.
     """
-    report = check_membership(u0, tail_tol)
-    if not report.ok:
-        raise AdmissibilityError(
-            "initial data is not admissible: failed " + ", ".join(report.failures()))
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if record_every < 1:
-        raise ValueError("record_every must be a positive integer")
-
+    _check_run(u0, t_end, dt, record_every, tail_tol)
     grid = u0.grid
     eps = max(eps_break, DEFAULT_EPS_CHART)
     states = [FlowState(0.0, Diffeo.identity(grid), u0)]
@@ -269,36 +316,17 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     y = _pack(states[0])
     rows = [_diag_row(t, y, grid.h)]
     breakdown_time = breakdown_slope = estimate = None
-    steps_done = rejected = at_floor = evals = 0
+    steps_done = evals = 0
+    tally = Counter()
 
     def f(z, tz):
         nonlocal evals
         evals += 1
         return _dydt(z, tz, grid, eps, quad_order)
 
-    dt_cur = dt
     try:
-        k1 = f(y, t)
-        while t < t_end - 1e-12 * max(1.0, t_end):
-            step = min(dt_cur, t_end - t)
-            new, k4 = _rk4(y, t, step, f, k1)
-            if not np.isfinite(new).all():
-                raise ValueError(f"flow state became non-finite at t = {t + step:.9g}")
-            # checks the new chart; the next step's first stage (FSAL)
-            k5 = f(new, t + step)
-            if adaptive:
-                # embedded third-order error, weights (1/6, 1/3, 1/3, 0, 1/6),
-                # on the eta channels only: invariant under u -> l u(l t, .)
-                err = step / 6.0 * float(np.abs(k4[:2] - k5[:2]).max())
-                if err > adapt_tol:
-                    if step > dt * 2.0 ** -12:
-                        dt_cur = 0.5 * step
-                        rejected += 1
-                        continue
-                    at_floor += 1
-                elif err < adapt_tol / 64.0:
-                    dt_cur = min(2.0 * dt_cur, dt)
-            y, k1, t = new, k5, t + step
+        for t, y in _march(y, t_end, dt, f, _eta_error if adaptive else None,
+                           adapt_tol, tally):
             steps_done += 1
             rows.append(_diag_row(t, y, grid.h))
             if steps_done % record_every == 0:
@@ -318,8 +346,9 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     return Trajectory(states=states, diagnostics=diags,
                       breakdown_time=breakdown_time,
                       breakdown_min_slope=breakdown_slope,
-                      breaking_time_estimate=estimate, steps_rejected=rejected,
-                      steps_at_floor=at_floor, rhs_evaluations=evals)
+                      breaking_time_estimate=estimate,
+                      steps_rejected=tally["rejected"],
+                      steps_at_floor=tally["at_floor"], rhs_evaluations=evals)
 
 
 def reconstruct_u(state: FlowState, *, inv_tol: float = 1e-12) -> ScalarField1:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .config import SimConfig, make_initial
 from .eulerian import ComparisonReport, EulerianState, compare, integrate_eulerian
-from .fields import ScalarField1
 from .lagrangian import Trajectory, integrate, reconstruct_u
 
 __all__ = [
@@ -123,16 +122,8 @@ def _run_tasks(task, payloads: list, workers: int | None) -> tuple[list, str]:
     return [task(p) for p in payloads], "serial"
 
 
-def _solve_level(payload) -> tuple[LevelResult, ScalarField1]:
-    cfg, n, quad_order, base_dir = payload
-    level_cfg = scaled_config(cfg, n)
-    u0 = make_initial(level_cfg, base_dir=base_dir)
-    traj = integrate(u0, **level_cfg.integrate_kwargs(quad_order))
-    return (_level(level_cfg, traj),
-            reconstruct_u(traj.final, inv_tol=level_cfg.tolerances.inv_tol))
-
-
-def _solve_oracle(payload) -> Trajectory | list[EulerianState]:
+def _solve(payload) -> Trajectory | list[EulerianState]:
+    """One solver's run of cfg at resolution n; only the final state unless keep_all."""
     solver, cfg, n, quad_order, base_dir, keep_all = payload
     level_cfg = scaled_config(cfg, n)
     u0 = make_initial(level_cfg, base_dir=base_dir)
@@ -140,7 +131,8 @@ def _solve_oracle(payload) -> Trajectory | list[EulerianState]:
         traj = integrate(u0, **level_cfg.integrate_kwargs(quad_order))
         return traj if keep_all else replace(traj, states=traj.states[-1:])
     states = integrate_eulerian(u0, level_cfg.time.t_end, level_cfg.time.dt,
-                                record_every=level_cfg.time.record_every)
+                                record_every=level_cfg.time.record_every,
+                                tail_tol=level_cfg.tolerances.tail_tol)
     return states if keep_all else states[-1:]
 
 
@@ -169,10 +161,11 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
         raise ValueError("a refinement study needs at least two levels")
     if sorted(levels) != list(levels):
         raise ValueError("levels must be increasing")
-    payloads = [(cfg, n, quad_order, base_dir) for n in levels[::-1]]
-    results, execution = _run_tasks(_solve_level, payloads, workers)
-    meta, solutions = zip(*results[::-1])
-    study = RefinementStudy(list(meta), gaps=[], orders=[], fitted_order=None,
+    payloads = [("flow_map", cfg, n, quad_order, base_dir, False) for n in levels[::-1]]
+    results, execution = _run_tasks(_solve, payloads, workers)
+    trajs = results[::-1]
+    meta = [_level(scaled_config(cfg, n), traj) for n, traj in zip(levels, trajs)]
+    study = RefinementStudy(meta, gaps=[], orders=[], fitted_order=None,
                             execution=execution)
     if any(m.breakdown_time is not None for m in meta):
         if all(m.breakdown_time is not None for m in meta):
@@ -180,6 +173,8 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
             diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
             _, study.estimate_order = _orders(diffs, [m.h for m in meta[:-1]])
         return study
+    solutions = [reconstruct_u(traj.final, inv_tol=cfg.tolerances.inv_tol)
+                 for traj in trajs]
     for coarse, fine in zip(solutions[:-1], solutions[1:]):
         fine_at_coarse, _ = fine.eval(coarse.grid.x)
         study.gaps.append(float(np.abs(fine_at_coarse - coarse.u).max()))
@@ -205,7 +200,7 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
     payloads = [(solver, cfg, n, quad_order, base_dir, n == cfg.grid.n)
                 for n in resolutions for solver in ("flow_map", "eulerian")]
-    results, execution = _run_tasks(_solve_oracle, payloads, None)
+    results, execution = _run_tasks(_solve, payloads, None)
     runs = {(p[0], p[2]): r for p, r in zip(payloads, results)}
     base = (runs["flow_map", cfg.grid.n], runs["eulerian", cfg.grid.n])
     report = compare(*base, times, inv_tol=cfg.tolerances.inv_tol)

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chflow import cli, studies
-from chflow.cli import _write_csv, main
+from chflow import (
+    Diffeo, Grid, ScalarField1, cli, studies, write_diffeo_csv, write_field_csv)
+from chflow.cli import main
+from chflow.fields import write_csv
 
 
 def write_config(tmp_path, *, n=256, t_end=0.5, dt=2e-3, record_every=50,
@@ -133,9 +135,22 @@ def test_csv_export_matches_csv_module_bytes(tmp_path):
         np.array([0.1, 1.0 / 3.0, -2.5e-308, np.pi, 1e-5, 123456789.0]),
     ]
     header = ["a", "b", "c"]
-    _write_csv(tmp_path / "new.csv", header, columns)
+    write_csv(tmp_path / "new.csv", header, columns)
     csv_module_writer(tmp_path / "old.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # The public field and diffeomorphism writers go through the same writer.
+    grid = Grid.from_interval(-1.0, 1.0, 6)
+    field = ScalarField1(grid, columns[1], columns[2])
+    eta = Diffeo(ScalarField1(grid, [0.0, -0.0, tiny, -tiny, 1e-5, 0.1], columns[2]))
+    write_field_csv(field, tmp_path / "field.csv")
+    csv_module_writer(tmp_path / "field_old.csv", ["x", "u", "du"],
+                      [grid.x, field.u, field.du])
+    write_diffeo_csv(eta, tmp_path / "diffeo.csv")
+    csv_module_writer(tmp_path / "diffeo_old.csv", ["x", "v", "dv"],
+                      [grid.x, eta.v.u, eta.v.du])
+    for name in ("field", "diffeo"):
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}_old.csv").read_bytes())
 
 
 class TestFailurePaths:
@@ -155,6 +170,27 @@ class TestFailurePaths:
         assert main(["run"]) == 1
         err = capsys.readouterr().err
         assert "error=ParseError" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("section, key", [("grid", "n"), ("time", "record_every")])
+    def test_non_finite_integer_exits_one_with_report(self, tmp_path, capsys,
+                                                      section, key, value):
+        cfg = write_config(tmp_path)
+        payload = json.loads(cfg.read_text())
+        payload[section][key] = value  # written as NaN or Infinity
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "ValidationError"
+        assert f"{section}.{key} must be an integer" in report["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "converge", "oracle-compare"])
+    def test_seed_is_a_usage_error_outside_check_suites(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--seed", "1"]) == 1
+        assert "error=ParseError" in capsys.readouterr().err
 
     def test_inadmissible_initial_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, width=15.0)
@@ -295,6 +331,22 @@ class TestOracleCompare:
         assert all(f"gap_n{n}" in report for n in levels.split(","))
         if "128" in levels.split(","):
             assert report["gap_n128"] == report["sup_diff_t0.25"]
+
+    def test_wide_data_within_tail_tol(self, tmp_path):
+        # A width-5 Gaussian passes tail_tol 1e-5 on [-20, 20] but not the
+        # default 1e-8: both solvers must take the configured tail_tol, and
+        # its flow map's end displacements must not stall the inversion.
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=1000,
+                           width=5.0)
+        payload = json.loads(cfg.read_text())
+        payload["tolerances"] = {"tail_tol": 1e-5}
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--quiet"]) == 0
+        assert main(["oracle-compare", "--config", str(cfg), "--out", str(tmp_path / "cmp"),
+                     "--levels", "64,128,256", "--quiet"]) == 0
+        report = read_kv(tmp_path / "cmp" / "oracle_compare.txt")
+        assert 1.8 <= float(report["fitted_order"]) <= 2.2
 
     def test_pool_report_matches_serial(self, tmp_path, monkeypatch):
         # Trajectories and Eulerian states come back from the workers bit for bit.

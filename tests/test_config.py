@@ -93,6 +93,29 @@ class TestLoadConfig:
                 "initial": {"kind": "gaussian"},
             })
 
+    def test_missing_keys_and_bad_types_reported_together(self):
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict({
+                "grid": {"x_min": -1.0, "n": 64.5},
+                "time": {"adaptive": "yes"},
+                "initial": {"kind": "gaussian", "path": 3},
+                "output": {"formats": "csv"},
+            })
+        assert exc.value.violations == [
+            "missing key 'grid.x_max'", "grid.n must be an integer",
+            "missing key 'time.t_end'", "time.adaptive must be a boolean",
+            "initial.path must be a string", "output.formats must be a list of strings"]
+
+    def test_integer_beyond_float_range_is_infinite(self):
+        # As 1e400 parses to inf, so does the integer literal 10**400.
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["grid"]["x_min"] = -10 ** 400
+        payload["time"]["t_end"] = 10 ** 400
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(payload)
+        assert exc.value.violations == ["grid.x_min must be finite and < grid.x_max",
+                                        "time.t_end must be > 0, got inf"]
+
     def test_bad_format_rejected(self):
         payload = json.loads(json.dumps(MINIMAL))
         payload["output"] = {"formats": ["csv", "parquet"]}

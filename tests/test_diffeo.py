@@ -160,6 +160,19 @@ class TestInvert:
         fd = np.gradient(grid20.x + xi.v.u, grid20.h, edge_order=2)
         assert np.abs(fd - (1.0 + xi.v.du)).max() <= 10 * grid20.h ** 2
 
+    @pytest.mark.parametrize("amp", [1e-3, -1e-3])
+    def test_displaced_end_target_is_pinned(self, grid20, amp):
+        # v(x_0) > 0, or v(x_{n-1}) < 0, puts that end's target off the range
+        # of eta: it is pinned at xi = x, where eta(x) - x = v(x) is far above
+        # tol at every iteration, so only the inside targets may count.
+        eta = from_displacement(bump_displacement(grid20, amp=amp, width=5.0))
+        end, inside = (0, slice(1, None)) if amp > 0 else (-1, slice(None, -1))
+        assert abs(eta.v.u[end]) > 1e-10
+        xi = invert(eta, tol=1e-12)
+        values, _ = eta.eval(grid20.x + xi.v.u)
+        assert np.abs(values - grid20.x)[inside].max() <= 1e-12
+        assert xi.v.u[end] == 0.0 and xi.v.du[end] == 0.0
+
     def test_failure_is_reported(self, grid20):
         eta = from_displacement(bump_displacement(grid20, amp=0.3))
         with pytest.raises(ConvergenceFailure):

@@ -13,7 +13,7 @@ from chflow import (
 from chflow.errors import TimeMismatch
 from chflow.eulerian import fourth_order_dx
 
-from conftest import gaussian_field
+from conftest import antisymmetric_field, gaussian_field
 
 
 class TestEulerRhs:
@@ -58,6 +58,24 @@ class TestIntegrateEulerian:
     def test_bad_times_rejected(self, grid20, bad):
         with pytest.raises(ValueError):
             integrate_eulerian(ScalarField1.zeros(grid20), bad, 1e-3)
+
+    def test_record_every_must_be_positive(self, grid20):
+        with pytest.raises(ValueError, match="record_every"):
+            integrate_eulerian(ScalarField1.zeros(grid20), 0.1, 1e-2, record_every=0)
+
+    @pytest.mark.parametrize("n, t_last", [(256, 2.176), (512, 2.056), (1024, 1.976)])
+    def test_blow_up_ends_at_last_state_with_finite_right_side(self, n, t_last):
+        # Breaking data blow up in the Eulerian form.  The loop evaluates the
+        # right side of each new state before accepting it, so the run ends at
+        # the last state whose right side is finite.  At n = 256 the state at
+        # t = 2.184 is finite but its right side is not.
+        grid = Grid.from_interval(-20.0, 20.0, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = integrate_eulerian(antisymmetric_field(grid, amp=-1.0), 3.0, 8e-3,
+                                        record_every=10 ** 9)
+        assert [s.t for s in states[:-1]] == [0.0]
+        assert states[-1].t == pytest.approx(t_last, abs=1e-9)
+        assert np.isfinite(euler_rhs(states[-1])).all()
 
 
 class TestCompare:

@@ -71,8 +71,8 @@ def test_oracle_level_keeps_only_final_state(tmp_path, solver):
         "time": {"t_end": 0.1, "dt": 1e-2, "record_every": 2},
         "initial": {"kind": "gaussian", "amplitude": 0.5}}))
     cfg = load_config(path)
-    full = studies._solve_oracle((solver, cfg, 128, 4, None, True))
-    final = studies._solve_oracle((solver, cfg, 128, 4, None, False))
+    full = studies._solve((solver, cfg, 128, 4, None, True))
+    final = studies._solve((solver, cfg, 128, 4, None, False))
     if solver == "flow_map":
         full = [s.U for s in full.states]
         final = [s.U for s in final.states]
