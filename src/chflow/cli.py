@@ -198,6 +198,14 @@ def cmd_run(args) -> int:
     return 2
 
 
+def _breakdown_items(broken: dict) -> list:
+    """breakdown_time_n<N>, then breaking_time_estimate_n<N>, of each broken run by n."""
+    ns = sorted(broken)
+    return ([(f"breakdown_time_n{n}", broken[n].breakdown_time) for n in ns]
+            + [(f"breaking_time_estimate_n{n}", broken[n].breaking_time_estimate)
+               for n in ns])
+
+
 def cmd_converge(args) -> int:
     cfg, out_dir, base_dir = _prepare(args)
     levels = [int(tok) for tok in args.levels.split(",") if tok]
@@ -207,11 +215,9 @@ def cmd_converge(args) -> int:
     items.append(("level_execution", study.execution))
     broken = [m for m in study.levels if m.breakdown_time is not None]
     if broken:
-        # Final states at different times are not comparable: no gaps, no order.
-        items += [(f"breakdown_time_n{m.n}", m.breakdown_time) for m in broken]
-        # The breaking-time estimates are comparable across levels instead.
-        items += [(f"breaking_time_estimate_n{m.n}", m.breaking_time_estimate)
-                  for m in broken]
+        # Final states at different times are not comparable: no gaps, no
+        # order.  The breaking-time estimates are comparable across levels.
+        items += _breakdown_items({m.n: m for m in broken})
         if study.estimate_order is not None:
             items.append(("breaking_time_estimate_fitted_order", study.estimate_order))
         items.append(("quad_order", args.order))
@@ -268,10 +274,26 @@ def cmd_oracle_compare(args) -> int:
     # Both solvers of every level, cfg's own n included, run as tasks of the study.
     study = oracle_refinement(cfg, levels, times=times, quad_order=args.order,
                               base_dir=base_dir)
-    _, states = study.base
-    report = study.report
+    traj, states = study.base
+    if "csv" in cfg.output.formats:
+        for i, state in enumerate(states):
+            write_csv(os.path.join(out_dir, f"eulerian_{i:05d}.csv"),
+                      ["x", "u", "u_x"],
+                      [state.grid.x, state.u, fourth_order_dx(state.u, state.grid.h)])
+    path = os.path.join(out_dir, "oracle_compare.txt")
+    broken = {m.n: m for m in study.levels if m.breakdown_time is not None}
+    if traj.breakdown_time is not None:
+        broken[cfg.grid.n] = traj
+    if broken:
+        # A flow-map run stopped before t_end: nothing is compared.
+        _write_kv(path, _breakdown_items(broken)
+                  + [("level_execution", study.execution)])
+        n = min(broken)
+        _say(args, f"comparison stopped by wave breaking at n = {n}, "
+                   f"t = {_fmt(broken[n].breakdown_time)}")
+        return 2
     items = []
-    for t, sup, l2 in report.rows():
+    for t, sup, l2 in study.report.rows():
         items.append((f"sup_diff_t{_fmt(t)}", sup))
         items.append((f"l2_diff_t{_fmt(t)}", l2))
     items.append(("level_execution", study.execution))
@@ -281,13 +303,8 @@ def cmd_oracle_compare(args) -> int:
         for m, order in zip(study.levels, study.orders):
             items.append((f"refinement_order_n{m.n}", order))
         items.append(("fitted_order", study.fitted_order))
-    if "csv" in cfg.output.formats:
-        for i, state in enumerate(states):
-            write_csv(os.path.join(out_dir, f"eulerian_{i:05d}.csv"),
-                      ["x", "u", "u_x"],
-                      [state.grid.x, state.u, fourth_order_dx(state.u, state.grid.h)])
-    _write_kv(os.path.join(out_dir, "oracle_compare.txt"), items)
-    for t, sup, l2 in report.rows():
+    _write_kv(path, items)
+    for t, sup, l2 in study.report.rows():
         _say(args, f"t = {_fmt(t)}: sup gap {_fmt(sup)}, L2 gap {_fmt(l2)}")
     return 0
 

@@ -33,6 +33,8 @@ __all__ = [
 
 INITIAL_KINDS = ("gaussian", "antisymmetric_gaussian", "momentum_gaussian", "custom_csv")
 OUTPUT_FORMATS = ("csv", "summary")
+# Largest grid.n: at 2**22 nodes every flat (4, n) state is already 128 MiB
+MAX_GRID_N = 2 ** 22
 
 
 @dataclass
@@ -197,8 +199,8 @@ def _validate(cfg: SimConfig, problems: list[str]):
     g, t, i, tol = cfg.grid, cfg.time, cfg.initial, cfg.tolerances
     if not (math.isfinite(g.x_min) and math.isfinite(g.x_max) and g.x_min < g.x_max):
         problems.append("grid.x_min must be finite and < grid.x_max")
-    if g.n < 16:
-        problems.append(f"grid.n must be >= 16, got {g.n}")
+    if not 16 <= g.n <= MAX_GRID_N:
+        problems.append(f"grid.n must lie in [16, 2**22], got {g.n}")
     if not (math.isfinite(t.t_end) and t.t_end > 0):
         problems.append(f"time.t_end must be > 0, got {t.t_end}")
     if not (math.isfinite(t.dt) and t.dt > 0):

@@ -76,10 +76,15 @@ def fourth_order_dx(u: np.ndarray, h: float) -> np.ndarray:
 
 
 def _dudt(u: np.ndarray, grid: Grid, order: int) -> np.ndarray:
-    """u_t of the grid samples u; ValueError when the source is not finite."""
-    ux = fourth_order_dx(u, grid.h)
-    phi = ScalarField0(grid, u * u + 0.5 * ux * ux)
-    return -u * ux - l_op(phi, order=order).u
+    """u_t of the grid samples u; ValueError when the source is not finite.
+
+    A blow-up overflows on its way to that error, which is the expected end
+    of the run, so numpy's overflow warnings are not raised.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ux = fourth_order_dx(u, grid.h)
+        phi = ScalarField0(grid, u * u + 0.5 * ux * ux)
+        return -u * ux - l_op(phi, order=order).u
 
 
 def euler_rhs(state: EulerianState, *, order: int = 2) -> np.ndarray:

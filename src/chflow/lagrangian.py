@@ -258,29 +258,39 @@ def _march(y: np.ndarray, t_end: float, dt: float,
 
     Each step is classical RK4 whose fifth evaluation k5 = f(y_{n+1}) is the
     next step's k1, so f has accepted every yielded state; an error raised by
-    f, or a non-finite new state (ValueError), ends the march.  With error,
-    a step whose error(step, k4, k5) exceeds tol is halved and retried down
-    to dt 2^-12, where it is accepted anyway; dt doubles back up to dt after
-    a step below tol/64.  tally counts "rejected" and "at_floor" steps.
+    f, or a non-finite new state (ValueError), ends the march.  Without
+    error every step is dt.  With error, dt is only the first step: the
+    next is step * clamp(0.9 (tol / err)^(1/4), 0.2, 4) for err =
+    error(step, k4, k5) (4 when err = 0), never below the floor dt 2^-12
+    and capped by nothing but t_end.  A step with err > tol is retried at
+    that size, and one whose stage or new state raises ChartViolation at a
+    quarter of it; at the floor the first is accepted anyway and the second
+    ends the march.  tally counts "rejected" and "at_floor" steps.
     """
-    t, dt_cur = 0.0, dt
+    t, dt_cur, floor = 0.0, dt, dt * 2.0 ** -12
     k1 = f(y, t)
     while t < t_end - 1e-12 * max(1.0, t_end):
         step = min(dt_cur, t_end - t)
-        new, k4 = _rk4(y, t, step, f, k1)
-        if not np.isfinite(new).all():
-            raise ValueError(f"state became non-finite at t = {t + step:.9g}")
-        k5 = f(new, t + step)
+        try:
+            new, k4 = _rk4(y, t, step, f, k1)
+            if not np.isfinite(new).all():
+                raise ValueError(f"state became non-finite at t = {t + step:.9g}")
+            k5 = f(new, t + step)
+        except ChartViolation:
+            if error is None or step <= floor:
+                raise
+            tally["rejected"] += 1
+            dt_cur = max(0.25 * step, floor)
+            continue
         if error is not None:
             err = error(step, k4, k5)
+            factor = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** 0.25))
+            dt_cur = max(factor * step, floor)
             if err > tol:
-                if step > dt * 2.0 ** -12:
-                    dt_cur = 0.5 * step
+                if step > floor:
                     tally["rejected"] += 1
                     continue
                 tally["at_floor"] += 1
-            elif err < tol / 64.0:
-                dt_cur = min(2.0 * dt_cur, dt)
         y, k1, t = new, k5, t + step
         yield t, y
 
@@ -303,10 +313,15 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     the trajectory ends at the last valid state and carries the breakdown
     time; no non-finite value is ever stored.
 
-    Steps are RK4 whose fifth evaluation k5 = f(y_{n+1}) is the next k1;
-    adaptive steps keep dt/6 max |k4 - k5| over the eta channels below
-    adapt_tol, halving down to dt 2^-12.  The stage loop evolves one (4, n)
-    array (v, v', U, U'); typed states are built only for recorded times.
+    Steps are RK4 whose fifth evaluation k5 = f(y_{n+1}) is the next k1.
+    A fixed run steps by dt.  An adaptive run starts at dt and then sizes
+    each step from the error estimate step/6 max |k4 - k5| over the eta
+    channels against adapt_tol, with no cap but t_end (the flow-map ODE has
+    no CFL limit); a trial step that loses the chart is retried at a
+    quarter of its size, and the run stops at breaking only once such a
+    step is down to dt 2^-12, so breakdown_time lies within dt 2^-12 of the
+    last valid state.  The stage loop evolves one (4, n) array
+    (v, v', U, U'); typed states are built only for recorded times.
     """
     _check_run(u0, t_end, dt, record_every, tail_tol)
     grid = u0.grid

@@ -1,12 +1,16 @@
 """Run orchestration: refinement studies and cross-method comparisons.
 
-A refinement study reruns a configuration over a ladder of grid resolutions
-with the time step scaled proportionally to the spacing, then measures either
-the self-convergence of the flow-map solver (gaps between consecutive levels,
-finer solution restricted to the coarser grid by Hermite evaluation) or the
-gap between the flow-map solver and the Eulerian reference at the final time.
-Observed orders come from consecutive gap ratios plus a least-squares fit of
-log(gap) against log(h).
+A refinement study reruns a configuration over a ladder of grid resolutions,
+then measures either the self-convergence of the flow-map solver (gaps
+between consecutive levels, finer solution restricted to the coarser grid by
+Hermite evaluation) or the gap between the flow-map solver and the Eulerian
+reference at the final time.  Flow-map runs keep the configuration's time
+step on every level: their ODE has no CFL limit, so the step need not shrink
+with h.  The Eulerian reference has one, and its time step is scaled
+proportionally to the spacing.  Observed orders come from consecutive gap
+ratios plus a least-squares fit of log(gap) against log(h).  A study in
+which a flow-map run broke down compares nothing: its final states belong to
+different times.
 
 Every solve of a study is an independent task: one per level for a
 self-convergence study, and one per solver and level for a cross-method
@@ -47,7 +51,6 @@ class LevelResult:
 
     n: int
     h: float
-    dt: float
     breakdown_time: float | None = None
     breaking_time_estimate: float | None = None
 
@@ -59,9 +62,10 @@ class RefinementStudy:
     For a self-convergence study gap[i] compares levels i and i+1 (there is
     one fewer gap than levels); for a cross-method study gap[i] belongs to
     level i.  orders[i] is the observed rate between consecutive gaps and
-    fitted_order the least-squares slope over all of them.  A self-convergence
-    study in which any level broke down has no gaps: its final states belong
-    to different times.  When every level broke, estimate_order is instead
+    fitted_order the least-squares slope over all of them.  A study in which
+    any flow-map run broke down has no gaps (and a cross-method one no
+    report): its final states belong to different times.  When every level
+    of a self-convergence study broke, estimate_order is instead
     the fitted order of the differences between consecutive breaking-time
     estimates.  execution is "pool" or "serial": how the solves ran.  base is
     the (trajectory, Eulerian states) pair at the configuration's own
@@ -86,12 +90,14 @@ def scaled_config(cfg: SimConfig, n: int) -> SimConfig:
                    time=replace(cfg.time, dt=cfg.time.dt * scale))
 
 
-def _level(level_cfg: SimConfig, traj: Trajectory | None = None) -> LevelResult:
-    result = LevelResult(level_cfg.grid.n, level_cfg.grid.build().h, level_cfg.time.dt)
-    if traj is not None:
-        result.breakdown_time = traj.breakdown_time
-        result.breaking_time_estimate = traj.breaking_time_estimate
-    return result
+def _at(cfg: SimConfig, n: int) -> SimConfig:
+    """The same run at resolution n with the same dt: the flow map's level."""
+    return replace(cfg, grid=replace(cfg.grid, n=n))
+
+
+def _level(cfg: SimConfig, n: int, traj: Trajectory) -> LevelResult:
+    return LevelResult(n, _at(cfg, n).grid.build().h, traj.breakdown_time,
+                       traj.breaking_time_estimate)
 
 
 def _usable_cpus() -> int:
@@ -123,9 +129,12 @@ def _run_tasks(task, payloads: list, workers: int | None) -> tuple[list, str]:
 
 
 def _solve(payload) -> Trajectory | list[EulerianState]:
-    """One solver's run of cfg at resolution n; only the final state unless keep_all."""
+    """One solver's run of cfg at resolution n; only the final state unless keep_all.
+
+    The flow map keeps cfg's dt, the Eulerian reference scales it with h.
+    """
     solver, cfg, n, quad_order, base_dir, keep_all = payload
-    level_cfg = scaled_config(cfg, n)
+    level_cfg = _at(cfg, n) if solver == "flow_map" else scaled_config(cfg, n)
     u0 = make_initial(level_cfg, base_dir=base_dir)
     if solver == "flow_map":
         traj = integrate(u0, **level_cfg.integrate_kwargs(quad_order))
@@ -164,7 +173,7 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
     payloads = [("flow_map", cfg, n, quad_order, base_dir, False) for n in levels[::-1]]
     results, execution = _run_tasks(_solve, payloads, workers)
     trajs = results[::-1]
-    meta = [_level(scaled_config(cfg, n), traj) for n, traj in zip(levels, trajs)]
+    meta = [_level(cfg, n, traj) for n, traj in zip(levels, trajs)]
     study = RefinementStudy(meta, gaps=[], orders=[], fitted_order=None,
                             execution=execution)
     if any(m.breakdown_time is not None for m in meta):
@@ -193,6 +202,9 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     resolution takes its gap from that report when t_end is among the times.
     Other levels keep only their final states, all their gap reads.  levels
     may be empty: then only cfg's own resolution runs, and there are no gaps.
+    If any flow-map run broke down, the study compares nothing: it has no
+    report and no gaps, and the breakdowns are on study.levels and
+    study.base.
     """
     if sorted(levels) != list(levels):
         raise ValueError("levels must be increasing")
@@ -203,18 +215,18 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     results, execution = _run_tasks(_solve, payloads, None)
     runs = {(p[0], p[2]): r for p, r in zip(payloads, results)}
     base = (runs["flow_map", cfg.grid.n], runs["eulerian", cfg.grid.n])
-    report = compare(*base, times, inv_tol=cfg.tolerances.inv_tol)
-    gaps = []
-    meta = []
+    study = RefinementStudy([_level(cfg, n, runs["flow_map", n]) for n in levels],
+                            gaps=[], orders=[], fitted_order=None,
+                            execution=execution, base=base)
+    if not all(runs["flow_map", n].completed for n in resolutions):
+        return study
+    study.report = compare(*base, times, inv_tol=cfg.tolerances.inv_tol)
+    t_end = cfg.time.t_end
     for n in levels:
-        level_cfg = scaled_config(cfg, n)
-        t_end = level_cfg.time.t_end
         if n == cfg.grid.n and t_end in times:
-            gaps.append(report.sup_diff[times.index(t_end)])
+            study.gaps.append(study.report.sup_diff[times.index(t_end)])
         else:
-            gaps.append(compare(runs["flow_map", n], runs["eulerian", n], [t_end],
-                                inv_tol=level_cfg.tolerances.inv_tol).sup_diff[0])
-        meta.append(_level(level_cfg))
-    orders, fitted = _orders(gaps, [m.h for m in meta])
-    return RefinementStudy(levels=meta, gaps=gaps, orders=orders, fitted_order=fitted,
-                           execution=execution, base=base, report=report)
+            study.gaps.append(compare(runs["flow_map", n], runs["eulerian", n], [t_end],
+                                      inv_tol=cfg.tolerances.inv_tol).sup_diff[0])
+    study.orders, study.fitted_order = _orders(study.gaps, [m.h for m in study.levels])
+    return study

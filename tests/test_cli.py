@@ -186,6 +186,21 @@ class TestFailurePaths:
         assert f"{section}.{key} must be an integer" in report["message"]
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [10 ** 11, 10 ** 400], ids=["1e11", "401-digits"])
+    def test_huge_grid_exits_one_with_report(self, tmp_path, capsys, n):
+        # A representable n would allocate grids of that size, and one beyond
+        # the float range would overflow: both are configuration errors.
+        cfg = write_config(tmp_path)
+        payload = json.loads(cfg.read_text())
+        payload["grid"]["n"] = n
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "ValidationError"
+        assert "grid.n must lie in [16, 2**22]" in report["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "converge", "oracle-compare"])
     def test_seed_is_a_usage_error_outside_check_suites(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)
@@ -347,6 +362,28 @@ class TestOracleCompare:
                      "--levels", "64,128,256", "--quiet"]) == 0
         report = read_kv(tmp_path / "cmp" / "oracle_compare.txt")
         assert 1.8 <= float(report["fitted_order"]) <= 2.2
+
+    @pytest.mark.parametrize("levels, broken", [(None, [256]), ("512", [256, 512]),
+                                                ("256,512", [256, 512])])
+    def test_breaking_data_exits_two_without_comparison(self, tmp_path, levels, broken):
+        # The flow map stops at wave breaking, before t_end: the report gives
+        # each broken run's stop time and breaking-time estimate, the config's
+        # own n included, and compares at no time a run never reached.
+        cfg = write_config(tmp_path, n=256, t_end=3.0, dt=8e-3, record_every=1000,
+                           kind="antisymmetric_gaussian", amplitude=-1.0)
+        out = tmp_path / "out"
+        args = ["oracle-compare", "--config", str(cfg), "--out", str(out), "--quiet"]
+        assert main(args + (["--levels", levels] if levels else [])) == 2
+        report = read_kv(out / "oracle_compare.txt")
+        assert sorted(k for k in report if k.startswith("breakdown_time_n")) == sorted(
+            f"breakdown_time_n{n}" for n in broken)
+        for n in broken:
+            stop = float(report[f"breakdown_time_n{n}"])
+            assert 0.0 < stop < float(report[f"breaking_time_estimate_n{n}"]) < 2.0
+        assert not any(k.startswith(("sup_diff", "l2_diff", "gap_", "refinement_order"))
+                       for k in report)
+        assert "fitted_order" not in report and "level_execution" in report
+        assert sorted(out.glob("eulerian_*.csv"))
 
     def test_pool_report_matches_serial(self, tmp_path, monkeypatch):
         # Trajectories and Eulerian states come back from the workers bit for bit.

@@ -44,6 +44,16 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="grid.n"):
             load_config(write_config(tmp_path, payload))
 
+    def test_grid_size_bounded(self):
+        # 2**22 nodes is the largest grid; one more is rejected before any
+        # array is allocated.
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["grid"]["n"] = 2 ** 22
+        assert config_from_dict(payload).grid.n == 2 ** 22
+        payload["grid"]["n"] = 2 ** 22 + 1
+        with pytest.raises(ValidationError, match=r"grid.n must lie in \[16, 2\*\*22\]"):
+            config_from_dict(payload)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text('{"grid": {"x_min": -1.0, "x_min": -2.0, "x_max": 1.0, '

@@ -77,6 +77,15 @@ class TestIntegrateEulerian:
         assert states[-1].t == pytest.approx(t_last, abs=1e-9)
         assert np.isfinite(euler_rhs(states[-1])).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_blow_up_raises_no_warning(self):
+        # A blow-up is an expected end of an Eulerian run: it overflows on its
+        # way to the non-finite value that ends the run, without a warning.
+        grid = Grid.from_interval(-20.0, 20.0, 256)
+        states = integrate_eulerian(antisymmetric_field(grid, amp=-1.0), 3.0, 8e-3,
+                                    record_every=10 ** 9)
+        assert states[-1].t == pytest.approx(2.176, abs=1e-9)
+
 
 class TestCompare:
     def test_identical_zero_solutions(self, grid20):

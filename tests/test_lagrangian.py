@@ -257,11 +257,15 @@ class TestIntegrate:
         assert len(traj.diagnostics.t) == steps + 1
         assert len(built) <= 4 + 2 * len(traj.states)
 
-    @pytest.mark.parametrize("adaptive, adapt_tol", [
-        (False, 1e-10), (True, 1e-10), (True, 1e-14)])
-    def test_four_evaluations_per_step_plus_one(self, monkeypatch, adaptive, adapt_tol):
+    @pytest.mark.parametrize("adaptive, adapt_tol, t_end", [
+        pytest.param(False, 1e-10, 0.1, id="False-1e-10"),
+        pytest.param(True, 1e-10, 1.0, id="True-1e-10"),
+        pytest.param(True, 1e-14, 0.1, id="True-1e-14")])
+    def test_four_evaluations_per_step_plus_one(self, monkeypatch, adaptive, adapt_tol,
+                                                t_end):
         # The last evaluation of a step is the next step's first stage (FSAL):
         # 4 right-side evaluations per accepted or rejected step, plus one.
+        # At adapt_tol 1e-10 the steps outgrow dt, so that run is longer.
         grid = Grid.from_interval(-20.0, 20.0, 128)
         calls = []
         real = lagrangian._dydt
@@ -271,7 +275,7 @@ class TestIntegrate:
             return real(*args)
 
         monkeypatch.setattr(lagrangian, "_dydt", counting)
-        traj = integrate(gaussian_field(grid, amp=0.3), 0.1, 1e-2, record_every=10 ** 9,
+        traj = integrate(gaussian_field(grid, amp=0.3), t_end, 1e-2, record_every=10 ** 9,
                          adaptive=adaptive, adapt_tol=adapt_tol)
         accepted = len(traj.diagnostics.t) - 1
         assert traj.completed
@@ -300,33 +304,65 @@ class TestIntegrate:
         monkeypatch.setattr(lagrangian, "_dydt", dydt)
         traj = integrate(gaussian_field(grid, amp=0.3), 0.1, 1e-2, record_every=10 ** 9,
                          adaptive=adaptive)
-        assert len(traj.diagnostics.t) - 1 == 10
-        assert len(evals) == 41
+        if not adaptive:
+            assert len(traj.diagnostics.t) - 1 == 10
+            assert len(evals) == 41
+        assert len(evals) == traj.rhs_evaluations
         assert len(charts) == len(evals)
 
     def test_unreachable_tolerance_accepts_at_floor(self):
-        # No step meets adapt_tol: the first step, 6 dt 2^-12 long, is halved
-        # until it is at most dt 2^-12, and every step is accepted there and
-        # counted.
+        # No step meets adapt_tol: the first step, 6 dt 2^-12 long, shrinks by
+        # the factor 0.2 until it reaches the floor dt 2^-12 (two rejections),
+        # and every step is accepted there and counted.
         grid = Grid.from_interval(-20.0, 20.0, 128)
         dt = 1e-2
         traj = integrate(gaussian_field(grid, amp=0.3), 6.0 * dt * 2.0 ** -12, dt,
                          record_every=10 ** 9, adaptive=True, adapt_tol=1e-30)
         assert traj.completed
-        assert traj.steps_rejected == 3
-        assert traj.steps_at_floor == len(traj.diagnostics.t) - 1 == 8
+        assert traj.steps_rejected == 2
+        assert traj.steps_at_floor == len(traj.diagnostics.t) - 1 == 6
 
     def test_step_grows_back_when_error_falls(self):
-        # Expanding odd data (A > 0) spread out: after the first steps are
-        # halved, the error estimate falls below adapt_tol / 64 on the way
-        # and the step doubles again, never beyond dt.
+        # Expanding odd data (A > 0) spread out: after the first trial steps
+        # are rejected, the error estimate falls on the way and the step
+        # grows again.  Nothing but t_end caps it: from a small first step it
+        # grows well past dt.
         grid = Grid.from_interval(-20.0, 20.0, 256)
-        traj = integrate(antisymmetric_field(grid, amp=1.0), 2.0, 0.1, record_every=10 ** 9,
-                         adaptive=True)
-        steps = np.diff(traj.diagnostics.t)
+        u0 = antisymmetric_field(grid, amp=1.0)
+        traj = integrate(u0, 2.0, 0.1, record_every=10 ** 9, adaptive=True)
+        steps = np.diff(traj.diagnostics.t)[:-1]  # the last step is cut to t_end
         assert traj.completed and traj.steps_rejected > 0
-        assert (steps[1:] > 1.5 * steps[:-1]).any()
-        assert steps.max() <= 0.1
+        assert steps.max() > 1.5 * steps[0]
+        small = integrate(u0, 2.0, 1e-3, record_every=10 ** 9, adaptive=True)
+        assert small.completed
+        assert np.diff(small.diagnostics.t).max() > 4.0 * 1e-3
+
+    @pytest.mark.parametrize("amp, t_end, dt, spread", [
+        (0.5, 2.0, 1e-3, 0.0), (-1.0, 3.0, 2e-3, 0.05)])
+    def test_step_count_independent_of_grid(self, amp, t_end, dt, spread):
+        # The flow-map ODE has a bounded right side on the diffeomorphism
+        # group, so accuracy, not h, sets the step (no CFL limit): refining
+        # the grid does not add steps, on smooth data (Gaussian) or up to
+        # wave breaking (odd data, A < 0).
+        field = gaussian_field if amp > 0 else antisymmetric_field
+        counts = []
+        for n in (1024, 2048, 4096):
+            grid = Grid.from_interval(-20.0, 20.0, n)
+            traj = integrate(field(grid, amp=amp), t_end, dt, record_every=10 ** 9,
+                             adaptive=True)
+            assert traj.completed == (amp > 0)
+            counts.append(len(traj.diagnostics.t) - 1)
+        assert max(counts) <= (1.0 + spread) * min(counts)
+
+    def test_breakdown_time_resolved_to_floor(self):
+        # A trial step that loses the chart is retried at a quarter of its
+        # size, so the run stops only once such a step is at the floor
+        # dt 2^-12: breakdown_time lies within that of the last valid state
+        # (up to the rounding of t + step at t near 1.7).
+        traj = breaking_run(-1.0)
+        assert not traj.completed
+        assert 0.0 < traj.breakdown_time - traj.final.t <= 2e-3 * 2.0 ** -12 + 1e-15
+        assert traj.steps_rejected > 0
 
     def test_adaptive_steps_follow_scaling(self):
         # u -> 2 u(2 t, .) with dt halved leaves the eta-channel error estimate

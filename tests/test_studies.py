@@ -118,3 +118,35 @@ def test_task_oserror_is_not_taken_for_a_pool_failure():
     with pytest.raises(FileNotFoundError, match="task 2"):
         studies._run_tasks(_failing_task, [0, 2, 1], workers=2)
     assert _parent_runs == []
+
+
+def test_flow_map_solves_keep_config_dt(tmp_path, monkeypatch):
+    # The flow-map ODE has no CFL limit, so every flow-map solve of both
+    # studies takes the configured dt; only the Eulerian reference, which has
+    # one, scales dt with h.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
+        "time": {"t_end": 0.1, "dt": 1e-2},
+        "initial": {"kind": "gaussian", "amplitude": 0.5}}))
+    cfg = load_config(path)
+    seen = {"flow_map": [], "eulerian": []}
+    real_flow, real_eulerian = studies.integrate, studies.integrate_eulerian
+
+    def flow(u0, **kwargs):
+        seen["flow_map"].append((u0.grid.n, kwargs["dt"]))
+        return real_flow(u0, **kwargs)
+
+    def eulerian(u0, t_end, dt, **kwargs):
+        seen["eulerian"].append((u0.grid.n, dt))
+        return real_eulerian(u0, t_end, dt, **kwargs)
+
+    monkeypatch.setattr(studies, "integrate", flow)
+    monkeypatch.setattr(studies, "integrate_eulerian", eulerian)
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)  # serial: patches apply
+    studies.lagrangian_refinement(cfg, [64, 128, 256], workers=1)
+    studies.oracle_refinement(cfg, [128, 256])
+    assert sorted(seen["flow_map"]) == [(64, 1e-2), (64, 1e-2), (128, 1e-2), (128, 1e-2),
+                                        (256, 1e-2), (256, 1e-2)]
+    assert sorted(seen["eulerian"]) == [(64, 1e-2), (128, 1e-2 * 63 / 127),
+                                        (256, 1e-2 * 63 / 255)]
