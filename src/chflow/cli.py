@@ -175,6 +175,8 @@ def _summary_items(traj: Trajectory, cfg: SimConfig, order: int):
         ("steps_rejected", traj.steps_rejected),
         ("steps_at_floor", traj.steps_at_floor),
         ("rhs_evaluations", traj.rhs_evaluations),
+        ("step_min", traj.step_min),
+        ("step_max", traj.step_max),
     ]
     if traj.breakdown_time is not None:
         items[6:6] = [("breakdown_time", traj.breakdown_time),

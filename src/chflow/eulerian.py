@@ -109,7 +109,7 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     states = [EulerianState(t, grid, u)]
     steps = 0
     try:
-        for t, u in _march(u, t_end, dt, lambda z, tz: _dudt(z, grid, order)):
+        for t, u, _ in _march(u, t_end, dt, lambda z, tz: _dudt(z, grid, order)):
             steps += 1
             if steps % record_every == 0:
                 states.append(EulerianState(t, grid, u))

@@ -17,8 +17,8 @@ diagnostics track every step.
 The evolved state is the four-channel tuple (v, v', U, U'): derivative
 channels are part of the state and advance through the operator identities
 and the ODE itself, never through numerical differentiation.  The right side
-gains one derivative, so the system closes in these variables and classical
-RK4 applies.
+gains one derivative, so the system closes in these variables and explicit
+Runge-Kutta steps apply.
 
 Solutions exist only until the chart condition min eta_x > 0 fails (wave
 breaking).  The integrator stops strictly before that boundary, at
@@ -31,6 +31,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction as _F
+from math import isfinite, lcm
 
 import numpy as np
 
@@ -93,7 +95,7 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """Recorded states plus per-step diagnostics and step counts of one integration."""
+    """Recorded states plus per-step diagnostics, step counts and sizes of one integration."""
 
     states: list[FlowState]
     diagnostics: StepDiagnostics
@@ -103,6 +105,8 @@ class Trajectory:
     steps_rejected: int = 0
     steps_at_floor: int = 0
     rhs_evaluations: int = 0
+    step_min: float = float("nan")
+    step_max: float = float("nan")
 
     def __post_init__(self):
         times = [s.t for s in self.states]
@@ -119,18 +123,22 @@ class Trajectory:
 
 
 def _chart(y: np.ndarray, grid: Grid, eps: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Node positions m = x + v of the state and their gaps, after the chart check."""
+    """Node positions m = x + v of the state and their gaps, after the chart check.
+
+    The check also proves the positions finite and strictly increasing, so
+    the kernel scan takes them without checking again.
+    """
     # Both slope estimates must stay above the breaking guard: the evolved
     # derivative channel and the nodal increments (they agree to O(h^2) on
-    # smooth states but separate as the map steepens toward breaking).
-    # Written as not (m > eps) so that a NaN slope fails too, as an error
-    # rather than as wave breaking.
+    # smooth states but separate as the map steepens toward breaking).  A
+    # non-finite slope or end position is an error rather than wave breaking;
+    # with every gap positive and both ends finite, every position is finite.
     m = grid.x + y[0]
     d = m[1:] - m[:-1]
     slope = float(np.minimum(1.0 + y[1].min(), d.min() / grid.h))
+    if not (isfinite(slope) and isfinite(m[-1] - m[0])):
+        raise ValueError(f"flow map became non-finite at t = {t:.9g}")
     if not slope > eps:
-        if np.isnan(slope):
-            raise ValueError(f"flow map slope became non-finite at t = {t:.9g}")
         raise ChartViolation(
             f"flow map slope reached {slope:.6g} <= {eps:g} at t = {t:.9g}; "
             "wave breaking, chart lost", min_slope=slope, time=t)
@@ -158,24 +166,80 @@ def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int) -> np.nda
     return k
 
 
-def _rk4(y: np.ndarray, t: float, dt: float, f: Callable[[np.ndarray, float], np.ndarray],
-         k1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step of the flat state y from k1 = f(y, t).
+def _integer_weights(w) -> tuple[list[tuple[int, float]], float]:
+    """Nonzero weights w_j as integers N w_j over their least common denominator N."""
+    den = lcm(*(_F(x).denominator for x in w))
+    return [(j, float(x * den)) for j, x in enumerate(w) if x], float(den)
 
-    Returns the new state, not yet checked by f, and the last stage k4.
+
+class _Tableau:
+    """Explicit Runge-Kutta method whose last evaluation is first same as last.
+
+    a holds the rows of stages 2..s and c their nodes; b weights stages 1..s
+    into y_{n+1}, whose evaluation f(y_{n+1}) checks the new state and is the
+    next step's first stage.  e, when given, weights stages 1..s and
+    f(y_{n+1}) into the local error of an embedded solution of order e_order.
+    Entries are exact fractions.  A step forms stage i as
+    sum_j (step a_ij) k_j + y, and y_{n+1} as (sum_j N_j k_j) (step / N) + y
+    with N the least common denominator of b and N_j = N b_j integers (the
+    error likewise), so classical RK4 computes
+    (k1 + 2 k2 + 2 k3 + k4) (dt / 6) + y.
+    """
+
+    def __init__(self, a, c, b, e=None, e_order=0):
+        self.a, self.c, self.b, self.e = a, c, b, e
+        self.rows = [[(j, float(x)) for j, x in enumerate(row) if x] for row in a]
+        self.nodes = [float(x) for x in c]
+        self.b_int = _integer_weights(b)
+        self.e_int = None if e is None else _integer_weights(e)
+        self.exponent = 1.0 / (e_order + 1)
+
+
+_RK4 = _Tableau(a=((_F(1, 2),), (0, _F(1, 2)), (0, 0, 1)), c=(_F(1, 2), _F(1, 2), 1),
+                b=(_F(1, 6), _F(1, 3), _F(1, 3), _F(1, 6)))
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980): fifth-order solution with
+# the error of the embedded fourth-order one, b - b_hat.
+_DP54 = _Tableau(
+    a=((_F(1, 5),),
+       (_F(3, 40), _F(9, 40)),
+       (_F(44, 45), _F(-56, 15), _F(32, 9)),
+       (_F(19372, 6561), _F(-25360, 2187), _F(64448, 6561), _F(-212, 729)),
+       (_F(9017, 3168), _F(-355, 33), _F(46732, 5247), _F(49, 176), _F(-5103, 18656))),
+    c=(_F(1, 5), _F(3, 10), _F(4, 5), _F(8, 9), 1),
+    b=(_F(35, 384), 0, _F(500, 1113), _F(125, 192), _F(-2187, 6784), _F(11, 84)),
+    e=(_F(71, 57600), 0, _F(-71, 16695), _F(71, 1920), _F(-17253, 339200), _F(22, 525),
+       _F(-1, 40)),
+    e_order=4)
+
+
+def _lincomb(ks: list[np.ndarray], weights: list[tuple[int, float]]) -> np.ndarray:
+    """sum_j w_j k_j over the (j, w_j) pairs, added in their order."""
+    (j, w), *rest = weights
+    total = ks[j] * w
+    for j, w in rest:
+        total += ks[j] * w
+    return total
+
+
+def _rk_step(tab: _Tableau, y: np.ndarray, t: float, step: float,
+             f: Callable[[np.ndarray, float], np.ndarray],
+             k1: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One step of tab for the flat state y from k1 = f(y, t).
+
+    Returns the new state, not yet checked by f, and the stages k_1..k_s.
     The flow-map (4, n) state and the Eulerian oracle's n samples both step
     through it.
     """
-    stage, total, k = np.empty_like(y), k1.copy(), k1
-    for c, w in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
-        np.multiply(k, c, out=stage)
+    ks = [k1]
+    for c, row in zip(tab.nodes, tab.rows):
+        stage = _lincomb(ks, [(j, step * a) for j, a in row])
         stage += y
-        k = f(stage, t + c)
-        np.multiply(k, w, out=stage)
-        total += stage
-    total *= dt / 6.0
-    total += y
-    return total, k
+        ks.append(f(stage, t + c * step))
+    weights, den = tab.b_int
+    new = _lincomb(ks, weights)
+    new *= step / den
+    new += y
+    return new, ks
 
 
 def _pack(state: FlowState) -> np.ndarray:
@@ -217,7 +281,7 @@ def rk4_step(state: FlowState, dt: float, *, eps_break: float = DEFAULT_EPS_BREA
     def f(z, tz):
         return _dydt(z, tz, grid, eps, quad_order)
 
-    y, _ = _rk4(y, t, dt, f, f(y, t))
+    y, _ = _rk_step(_RK4, y, t, dt, f, f(y, t))
     _chart(y, grid, eps, t + dt)
     return _unpack(y, t + dt, grid)
 
@@ -251,54 +315,51 @@ def _check_run(u0: ScalarField1, t_end: float, dt: float, record_every: int,
 
 
 def _march(y: np.ndarray, t_end: float, dt: float,
-           f: Callable[[np.ndarray, float], np.ndarray],
-           error: Callable[[float, np.ndarray, np.ndarray], float] | None = None,
+           f: Callable[[np.ndarray, float], np.ndarray], tab: _Tableau = _RK4,
            tol: float = 0.0, tally: Counter | None = None):
-    """Accepted steps (t, y_n) of FSAL RK4 from the flat state y at t = 0 to t_end.
+    """Accepted steps (t, y_n, step) of tab from the flat state y at t = 0 to t_end.
 
-    Each step is classical RK4 whose fifth evaluation k5 = f(y_{n+1}) is the
-    next step's k1, so f has accepted every yielded state; an error raised by
-    f, or a non-finite new state (ValueError), ends the march.  Without
-    error every step is dt.  With error, dt is only the first step: the
-    next is step * clamp(0.9 (tol / err)^(1/4), 0.2, 4) for err =
-    error(step, k4, k5) (4 when err = 0), never below the floor dt 2^-12
-    and capped by nothing but t_end.  A step with err > tol is retried at
-    that size, and one whose stage or new state raises ChartViolation at a
-    quarter of it; at the floor the first is accepted anyway and the second
-    ends the march.  tally counts "rejected" and "at_floor" steps.
+    The last evaluation of each step, f(y_{n+1}), is the next step's first
+    stage, so f has accepted every yielded state; an error raised by f, or a
+    non-finite new state (ValueError), ends the march.  Without error weights
+    in tab every step is dt.  With them, dt is only the first step: the error
+    err = step max |sum_j e_j k_j| is taken over rows 0-1 of the state (the
+    flow-map channels v, v'), and the next step is
+    step * clamp(0.9 (tol / err)^(1/(p+1)), 0.2, 4) for an embedded solution
+    of order p (4 when err = 0), never below the floor dt 2^-12 and capped
+    by nothing but t_end.  A step with err > tol is retried at that size, and
+    one whose stage or new state raises ChartViolation at half of it; at the
+    floor the first is accepted anyway and the second ends the march.  tally
+    counts "rejected" and "at_floor" steps.
     """
     t, dt_cur, floor = 0.0, dt, dt * 2.0 ** -12
     k1 = f(y, t)
     while t < t_end - 1e-12 * max(1.0, t_end):
         step = min(dt_cur, t_end - t)
         try:
-            new, k4 = _rk4(y, t, step, f, k1)
+            new, ks = _rk_step(tab, y, t, step, f, k1)
             if not np.isfinite(new).all():
                 raise ValueError(f"state became non-finite at t = {t + step:.9g}")
-            k5 = f(new, t + step)
+            k_next = f(new, t + step)
         except ChartViolation:
-            if error is None or step <= floor:
+            if tab.e_int is None or step <= floor:
                 raise
             tally["rejected"] += 1
-            dt_cur = max(0.25 * step, floor)
+            dt_cur = max(0.5 * step, floor)
             continue
-        if error is not None:
-            err = error(step, k4, k5)
-            factor = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** 0.25))
+        if tab.e_int is not None:
+            ks.append(k_next)
+            weights, den = tab.e_int
+            err = step / den * float(np.abs(_lincomb([k[:2] for k in ks], weights)).max())
+            factor = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** tab.exponent))
             dt_cur = max(factor * step, floor)
             if err > tol:
                 if step > floor:
                     tally["rejected"] += 1
                     continue
                 tally["at_floor"] += 1
-        y, k1, t = new, k5, t + step
-        yield t, y
-
-
-def _eta_error(step: float, k4: np.ndarray, k5: np.ndarray) -> float:
-    # embedded third-order error, weights (1/6, 1/3, 1/3, 0, 1/6), on the
-    # eta channels only: invariant under u -> l u(l t, .)
-    return step / 6.0 * float(np.abs(k4[:2] - k5[:2]).max())
+        y, k1, t = new, k_next, t + step
+        yield t, y, step
 
 
 def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100,
@@ -313,14 +374,15 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     the trajectory ends at the last valid state and carries the breakdown
     time; no non-finite value is ever stored.
 
-    Steps are RK4 whose fifth evaluation k5 = f(y_{n+1}) is the next k1.
-    A fixed run steps by dt.  An adaptive run starts at dt and then sizes
-    each step from the error estimate step/6 max |k4 - k5| over the eta
-    channels against adapt_tol, with no cap but t_end (the flow-map ODE has
-    no CFL limit); a trial step that loses the chart is retried at a
-    quarter of its size, and the run stops at breaking only once such a
-    step is down to dt 2^-12, so breakdown_time lies within dt 2^-12 of the
-    last valid state.  The stage loop evolves one (4, n) array
+    Each step's last evaluation f(y_{n+1}) is the next step's first stage.
+    A fixed run steps by dt with classical RK4 (4 evaluations per step).  An
+    adaptive run takes the Dormand-Prince 5(4) pair (6 evaluations per step),
+    starts at dt and then sizes each step from the embedded fourth-order
+    error over the eta channels against adapt_tol, with no cap but t_end
+    (the flow-map ODE has no CFL limit); a trial step that loses the chart
+    is retried at half its size, and the run stops at breaking only once
+    such a step is down to dt 2^-12, so breakdown_time lies within dt 2^-12
+    of the last valid state.  The stage loop evolves one (4, n) array
     (v, v', U, U'); typed states are built only for recorded times.
     """
     _check_run(u0, t_end, dt, record_every, tail_tol)
@@ -332,6 +394,7 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
     rows = [_diag_row(t, y, grid.h)]
     breakdown_time = breakdown_slope = estimate = None
     steps_done = evals = 0
+    step_min, step_max = np.inf, 0.0
     tally = Counter()
 
     def f(z, tz):
@@ -340,9 +403,10 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
         return _dydt(z, tz, grid, eps, quad_order)
 
     try:
-        for t, y in _march(y, t_end, dt, f, _eta_error if adaptive else None,
-                           adapt_tol, tally):
+        for t, y, step in _march(y, t_end, dt, f, _DP54 if adaptive else _RK4,
+                                 adapt_tol, tally):
             steps_done += 1
+            step_min, step_max = min(step_min, step), max(step_max, step)
             rows.append(_diag_row(t, y, grid.h))
             if steps_done % record_every == 0:
                 states.append(_unpack(y, t, grid))
@@ -363,7 +427,9 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
                       breakdown_min_slope=breakdown_slope,
                       breaking_time_estimate=estimate,
                       steps_rejected=tally["rejected"],
-                      steps_at_floor=tally["at_floor"], rhs_evaluations=evals)
+                      steps_at_floor=tally["at_floor"], rhs_evaluations=evals,
+                      step_min=step_min if steps_done else float("nan"),
+                      step_max=step_max if steps_done else float("nan"))
 
 
 def reconstruct_u(state: FlowState, *, inv_tol: float = 1e-12) -> ScalarField1:

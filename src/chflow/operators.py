@@ -150,12 +150,16 @@ def _scan_sd(positions: np.ndarray, weights: np.ndarray, h: float,
     exponential-weighted prefix integrals along the last axis of weights.
 
     weights may be (n,) or a stack (..., n); each row is scanned against the
-    same positions, and S, D have the shape of weights.  gaps is np.diff(positions).
+    same positions, and S, D have the shape of weights.  gaps is
+    np.diff(positions), passed only by a caller that has already checked the
+    positions finite and strictly increasing (the time stepper's chart check).
     """
     n = positions.shape[0]
-    d = np.diff(positions) if gaps is None else gaps
-    if not (d.min() > 0.0 and np.isfinite(positions[-1] - positions[0])):
-        raise ValueError("scan positions must be finite and strictly increasing")
+    d = gaps
+    if d is None:
+        d = np.diff(positions)
+        if not (d.min() > 0.0 and np.isfinite(positions[-1] - positions[0])):
+            raise ValueError("scan positions must be finite and strictly increasing")
     w = weights.reshape(-1, n)
     # the scans run at half weight, so they return L/2 and R/2
     g = (0.5 * h) * w
@@ -225,7 +229,10 @@ def l_op(phi: ScalarField0, *, order: int = 2) -> ScalarField1:
 
 def _l_eta_arrays(m: np.ndarray, slopes: np.ndarray, phi: np.ndarray, h: float,
                   order: int, gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(value, derivative) of L_eta(phi) from raw node positions m = eta(x_k)."""
+    """(value, derivative) of L_eta(phi) from raw node positions m = eta(x_k).
+
+    gaps, when given, are the checked np.diff(m) (see _scan_sd).
+    """
     S, D = _scan_sd(m, phi * slopes, h, slopes, order, gaps)
     S -= phi
     S *= slopes

@@ -79,6 +79,15 @@ class TestRun:
                 summary["steps_at_floor"], summary["rhs_evaluations"]) == ("20", "0", "0", "81")
         assert "breaking_time_estimate" not in summary
 
+    def test_summary_step_sizes_of_fixed_run(self, tmp_path):
+        # dt = 2^-7 keeps every t exact, so each step, the last included, is dt
+        dt = 2.0 ** -7
+        cfg = write_config(tmp_path, n=128, t_end=16 * dt, dt=dt, record_every=10)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        summary = read_kv(out / "summary.txt")
+        assert float(summary["step_min"]) == float(summary["step_max"]) == dt
+
     def test_breakdown_reports_breaking_time_estimate(self, tmp_path):
         cfg = write_config(tmp_path, n=256, t_end=5.0, dt=2e-3, record_every=200,
                            kind="antisymmetric_gaussian", amplitude=-1.0)

@@ -138,6 +138,14 @@ class TestRk4Step:
                              np.abs(one.eta.v.du - two.eta.v.du).max()))
         assert np.log2(diffs[0] / diffs[1]) >= 4.5
 
+    def test_non_finite_end_position_raises(self, grid20):
+        # Gaps stay positive when only the last node runs off to +inf; the
+        # chart check still rejects the state, so the scan need not.
+        y = lagrangian._pack(id_state(grid20, gaussian_field(grid20, amp=0.3)))
+        y[0, -1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            lagrangian._dydt(y, 0.0, grid20, 1e-3, 4)
+
     def test_end_state_chart_checked(self, grid20, monkeypatch):
         # Stages are checked where they are evaluated; the returned state is
         # checked by rk4_step itself.  A constant right side lowers eta_x at
@@ -150,6 +158,46 @@ class TestRk4Step:
         with pytest.raises(ChartViolation) as exc:
             rk4_step(state, 0.9995)
         assert exc.value.time == 0.9995
+
+
+class TestTableaus:
+    @pytest.mark.parametrize("tab", [lagrangian._RK4, lagrangian._DP54], ids=["RK4", "DP54"])
+    def test_consistent(self, tab):
+        # stage i sits at time t + c_i step; y_{n+1} is a weighted mean of the
+        # stages, and the embedded error vanishes on constant stages
+        assert len(tab.a) == len(tab.c) == len(tab.b) - 1
+        for i, (row, c) in enumerate(zip(tab.a, tab.c)):
+            assert len(row) == i + 1
+            assert sum(row) == c
+        assert sum(tab.b) == 1
+        if tab.e is not None:
+            assert len(tab.e) == len(tab.b) + 1
+            assert sum(tab.e) == 0
+
+    def test_adaptive_local_order_at_least_five_and_a_half(self):
+        # Fifth-order solution: one step against two half steps differs by
+        # O(dt^6); the embedded fourth-order error estimate is O(dt^5).
+        grid = Grid.from_interval(-20.0, 20.0, 513)
+        tab = lagrangian._DP54
+        y = lagrangian._pack(id_state(grid, gaussian_field(grid, amp=0.4)))
+
+        def f(z, tz):
+            return lagrangian._dydt(z, tz, grid, 1e-3, 4)
+
+        def step(z, dt):
+            new, ks = lagrangian._rk_step(tab, z, 0.0, dt, f, f(z, 0.0))
+            ks.append(f(new, dt))
+            err = dt * np.abs(sum(float(e) * k[:2] for e, k in zip(tab.e, ks))).max()
+            return new, err
+
+        diffs, errs = [], []
+        for dt in (0.2, 0.1):
+            one, err = step(y, dt)
+            two = step(step(y, dt / 2)[0], dt / 2)[0]
+            diffs.append(np.abs(one - two).max())
+            errs.append(err)
+        assert np.log2(diffs[0] / diffs[1]) >= 5.5
+        assert np.log2(errs[0] / errs[1]) >= 4.5
 
 
 class TestIntegrate:
@@ -257,15 +305,15 @@ class TestIntegrate:
         assert len(traj.diagnostics.t) == steps + 1
         assert len(built) <= 4 + 2 * len(traj.states)
 
-    @pytest.mark.parametrize("adaptive, adapt_tol, t_end", [
-        pytest.param(False, 1e-10, 0.1, id="False-1e-10"),
-        pytest.param(True, 1e-10, 1.0, id="True-1e-10"),
-        pytest.param(True, 1e-14, 0.1, id="True-1e-14")])
+    @pytest.mark.parametrize("adaptive, adapt_tol, t_end, dt, stages", [
+        pytest.param(False, 1e-10, 0.1, 1e-2, 4, id="False-1e-10"),
+        pytest.param(True, 1e-10, 2.0, 0.1, 6, id="True-1e-10"),
+        pytest.param(True, 1e-14, 0.5, 0.1, 6, id="True-1e-14")])
     def test_four_evaluations_per_step_plus_one(self, monkeypatch, adaptive, adapt_tol,
-                                                t_end):
+                                                t_end, dt, stages):
         # The last evaluation of a step is the next step's first stage (FSAL):
-        # 4 right-side evaluations per accepted or rejected step, plus one.
-        # At adapt_tol 1e-10 the steps outgrow dt, so that run is longer.
+        # per accepted or rejected step, 4 right-side evaluations for fixed
+        # RK4 and 6 for the adaptive Dormand-Prince pair, plus one.
         grid = Grid.from_interval(-20.0, 20.0, 128)
         calls = []
         real = lagrangian._dydt
@@ -275,14 +323,15 @@ class TestIntegrate:
             return real(*args)
 
         monkeypatch.setattr(lagrangian, "_dydt", counting)
-        traj = integrate(gaussian_field(grid, amp=0.3), t_end, 1e-2, record_every=10 ** 9,
+        traj = integrate(gaussian_field(grid, amp=0.3), t_end, dt, record_every=10 ** 9,
                          adaptive=adaptive, adapt_tol=adapt_tol)
         accepted = len(traj.diagnostics.t) - 1
         assert traj.completed
         assert accepted >= 10
         assert (traj.steps_rejected > 0) == (adapt_tol < 1e-12)
         assert traj.steps_at_floor == 0
-        assert len(calls) == traj.rhs_evaluations == 4 * (accepted + traj.steps_rejected) + 1
+        assert len(calls) == traj.rhs_evaluations == (
+            stages * (accepted + traj.steps_rejected) + 1)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_chart_formed_once_per_evaluation(self, monkeypatch, adaptive):
@@ -323,12 +372,15 @@ class TestIntegrate:
         assert traj.steps_at_floor == len(traj.diagnostics.t) - 1 == 6
 
     def test_step_grows_back_when_error_falls(self):
-        # Expanding odd data (A > 0) spread out: after the first trial steps
-        # are rejected, the error estimate falls on the way and the step
-        # grows again.  Nothing but t_end caps it: from a small first step it
-        # grows well past dt.
+        # CH is invariant under (t, u) -> (-t, -u), so odd data that steepen
+        # toward breaking (A = -1), taken at t = 1 and negated, relax instead:
+        # after the first trial step is rejected, the error estimate falls on
+        # the way and the step grows again.  Nothing but t_end caps it: from a
+        # small first step it grows well past dt.
         grid = Grid.from_interval(-20.0, 20.0, 256)
-        u0 = antisymmetric_field(grid, amp=1.0)
+        steep = reconstruct_u(integrate(antisymmetric_field(grid, amp=-1.0), 1.0, 2e-3,
+                                        record_every=10 ** 9).final)
+        u0 = ScalarField1(grid, -steep.u, -steep.du)
         traj = integrate(u0, 2.0, 0.1, record_every=10 ** 9, adaptive=True)
         steps = np.diff(traj.diagnostics.t)[:-1]  # the last step is cut to t_end
         assert traj.completed and traj.steps_rejected > 0
@@ -355,14 +407,21 @@ class TestIntegrate:
         assert max(counts) <= (1.0 + spread) * min(counts)
 
     def test_breakdown_time_resolved_to_floor(self):
-        # A trial step that loses the chart is retried at a quarter of its
-        # size, so the run stops only once such a step is at the floor
+        # A trial step that loses the chart is retried at half its size, so
+        # the run stops only once such a step is at the floor
         # dt 2^-12: breakdown_time lies within that of the last valid state
         # (up to the rounding of t + step at t near 1.7).
         traj = breaking_run(-1.0)
         assert not traj.completed
         assert 0.0 < traj.breakdown_time - traj.final.t <= 2e-3 * 2.0 ** -12 + 1e-15
         assert traj.steps_rejected > 0
+
+    def test_step_sizes_span_floor_to_beyond_dt(self):
+        # dt = 2e-3 is only the first step: the run steps past it on the way
+        # and down to (never below) the floor dt 2^-12 near breaking.
+        traj = breaking_run(-1.0)
+        assert traj.step_min >= 2e-3 * 2.0 ** -12
+        assert traj.step_max > 2e-3
 
     def test_adaptive_steps_follow_scaling(self):
         # u -> 2 u(2 t, .) with dt halved leaves the eta-channel error estimate
@@ -391,7 +450,7 @@ class TestIntegrate:
     def test_blow_up_rate_at_recorded_states(self):
         # Constantin-Escher: (T* - t) inf u_x -> -2, with u_x o eta = U_x / eta_x.
         grid = Grid.from_interval(-20.0, 20.0, 512)
-        traj = integrate(antisymmetric_field(grid, amp=-1.0), 3.0, 2e-3, record_every=10,
+        traj = integrate(antisymmetric_field(grid, amp=-1.0), 3.0, 2e-3, record_every=3,
                          adaptive=True)
         late = [s for s in traj.states if s.t >= 1.4]
         assert len(late) >= 10
