@@ -44,9 +44,6 @@ from .diffeo import (
     distance,
     from_displacement,
     invert,
-    modulus_estimate,
-    read_diffeo_csv,
-    write_diffeo_csv,
 )
 from .operators import (
     gateaux_df,
@@ -59,18 +56,14 @@ from .lagrangian import (
     FlowState,
     Trajectory,
     conserved_quantities,
-    consistency_diagnostics,
     integrate,
-    quadratic_source,
     reconstruct_u,
-    rhs,
     rk4_step,
 )
 from .eulerian import (
     ComparisonReport,
     EulerianState,
     compare,
-    euler_rhs,
     integrate_eulerian,
 )
 from .config import SimConfig, load_config, make_initial
@@ -84,12 +77,10 @@ __all__ = [
     "check_membership", "derivative_consistency", "norm_11", "norm_components",
     "read_field_csv", "reflect", "write_field_csv",
     "Diffeo", "comp1", "comp2", "distance", "from_displacement", "invert",
-    "modulus_estimate", "read_diffeo_csv", "write_diffeo_csv",
     "gateaux_df", "inv_helmholtz", "l_eta_conjugated", "l_eta_direct", "l_op",
-    "FlowState", "Trajectory", "conserved_quantities", "consistency_diagnostics",
-    "integrate", "quadratic_source", "reconstruct_u", "rhs", "rk4_step",
-    "ComparisonReport", "EulerianState", "compare", "euler_rhs",
-    "integrate_eulerian",
+    "FlowState", "Trajectory", "conserved_quantities", "integrate",
+    "reconstruct_u", "rk4_step",
+    "ComparisonReport", "EulerianState", "compare", "integrate_eulerian",
     "SimConfig", "load_config", "make_initial",
     "__version__",
 ]

@@ -52,6 +52,26 @@ def _write_kv(path: str, items) -> None:
             fh.write(f"{key}={_fmt(value)}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count: a positive integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got '{text}'")
+    return value
+
+
+def _entries(text: str, kind, option: str) -> list:
+    """The comma-separated entries of an option's value as kind; ParseError if one is not."""
+    try:
+        return [kind(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ParseError(f"{option} takes comma-separated {kind.__name__} entries, "
+                         f"got '{text}'") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through the package's error type."""
 
@@ -81,19 +101,19 @@ def _build_parser() -> _Parser:
                         help="comma-separated grid sizes")
     p_conv.add_argument("--order", type=int, default=2, choices=(2, 4),
                         help="scan quadrature order under study")
-    p_conv.add_argument("--workers", type=int, default=None,
+    p_conv.add_argument("--workers", type=_positive_int, default=None,
                         help="process count for concurrent levels (1 = serial)")
     p_conv.set_defaults(func=cmd_converge)
 
     p_ops = sub.add_parser("check-operators", help="operator bound suite")
     common(p_ops)
-    p_ops.add_argument("--samples", type=int, default=200)
+    p_ops.add_argument("--samples", type=_positive_int, default=200)
     p_ops.add_argument("--seed", type=int, default=0, help="seed for the random samples")
     p_ops.set_defaults(func=cmd_check_operators)
 
     p_grp = sub.add_parser("check-group", help="group axiom and stability suite")
     common(p_grp)
-    p_grp.add_argument("--samples", type=int, default=100)
+    p_grp.add_argument("--samples", type=_positive_int, default=100)
     p_grp.add_argument("--seed", type=int, default=0, help="seed for the random samples")
     p_grp.set_defaults(func=cmd_check_group)
 
@@ -210,7 +230,7 @@ def _breakdown_items(broken: dict) -> list:
 
 def cmd_converge(args) -> int:
     cfg, out_dir, base_dir = _prepare(args)
-    levels = [int(tok) for tok in args.levels.split(",") if tok]
+    levels = _entries(args.levels, int, "--levels")
     study = lagrangian_refinement(cfg, levels, quad_order=args.order,
                                   workers=args.workers, base_dir=base_dir)
     items = [(f"level_n{m.n}_h", m.h) for m in study.levels]
@@ -271,8 +291,8 @@ def cmd_check_group(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     cfg, out_dir, base_dir = _prepare(args)
-    levels = [int(tok) for tok in args.levels.split(",") if tok] if args.levels else []
-    times = [float(tok) for tok in args.times.split(",") if tok] if args.times else None
+    levels = _entries(args.levels, int, "--levels") if args.levels else []
+    times = _entries(args.times, float, "--times") if args.times else None
     # Both solvers of every level, cfg's own n included, run as tasks of the study.
     study = oracle_refinement(cfg, levels, times=times, quad_order=args.order,
                               base_dir=base_dir)

@@ -12,18 +12,15 @@ truncated domain v vanishes, so eta continues as the identity.
 
 Operations: construction from a displacement, composition of a field or a
 diffeomorphism with a diffeomorphism, inversion by monotone Newton with a
-bisection fallback, the group distance ||eta - xi||_{1,1}, and an empirical
-modulus-of-continuity estimate for derivative channels.
+bisection fallback, and the group distance ||eta - xi||_{1,1}.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ChartViolation, ConvergenceFailure, GridMismatch
-from .fields import Grid, ScalarField1, norm_11, read_field_csv, write_field_csv
+from .fields import Grid, ScalarField1, norm_11
 
 __all__ = [
     "Diffeo",
@@ -32,9 +29,6 @@ __all__ = [
     "comp2",
     "invert",
     "distance",
-    "modulus_estimate",
-    "write_diffeo_csv",
-    "read_diffeo_csv",
 ]
 
 DEFAULT_EPS_CHART = 1e-10
@@ -174,35 +168,3 @@ def distance(eta: Diffeo, zeta: Diffeo) -> float:
     if eta.grid != zeta.grid:
         raise GridMismatch("diffeomorphisms live on different grids")
     return norm_11(eta.v - zeta.v)
-
-
-def modulus_estimate(f: ScalarField1, radii: Sequence[float]) -> list[tuple[float, float]]:
-    """Empirical modulus of continuity of the derivative channel.
-
-    omega(r) = max |f'(x_i) - f'(x_j)| over node pairs with |x_i - x_j| <= r.
-    Grid sampling can only underestimate the true modulus, so consumers
-    should budget slack when using it inside an upper bound.  Monotone in r
-    by construction.
-    """
-    du = f.du
-    h = f.grid.h
-    out = []
-    for r in radii:
-        if not (np.isfinite(r) and r > 0):
-            raise ValueError(f"radii must be positive, got {r}")
-        w = min(int(np.floor(r / h + 1e-12)) + 1, f.grid.n)
-        if w < 2:
-            out.append((float(r), 0.0))
-            continue
-        windows = np.lib.stride_tricks.sliding_window_view(du, w)
-        out.append((float(r), float((windows.max(axis=1) - windows.min(axis=1)).max())))
-    return out
-
-
-def write_diffeo_csv(eta: Diffeo, path) -> None:
-    """Serialize the displacement as CSV columns x, v, dv."""
-    write_field_csv(eta.v, path, header=("x", "v", "dv"))
-
-
-def read_diffeo_csv(path) -> Diffeo:
-    return Diffeo(read_field_csv(path, header=("x", "v", "dv")))

@@ -39,7 +39,6 @@ from .operators import l_op
 
 __all__ = [
     "EulerianState",
-    "euler_rhs",
     "integrate_eulerian",
     "ComparisonReport",
     "compare",
@@ -85,11 +84,6 @@ def _dudt(u: np.ndarray, grid: Grid, order: int) -> np.ndarray:
         ux = fourth_order_dx(u, grid.h)
         phi = ScalarField0(grid, u * u + 0.5 * ux * ux)
         return -u * ux - l_op(phi, order=order).u
-
-
-def euler_rhs(state: EulerianState, *, order: int = 2) -> np.ndarray:
-    """u_t = -u u_x - L(u^2 + u_x^2 / 2) on the grid."""
-    return _dudt(state.u, state.grid, order)
 
 
 def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,

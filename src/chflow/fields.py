@@ -34,7 +34,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,10 +154,6 @@ class ScalarField1:
     def zeros(cls, grid: Grid) -> "ScalarField1":
         z = np.zeros(grid.n)
         return cls(grid, z, z)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, f: Callable, df: Callable) -> "ScalarField1":
-        return cls(grid, f(grid.x), df(grid.x))
 
     def eval(self, x):
         """Value and derivative at x (scalar or array); zero outside the domain."""

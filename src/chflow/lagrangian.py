@@ -38,27 +38,19 @@ import numpy as np
 
 from .diffeo import DEFAULT_EPS_CHART, Diffeo, invert
 from .errors import AdmissibilityError, ChartViolation, GridMismatch
-from .fields import (
-    DEFAULT_TAIL_TOL,
-    Grid,
-    ScalarField0,
-    ScalarField1,
-    check_membership,
-    _trapz,
-)
-from .operators import _l_eta_arrays, l_eta_direct
+from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, check_membership, _trapz
+from .operators import _l_eta_arrays
+# Unused here; bound so that perfbench/tracer.py can patch it in this module.
+from .operators import l_eta_direct  # noqa: F401
 
 __all__ = [
     "FlowState",
     "StepDiagnostics",
     "Trajectory",
-    "quadratic_source",
-    "rhs",
     "rk4_step",
     "integrate",
     "reconstruct_u",
     "conserved_quantities",
-    "consistency_diagnostics",
 ]
 
 DEFAULT_EPS_BREAK = 1e-3
@@ -251,24 +243,6 @@ def _unpack(y: np.ndarray, t: float, grid: Grid) -> FlowState:
                      ScalarField1(grid, y[2], y[3]))
 
 
-def quadratic_source(state: FlowState, eps_break: float = DEFAULT_EPS_BREAK) -> ScalarField0:
-    """The nonnegative source U^2 + U_x^2 / (2 eta_x^2) feeding the smoothing operator."""
-    y = _pack(state)
-    _chart(y, state.grid, max(eps_break, DEFAULT_EPS_CHART), state.t)
-    return ScalarField0(state.grid, _source(y, 1.0 + y[1]))
-
-
-def rhs(state: FlowState, *, eps_break: float = DEFAULT_EPS_BREAK,
-        quad_order: int = DEFAULT_QUAD_ORDER) -> tuple[ScalarField1, ScalarField1]:
-    """Right side (d eta/dt, dU/dt) of the first-order system.
-
-    d eta/dt = U in both channels; dU/dt = -L_eta(source) with the operator's
-    analytic derivative channel, so no channel is ever differenced.
-    """
-    f = l_eta_direct(quadratic_source(state, eps_break), state.eta, order=quad_order)
-    return state.U, ScalarField1(state.grid, -f.u, -f.du)
-
-
 def rk4_step(state: FlowState, dt: float, *, eps_break: float = DEFAULT_EPS_BREAK,
              quad_order: int = DEFAULT_QUAD_ORDER) -> FlowState:
     """One classical four-stage Runge-Kutta step; revalidates the chart throughout."""
@@ -449,18 +423,3 @@ def conserved_quantities(u: ScalarField1) -> tuple[float, float]:
     """(H1 energy int u^2 + u_x^2 dx, momentum int u dx) by trapezoid."""
     h = u.grid.h
     return float(_trapz(u.u ** 2 + u.du ** 2, h)), float(_trapz(u.u, h))
-
-
-def consistency_diagnostics(state: FlowState) -> dict[str, float]:
-    """Max deviation of each evolved derivative channel from centered differences.
-
-    The channels are advanced independently of the values, so this measures
-    the closure error of the four-channel formulation; O(h^2) on smooth data.
-    """
-    h = state.grid.h
-    return {
-        "v_channel": float(np.abs(
-            np.gradient(state.eta.v.u, h, edge_order=2) - state.eta.v.du).max()),
-        "U_channel": float(np.abs(
-            np.gradient(state.U.u, h, edge_order=2) - state.U.du).max()),
-    }

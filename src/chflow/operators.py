@@ -194,13 +194,6 @@ def _scan_sd(positions: np.ndarray, weights: np.ndarray, h: float,
     return S.reshape(weights.shape), D.reshape(weights.shape)
 
 
-def _scan_pair(positions: np.ndarray, weights: np.ndarray, h: float,
-               slopes: np.ndarray | None = None, order: int = 2):
-    """Left/right exponential-weighted prefix integrals (A, B) along the last axis of weights."""
-    S, D = _scan_sd(positions, weights, h, slopes, order)
-    return S - D, S + D
-
-
 def inv_helmholtz(g: ScalarField0, *, order: int = 2) -> ScalarField1:
     """Solve f - f'' = g with decay at infinity: f(x) = (1/2) int exp(-|x-y|) g(y) dy.
 

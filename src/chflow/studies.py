@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SimConfig, make_initial
+from .config import SimConfig, _validate, make_initial
+from .errors import ValidationError
 from .eulerian import ComparisonReport, EulerianState, compare, integrate_eulerian
 from .lagrangian import Trajectory, integrate, reconstruct_u
 
@@ -93,6 +94,21 @@ def scaled_config(cfg: SimConfig, n: int) -> SimConfig:
 def _at(cfg: SimConfig, n: int) -> SimConfig:
     """The same run at resolution n with the same dt: the flow map's level."""
     return replace(cfg, grid=replace(cfg.grid, n=n))
+
+
+def _check_levels(cfg: SimConfig, levels: list[int], fewest: int) -> None:
+    """ValidationError unless levels are at least fewest strictly increasing
+    resolutions, each giving a valid configuration."""
+    problems = []
+    if len(levels) < fewest:
+        problems.append(f"a refinement study needs at least {fewest} levels, "
+                        f"got {len(levels)}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        problems.append(f"levels must be strictly increasing, got {levels}")
+    for n in levels:
+        _validate(_at(cfg, n), problems)
+    if problems:
+        raise ValidationError(dict.fromkeys(problems))
 
 
 def _level(cfg: SimConfig, n: int, traj: Trajectory) -> LevelResult:
@@ -166,10 +182,7 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
                           workers: int | None = None,
                           base_dir: str | None = None) -> RefinementStudy:
     """Self-convergence of the flow-map solver across grid resolutions."""
-    if len(levels) < 2:
-        raise ValueError("a refinement study needs at least two levels")
-    if sorted(levels) != list(levels):
-        raise ValueError("levels must be increasing")
+    _check_levels(cfg, levels, 2)
     payloads = [("flow_map", cfg, n, quad_order, base_dir, False) for n in levels[::-1]]
     results, execution = _run_tasks(_solve, payloads, workers)
     trajs = results[::-1]
@@ -206,8 +219,7 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     report and no gaps, and the breakdowns are on study.levels and
     study.base.
     """
-    if sorted(levels) != list(levels):
-        raise ValueError("levels must be increasing")
+    _check_levels(cfg, levels, 0)
     times = [cfg.time.t_end] if times is None else list(times)
     resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
     payloads = [(solver, cfg, n, quad_order, base_dir, n == cfg.grid.n)

@@ -1,13 +1,13 @@
 import csv
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chflow import (
-    Diffeo, Grid, ScalarField1, cli, studies, write_diffeo_csv, write_field_csv)
+from chflow import Grid, ScalarField1, cli, studies, write_field_csv
 from chflow.cli import main
 from chflow.fields import write_csv
 
@@ -147,19 +147,13 @@ def test_csv_export_matches_csv_module_bytes(tmp_path):
     write_csv(tmp_path / "new.csv", header, columns)
     csv_module_writer(tmp_path / "old.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    # The public field and diffeomorphism writers go through the same writer.
+    # The public field writer goes through the same writer.
     grid = Grid.from_interval(-1.0, 1.0, 6)
     field = ScalarField1(grid, columns[1], columns[2])
-    eta = Diffeo(ScalarField1(grid, [0.0, -0.0, tiny, -tiny, 1e-5, 0.1], columns[2]))
     write_field_csv(field, tmp_path / "field.csv")
     csv_module_writer(tmp_path / "field_old.csv", ["x", "u", "du"],
                       [grid.x, field.u, field.du])
-    write_diffeo_csv(eta, tmp_path / "diffeo.csv")
-    csv_module_writer(tmp_path / "diffeo_old.csv", ["x", "v", "dv"],
-                      [grid.x, eta.v.u, eta.v.du])
-    for name in ("field", "diffeo"):
-        assert ((tmp_path / f"{name}.csv").read_bytes()
-                == (tmp_path / f"{name}_old.csv").read_bytes())
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "field_old.csv").read_bytes()
 
 
 class TestFailurePaths:
@@ -221,6 +215,48 @@ class TestFailurePaths:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         assert read_kv(out / "failure.txt")["error"] == "AdmissibilityError"
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("args, report", [
+        (["check-operators", "--samples"], "operator_report.txt"),
+        (["check-group", "--samples"], "group_report.txt"),
+        (["converge", "--levels", "64,128", "--workers"], "convergence.txt"),
+    ], ids=["check-operators", "check-group", "converge-workers"])
+    def test_count_below_one_is_a_usage_error(self, tmp_path, capsys, args, report, value):
+        # A suite of no samples measures nothing, so it must not report a pass.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([args[0], "--config", str(cfg), "--out", str(out), *args[1:], value,
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "error=ParseError" in err and "must be a positive integer" in err
+        assert not (out / report).exists()
+
+    @pytest.mark.parametrize("args, error, fragment", [
+        (["converge", "--levels", "256,abc"], "ParseError", "--levels"),
+        (["converge", "--levels", "512"], "ValidationError", "at least 2 levels"),
+        (["converge", "--levels", "512,256"], "ValidationError", "strictly increasing"),
+        (["converge", "--levels", "4,8"], "ValidationError", "grid.n must lie in"),
+        (["oracle-compare", "--times", "abc"], "ParseError", "--times"),
+        (["oracle-compare", "--levels", "256,256"], "ValidationError",
+         "strictly increasing"),
+        (["oracle-compare", "--levels", "256,4000000000"], "ValidationError",
+         "grid.n must lie in"),
+    ], ids=["converge-token", "converge-one-level", "converge-decreasing",
+            "converge-too-small", "oracle-times-token", "oracle-repeated",
+            "oracle-too-large"])
+    def test_bad_ladder_fails_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                               args, error, fragment):
+        monkeypatch.setattr(studies, "_run_tasks",
+                            lambda *a, **k: pytest.fail("a solve started"))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([args[0], "--config", str(cfg), "--out", str(out), *args[1:],
+                     "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == error
+        assert fragment in report["message"]
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestConverge:
@@ -417,3 +453,17 @@ class TestOracleCompare:
         for digest in digests:
             del digest["oracle_compare.txt"]
         assert digests[0] == digests[1] and "eulerian_00001.csv" in digests[0]
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py resolves every patch target with getattr when it
+    # installs, so a deleted binding would crash only traced benchmark runs.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, modules, attr, _, _ in tracer.PATCHES:
+        for module in modules:
+            assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
+    for key, cls, method in tracer.COUNTED_METHODS:
+        assert callable(getattr(cls, method, None)), f"{key}: {cls.__name__}.{method}"

@@ -10,10 +10,8 @@ from chflow import (
     distance,
     from_displacement,
     invert,
-    modulus_estimate,
     norm_11,
 )
-from chflow.diffeo import read_diffeo_csv, write_diffeo_csv
 from chflow.errors import ChartViolation, ConvergenceFailure, GridMismatch
 
 from conftest import gaussian_field
@@ -211,34 +209,3 @@ class TestInversionStability:
             assert np.abs(diff.u).max() <= rho / eta1.a + slack
             l2 = np.sqrt(grid20.h * (diff.u ** 2).sum())
             assert l2 <= np.sqrt(eta1.b + rho) * rho / eta1.a + slack
-
-
-class TestModulus:
-    def test_constant_derivative_gives_zero(self, grid20):
-        f = ScalarField1(grid20, 0.5 * grid20.x, np.full(grid20.n, 0.5))
-        assert all(w == 0.0 for _, w in modulus_estimate(f, [0.1, 1.0, 5.0]))
-
-    def test_monotone_in_radius(self, grid20, rng):
-        f = gaussian_field(grid20, amp=rng.uniform(0.5, 2.0))
-        table = modulus_estimate(f, [0.01, 0.1, 0.5, 1.0, 3.0])
-        values = [w for _, w in table]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_gaussian_lipschitz_bound(self, grid20):
-        # |f''| <= 2 for the unit Gaussian, so omega(r) <= 2r.
-        f = gaussian_field(grid20)
-        for r, w in modulus_estimate(f, [0.05, 0.2, 0.5]):
-            assert w <= 2.0 * r
-
-    def test_rejects_bad_radius(self, grid20):
-        with pytest.raises(ValueError):
-            modulus_estimate(ScalarField1.zeros(grid20), [-1.0])
-
-
-def test_diffeo_csv_round_trip(grid20, rng, tmp_path):
-    eta = random_diffeo(grid20, rng)
-    path = tmp_path / "eta.csv"
-    write_diffeo_csv(eta, path)
-    back = read_diffeo_csv(path)
-    np.testing.assert_array_equal(back.v.u, eta.v.u)
-    np.testing.assert_array_equal(back.v.du, eta.v.du)

@@ -17,7 +17,7 @@ from chflow import (
 )
 from chflow.checks import random_bump_diffeo, random_bump_field0, random_bump_field1
 from chflow.errors import GridMismatch
-from chflow.operators import _decay_scans, _l_eta_arrays, _scan_pair
+from chflow.operators import _decay_scans, _l_eta_arrays, _scan_sd
 
 from conftest import gaussian_field, gaussian_source
 
@@ -26,7 +26,7 @@ def exp_kink_source(grid):
     return ScalarField0(grid, np.exp(-np.abs(grid.x)))
 
 
-def reference_scan_pair(positions, weights, h, slopes=None, order=2):
+def reference_scans(positions, weights, h, slopes=None, order=2):
     """Node-by-node recurrence for the left/right scans: the blocked scan's oracle."""
     n = positions.shape[0]
     ef = np.exp(-np.diff(positions)).tolist()
@@ -97,24 +97,25 @@ class TestScanPair:
     @pytest.mark.parametrize("case", list(scan_cases()), ids=lambda c: c[0])
     def test_matches_reference_recurrence(self, case, order):
         _, m, w, h, slopes = case
-        A, B = _scan_pair(m, w, h, slopes=slopes, order=order)
-        A0, B0 = reference_scan_pair(m, w, h, slopes=slopes, order=order)
-        assert np.isfinite(A).all() and np.isfinite(B).all()
+        # half sum S = (A + B)/2 and half difference D = (B - A)/2 of the node loop
+        S, D = _scan_sd(m, w, h, slopes=slopes, order=order)
+        A0, B0 = reference_scans(m, w, h, slopes=slopes, order=order)
+        assert np.isfinite(S).all() and np.isfinite(D).all()
         scale = max(np.abs(A0).max(), np.abs(B0).max())
-        assert np.abs(A - A0).max() <= 1e-13 * scale
-        assert np.abs(B - B0).max() <= 1e-13 * scale
+        assert np.abs(S - 0.5 * (A0 + B0)).max() <= 1e-13 * scale
+        assert np.abs(D - 0.5 * (B0 - A0)).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_stacked_weights_equal_single_calls(self, order):
         _, m, w, h, slopes = list(scan_cases())[2]
         rng = np.random.default_rng(3)
         stack = np.stack((w, rng.random(m.size), rng.standard_normal(m.size)))
-        A, B = _scan_pair(m, stack, h, slopes=slopes, order=order)
-        assert A.shape == B.shape == stack.shape
-        for row, a, b in zip(stack, A, B):
-            a1, b1 = _scan_pair(m, row, h, slopes=slopes, order=order)
-            np.testing.assert_array_equal(a, a1)
-            np.testing.assert_array_equal(b, b1)
+        S, D = _scan_sd(m, stack, h, slopes=slopes, order=order)
+        assert S.shape == D.shape == stack.shape
+        for row, s, d in zip(stack, S, D):
+            s1, d1 = _scan_sd(m, row, h, slopes=slopes, order=order)
+            np.testing.assert_array_equal(s, s1)
+            np.testing.assert_array_equal(d, d1)
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("case", list(scan_cases()), ids=lambda c: c[0])
@@ -123,7 +124,7 @@ class TestScanPair:
         _, m, phi, h, slopes = case
         slopes = np.ones_like(m) if slopes is None else slopes
         val, der = _l_eta_arrays(m, slopes, phi, h, order)
-        A0, B0 = reference_scan_pair(m, phi * slopes, h, slopes=slopes, order=order)
+        A0, B0 = reference_scans(m, phi * slopes, h, slopes=slopes, order=order)
         scale = max(np.abs(A0).max(), np.abs(B0).max())
         assert np.abs(val - 0.5 * (B0 - A0)).max() <= 1e-13 * scale
         expected = slopes * (0.5 * (A0 + B0) - phi)
@@ -158,7 +159,7 @@ class TestScanPair:
     ], ids=["decreasing", "nan", "inf"])
     def test_rejects_bad_positions(self, positions):
         with pytest.raises(ValueError):
-            _scan_pair(positions, np.ones(64), 2.0 / 63)
+            _scan_sd(positions, np.ones(64), 2.0 / 63)
 
 
 class TestInvHelmholtz:
