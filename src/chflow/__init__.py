@@ -25,16 +25,15 @@ from .errors import (
 )
 from .fields import (
     Grid,
-    MembershipReport,
     NormComponents,
     ScalarField0,
     ScalarField1,
-    check_membership,
     derivative_consistency,
     norm_11,
     norm_components,
     read_field_csv,
     reflect,
+    require_admissible,
     write_field_csv,
 )
 from .diffeo import (
@@ -42,7 +41,6 @@ from .diffeo import (
     comp1,
     comp2,
     distance,
-    from_displacement,
     invert,
 )
 from .operators import (
@@ -73,10 +71,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityError", "CHFlowError", "ChartViolation", "ConvergenceFailure",
     "GridMismatch", "ParseError", "TimeMismatch", "ValidationError",
-    "Grid", "MembershipReport", "NormComponents", "ScalarField0", "ScalarField1",
-    "check_membership", "derivative_consistency", "norm_11", "norm_components",
-    "read_field_csv", "reflect", "write_field_csv",
-    "Diffeo", "comp1", "comp2", "distance", "from_displacement", "invert",
+    "Grid", "NormComponents", "ScalarField0", "ScalarField1",
+    "derivative_consistency", "norm_11", "norm_components",
+    "read_field_csv", "reflect", "require_admissible", "write_field_csv",
+    "Diffeo", "comp1", "comp2", "distance", "invert",
     "gateaux_df", "inv_helmholtz", "l_eta_conjugated", "l_eta_direct", "l_op",
     "FlowState", "Trajectory", "conserved_quantities", "integrate",
     "reconstruct_u", "rk4_step",

@@ -52,15 +52,21 @@ def _write_kv(path: str, items) -> None:
             fh.write(f"{key}={_fmt(value)}\n")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count: a positive integer, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got '{text}'")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type of an integer >= low (what it must be), else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got '{text}'")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_seed = _int_at_least(0, "a non-negative integer")
 
 
 def _entries(text: str, kind, option: str) -> list:
@@ -108,13 +114,13 @@ def _build_parser() -> _Parser:
     p_ops = sub.add_parser("check-operators", help="operator bound suite")
     common(p_ops)
     p_ops.add_argument("--samples", type=_positive_int, default=200)
-    p_ops.add_argument("--seed", type=int, default=0, help="seed for the random samples")
+    p_ops.add_argument("--seed", type=_seed, default=0, help="seed for the random samples")
     p_ops.set_defaults(func=cmd_check_operators)
 
     p_grp = sub.add_parser("check-group", help="group axiom and stability suite")
     common(p_grp)
     p_grp.add_argument("--samples", type=_positive_int, default=100)
-    p_grp.add_argument("--seed", type=int, default=0, help="seed for the random samples")
+    p_grp.add_argument("--seed", type=_seed, default=0, help="seed for the random samples")
     p_grp.set_defaults(func=cmd_check_group)
 
     p_cmp = sub.add_parser("oracle-compare", help="flow-map versus Eulerian reference")
@@ -129,8 +135,9 @@ def _build_parser() -> _Parser:
 
 
 def _prepare(args) -> tuple[SimConfig, str, str]:
+    """Config, output directory (recorded as args.out) and config directory."""
     cfg = load_config(args.config)
-    out_dir = args.out or cfg.output.directory
+    args.out = out_dir = args.out or cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     return cfg, out_dir, base_dir
@@ -351,13 +358,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CHFlowError as exc:
-        out_dir = getattr(args, "out", None)
-        if out_dir is None and getattr(args, "config", None):
-            try:
-                out_dir = load_config(args.config).output.directory
-            except CHFlowError:
-                out_dir = None
-        _write_failure(out_dir, exc)
+        _write_failure(args.out, exc)
         print(f"error={type(exc).__name__}", file=sys.stderr)
         print(f"message={exc}", file=sys.stderr)
         return 1

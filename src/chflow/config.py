@@ -16,7 +16,10 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import AdmissibilityError, ParseError, ValidationError
-from .fields import Grid, ScalarField0, ScalarField1, check_membership, read_field_csv
+from .diffeo import DEFAULT_INV_TOL
+from .fields import (DEFAULT_TAIL_TOL, Grid, ScalarField0, ScalarField1, read_field_csv,
+                     require_admissible)
+from .lagrangian import DEFAULT_EPS_BREAK, DEFAULT_RECORD_EVERY
 from .operators import inv_helmholtz
 
 __all__ = [
@@ -51,7 +54,7 @@ class GridConfig:
 class TimeConfig:
     t_end: float
     dt: float = 1e-3
-    record_every: int = 100
+    record_every: int = DEFAULT_RECORD_EVERY
     adaptive: bool = False
 
 
@@ -66,9 +69,9 @@ class InitialConfig:
 
 @dataclass
 class ToleranceConfig:
-    tail_tol: float = 1e-8
-    eps_break: float = 1e-3
-    inv_tol: float = 1e-12
+    tail_tol: float = DEFAULT_TAIL_TOL
+    eps_break: float = DEFAULT_EPS_BREAK
+    inv_tol: float = DEFAULT_INV_TOL
 
 
 @dataclass
@@ -231,8 +234,8 @@ def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1
 
     Analytic profiles carry exact derivative channels, momentum_gaussian the
     kernel-identity channel of inv_helmholtz; custom CSV data must provide
-    both channels.  The field must pass the membership conditions of
-    the solution space or an AdmissibilityError names the failed condition.
+    both channels.  The field must pass the admissibility conditions of
+    the solution space or an AdmissibilityError names the failed conditions.
     """
     grid = cfg.grid.build()
     ic = cfg.initial
@@ -272,9 +275,5 @@ def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1
     else:  # pragma: no cover - kinds are validated upstream
         raise ValidationError([f"unsupported initial kind '{ic.kind}'"])
 
-    report = check_membership(field1, cfg.tolerances.tail_tol)
-    if not report.ok:
-        raise AdmissibilityError(
-            "initial data violates admissibility condition(s): "
-            + ", ".join(report.failures()))
+    require_admissible(field1, cfg.tolerances.tail_tol)
     return field1

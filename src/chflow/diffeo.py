@@ -24,7 +24,6 @@ from .fields import Grid, ScalarField1, norm_11
 
 __all__ = [
     "Diffeo",
-    "from_displacement",
     "comp1",
     "comp2",
     "invert",
@@ -35,33 +34,29 @@ DEFAULT_EPS_CHART = 1e-10
 DEFAULT_INV_TOL = 1e-12
 
 
+def _chart_margin(dv: np.ndarray, gaps: np.ndarray, h: float) -> float:
+    """Chart margin min(1 + min v', min gap / h) of id + v, gaps those of x_k + v_k.
+
+    Both slope estimates must stay positive: the derivative channel is carried
+    apart from the values, and the scans and inversion need increasing nodes.
+    """
+    return float(np.minimum(1.0 + dv.min(), gaps.min() / h))
+
+
 class Diffeo:
     """Increasing C1 bijection eta = id + v with cached slope bounds (a, b)."""
 
     __slots__ = ("v", "a", "b")
 
     def __init__(self, v: ScalarField1, *, eps_chart: float = DEFAULT_EPS_CHART):
-        a = 1.0 + float(v.du.min())
-        b = 1.0 + float(v.du.max())
-        if a <= eps_chart:
-            raise ChartViolation(
-                f"displacement slope reaches {a - 1.0:.6g} <= -1 + {eps_chart:g}; "
-                "the map is not a diffeomorphism",
-                min_slope=a,
-            )
-        # The nodal values must be strictly increasing as well: the derivative
-        # channel is carried independently of the values, and every consumer
-        # (scans, bracketing inversion) needs monotone samples.
-        node_slope = float(np.diff(v.u).min()) / v.grid.h + 1.0
-        if node_slope <= eps_chart:
-            raise ChartViolation(
-                f"nodal increments reach slope {node_slope:.6g}; "
-                "the sampled map is not increasing",
-                min_slope=node_slope,
-            )
+        m = v.grid.x + v.u
+        margin = _chart_margin(v.du, m[1:] - m[:-1], v.grid.h)
+        if not margin > eps_chart:
+            raise ChartViolation(f"chart margin {margin:.6g} <= {eps_chart:g}: "
+                                 "the map is not a diffeomorphism", min_slope=margin)
         self.v = v
-        self.a = a
-        self.b = b
+        self.a = 1.0 + float(v.du.min())
+        self.b = 1.0 + float(v.du.max())
 
     @classmethod
     def identity(cls, grid: Grid) -> "Diffeo":
@@ -86,11 +81,6 @@ class Diffeo:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Diffeo(n={self.grid.n}, a={self.a:.6g}, b={self.b:.6g})"
-
-
-def from_displacement(v: ScalarField1, eps_chart: float = DEFAULT_EPS_CHART) -> Diffeo:
-    """Build id + v, rejecting displacements that leave the chart min v' > -1."""
-    return Diffeo(v, eps_chart=eps_chart)
 
 
 def comp1(f: ScalarField1, eta: Diffeo) -> ScalarField1:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffeo import DEFAULT_INV_TOL
 from .errors import GridMismatch, TimeMismatch
 from .fields import (
     DEFAULT_TAIL_TOL,
@@ -34,7 +35,7 @@ from .fields import (
     ScalarField1,
     _trapz,
 )
-from .lagrangian import Trajectory, _check_run, _march, reconstruct_u
+from .lagrangian import DEFAULT_RECORD_EVERY, Trajectory, _check_run, _march, reconstruct_u
 from .operators import l_op
 
 __all__ = [
@@ -87,7 +88,7 @@ def _dudt(u: np.ndarray, grid: Grid, order: int) -> np.ndarray:
 
 
 def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
-                       record_every: int = 100, *, order: int = 2,
+                       record_every: int = DEFAULT_RECORD_EVERY, *, order: int = 2,
                        tail_tol: float = DEFAULT_TAIL_TOL) -> list[EulerianState]:
     """RK4 time stepping of the Eulerian form from u0 to t_end.
 
@@ -135,7 +136,7 @@ def _match_time(times: np.ndarray, t: float) -> int:
 
 
 def compare(traj: Trajectory, eulerian_states: list[EulerianState],
-            times: list[float], *, inv_tol: float = 1e-12) -> ComparisonReport:
+            times: list[float], *, inv_tol: float = DEFAULT_INV_TOL) -> ComparisonReport:
     """Gaps between the reconstructed flow-map velocity and the Eulerian one.
 
     Every requested time must be recorded in both inputs; the report carries

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatch, ParseError
+from .errors import AdmissibilityError, GridMismatch, ParseError
 
 __all__ = [
     "Grid",
@@ -47,8 +47,7 @@ __all__ = [
     "NormComponents",
     "norm_components",
     "norm_11",
-    "MembershipReport",
-    "check_membership",
+    "require_admissible",
     "derivative_consistency",
     "reflect",
     "write_csv",
@@ -242,58 +241,23 @@ def norm_11(f: ScalarField1) -> float:
     return c.sup_u + c.sup_du + float(np.hypot(c.l2_u, c.l2_du))
 
 
-@dataclass
-class MembershipReport:
-    """Measured admissibility conditions for a candidate velocity field.
+def require_admissible(f: ScalarField1, tail_tol: float = DEFAULT_TAIL_TOL) -> None:
+    """Raise AdmissibilityError unless f is admissible C1 + H1 data on this grid.
 
-    Conditions mirror the function space the solver works in: a finite C1
-    bound, finite L2 norms of value and derivative, and decay of both
-    channels at the truncation boundary (the grid surrogate for vanishing
-    at infinity).
+    It names each failed condition: l2_norms_finite (overflow breaks it) and
+    boundary_decay (both channels within tail_tol at the truncation boundary,
+    the grid surrogate for vanishing at infinity).  The C1 bound is always
+    finite, since a ScalarField1 holds only finite samples.
     """
-
-    sup_u: float
-    sup_du: float
-    l2_u: float
-    l2_du: float
-    boundary_value: float
-    boundary_deriv: float
-    tail_tol: float
-    bounded_ok: bool
-    square_integrable_ok: bool
-    boundary_decay_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.bounded_ok and self.square_integrable_ok and self.boundary_decay_ok
-
-    def conditions(self):
-        yield ("c1_bound_finite", max(self.sup_u, self.sup_du), self.bounded_ok)
-        yield ("l2_norms_finite", max(self.l2_u, self.l2_du), self.square_integrable_ok)
-        yield ("boundary_decay", max(self.boundary_value, self.boundary_deriv),
-               self.boundary_decay_ok)
-
-    def failures(self) -> list[str]:
-        return [name for name, _, passed in self.conditions() if not passed]
-
-
-def check_membership(f: ScalarField1, tail_tol: float = DEFAULT_TAIL_TOL) -> MembershipReport:
-    """Report whether f qualifies as admissible C1 + H1 data on this grid."""
     c = norm_components(f)
-    bval = float(max(abs(f.u[0]), abs(f.u[-1])))
-    bder = float(max(abs(f.du[0]), abs(f.du[-1])))
-    return MembershipReport(
-        sup_u=c.sup_u,
-        sup_du=c.sup_du,
-        l2_u=c.l2_u,
-        l2_du=c.l2_du,
-        boundary_value=bval,
-        boundary_deriv=bder,
-        tail_tol=tail_tol,
-        bounded_ok=bool(np.isfinite([c.sup_u, c.sup_du]).all()),
-        square_integrable_ok=bool(np.isfinite([c.l2_u, c.l2_du]).all()),
-        boundary_decay_ok=bool(max(bval, bder) <= tail_tol),
-    )
+    failed = []
+    if not np.isfinite([c.l2_u, c.l2_du]).all():
+        failed.append("l2_norms_finite")
+    if not max(abs(f.u[0]), abs(f.u[-1]), abs(f.du[0]), abs(f.du[-1])) <= tail_tol:
+        failed.append("boundary_decay")
+    if failed:
+        raise AdmissibilityError(
+            "initial data violates admissibility condition(s): " + ", ".join(failed))
 
 
 def derivative_consistency(f: ScalarField1) -> float:

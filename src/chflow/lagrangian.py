@@ -36,9 +36,9 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .diffeo import DEFAULT_EPS_CHART, Diffeo, invert
-from .errors import AdmissibilityError, ChartViolation, GridMismatch
-from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, check_membership, _trapz
+from .diffeo import DEFAULT_EPS_CHART, DEFAULT_INV_TOL, Diffeo, _chart_margin, invert
+from .errors import ChartViolation, GridMismatch
+from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, _trapz, require_admissible
 from .operators import _l_eta_arrays
 # Unused here; bound so that perfbench/tracer.py can patch it in this module.
 from .operators import l_eta_direct  # noqa: F401
@@ -55,6 +55,7 @@ __all__ = [
 
 DEFAULT_EPS_BREAK = 1e-3
 DEFAULT_QUAD_ORDER = 4
+DEFAULT_RECORD_EVERY = 100
 
 
 @dataclass
@@ -117,17 +118,14 @@ class Trajectory:
 def _chart(y: np.ndarray, grid: Grid, eps: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Node positions m = x + v of the state and their gaps, after the chart check.
 
-    The check also proves the positions finite and strictly increasing, so
-    the kernel scan takes them without checking again.
+    A chart margin at or below eps is wave breaking, a non-finite margin or
+    end position an error.  With every gap positive and both ends finite the
+    positions are finite and strictly increasing, so the kernel scan takes
+    them without checking again.
     """
-    # Both slope estimates must stay above the breaking guard: the evolved
-    # derivative channel and the nodal increments (they agree to O(h^2) on
-    # smooth states but separate as the map steepens toward breaking).  A
-    # non-finite slope or end position is an error rather than wave breaking;
-    # with every gap positive and both ends finite, every position is finite.
     m = grid.x + y[0]
     d = m[1:] - m[:-1]
-    slope = float(np.minimum(1.0 + y[1].min(), d.min() / grid.h))
+    slope = _chart_margin(y[1], d, grid.h)
     if not (isfinite(slope) and isfinite(m[-1] - m[0])):
         raise ValueError(f"flow map became non-finite at t = {t:.9g}")
     if not slope > eps:
@@ -276,10 +274,7 @@ def _diag_row(t: float, y: np.ndarray, h: float) -> tuple[float, float, float, f
 def _check_run(u0: ScalarField1, t_end: float, dt: float, record_every: int,
                tail_tol: float) -> None:
     """The input check shared by both solvers' time loops."""
-    report = check_membership(u0, tail_tol)
-    if not report.ok:
-        raise AdmissibilityError(
-            "initial data is not admissible: failed " + ", ".join(report.failures()))
+    require_admissible(u0, tail_tol)
     if not (np.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (np.isfinite(dt) and dt > 0):
@@ -336,7 +331,8 @@ def _march(y: np.ndarray, t_end: float, dt: float,
         yield t, y, step
 
 
-def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100,
+def integrate(u0: ScalarField1, t_end: float, dt: float,
+              record_every: int = DEFAULT_RECORD_EVERY,
               *, eps_break: float = DEFAULT_EPS_BREAK,
               quad_order: int = DEFAULT_QUAD_ORDER,
               tail_tol: float = DEFAULT_TAIL_TOL,
@@ -406,7 +402,7 @@ def integrate(u0: ScalarField1, t_end: float, dt: float, record_every: int = 100
                       step_max=step_max if steps_done else float("nan"))
 
 
-def reconstruct_u(state: FlowState, *, inv_tol: float = 1e-12) -> ScalarField1:
+def reconstruct_u(state: FlowState, *, inv_tol: float = DEFAULT_INV_TOL) -> ScalarField1:
     """The Eulerian velocity u = U o eta^(-1) on the grid.
 
     The derivative channel uses u_x o eta = U_x / eta_x, i.e.

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffeo import Diffeo, invert
+from .diffeo import DEFAULT_INV_TOL, Diffeo, invert
 from .errors import GridMismatch
 from .fields import ScalarField0, ScalarField1
 
@@ -248,7 +248,7 @@ def l_eta_direct(phi: ScalarField0, eta: Diffeo, *, order: int = 2) -> ScalarFie
 
 
 def l_eta_conjugated(phi: ScalarField0, eta: Diffeo, *, order: int = 2,
-                     inv_tol: float = 1e-12) -> ScalarField1:
+                     inv_tol: float = DEFAULT_INV_TOL) -> ScalarField1:
     """The conjugation identity L(phi o eta^(-1)) o eta computed literally.
 
     Inverts eta, resamples phi along the inverse, applies l_op, and composes

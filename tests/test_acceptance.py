@@ -13,7 +13,6 @@ from chflow import (
     ScalarField0,
     ScalarField1,
     compare,
-    from_displacement,
     gateaux_df,
     integrate,
     integrate_eulerian,
@@ -79,8 +78,8 @@ def test_criterion_3_gateaux_gradient():
     eps_values = (1e-2, 1e-3, 1e-4)
     errs = []
     for eps in eps_values:
-        plus = l_eta_direct(phi, from_displacement(eta.v + eps * rho))
-        minus = l_eta_direct(phi, from_displacement(eta.v + (-eps) * rho))
+        plus = l_eta_direct(phi, Diffeo(eta.v + eps * rho))
+        minus = l_eta_direct(phi, Diffeo(eta.v + (-eps) * rho))
         errs.append(np.abs((plus.u - minus.u) / (2 * eps) - G.u).max())
     slope = np.polyfit(np.log10(eps_values), np.log10(errs), 1)[0]
     assert abs(slope - 2.0) <= 0.3

@@ -216,6 +216,32 @@ class TestFailurePaths:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         assert read_kv(out / "failure.txt")["error"] == "AdmissibilityError"
 
+    def test_failure_report_without_out_goes_to_config_directory(self, tmp_path):
+        cfg = write_config(tmp_path, width=15.0)
+        payload = json.loads(cfg.read_text())
+        payload["output"] = {"directory": str(tmp_path / "cfg_out")}
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 1
+        assert read_kv(tmp_path / "cfg_out" / "failure.txt")["error"] == "AdmissibilityError"
+
+    def test_unparsable_config_without_out_reports_to_working_directory(
+            self, tmp_path, monkeypatch):
+        cfg = tmp_path / "broken.json"
+        cfg.write_text("{")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 1
+        assert read_kv(tmp_path / "failure.txt")["error"] == "ParseError"
+
+    @pytest.mark.parametrize("command", ["check-operators", "check-group"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--samples", "2",
+                     "--seed", "-1", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "error=ParseError" in err and "must be a non-negative integer" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("args, report", [
         (["check-operators", "--samples"], "operator_report.txt"),

@@ -8,7 +8,6 @@ from chflow import (
     comp1,
     comp2,
     distance,
-    from_displacement,
     invert,
     norm_11,
 )
@@ -33,7 +32,7 @@ def random_diffeo(grid, rng, max_slope=0.5):
         dv += -2.0 * a * z / w * np.exp(-z * z)
     peak = np.abs(dv).max()
     scale = max_slope * rng.uniform(0.3, 1.0) / peak
-    return from_displacement(ScalarField1(grid, v * scale, dv * scale))
+    return Diffeo(ScalarField1(grid, v * scale, dv * scale))
 
 
 class TestConstruction:
@@ -43,7 +42,7 @@ class TestConstruction:
         np.testing.assert_array_equal(e.values(), grid20.x)
 
     def test_gaussian_bump_slope_bounds(self, grid20):
-        eta = from_displacement(bump_displacement(grid20, amp=0.3))
+        eta = Diffeo(bump_displacement(grid20, amp=0.3))
         # max of |x e^{-x^2}| is e^{-1/2}/sqrt(2), so a = 1 - 0.6 max, b = 1 + 0.6 max.
         extremum = 0.6 * np.exp(-0.5) / np.sqrt(2.0)
         assert eta.a == pytest.approx(1.0 - extremum, abs=1e-4)
@@ -51,10 +50,17 @@ class TestConstruction:
 
     def test_chart_violation(self, grid20):
         with pytest.raises(ChartViolation):
-            from_displacement(bump_displacement(grid20, amp=2.4))
+            Diffeo(bump_displacement(grid20, amp=2.4))
+
+    def test_decreasing_nodes_violate_chart(self, grid20):
+        # The derivative channel says v' = 0, but the values make eta = -x.
+        v = ScalarField1(grid20, -2.0 * grid20.x, np.zeros(grid20.n))
+        with pytest.raises(ChartViolation) as exc:
+            Diffeo(v)
+        assert exc.value.min_slope == pytest.approx(-1.0)
 
     def test_eval_continues_as_identity(self, grid20):
-        eta = from_displacement(bump_displacement(grid20))
+        eta = Diffeo(bump_displacement(grid20))
         val, der = eta.eval(grid20.x_max + 5.0)
         assert (val, der) == (grid20.x_max + 5.0, 1.0)
 
@@ -69,7 +75,7 @@ class TestComp1:
     def test_closed_form_at_origin(self):
         grid = Grid.from_interval(-20.0, 20.0, 4001)
         u = gaussian_field(grid)
-        eta = from_displacement(bump_displacement(grid, amp=0.3))
+        eta = Diffeo(bump_displacement(grid, amp=0.3))
         w = comp1(u, eta)
         k0 = 2000  # node at x = 0, where eta(0) = 0.3 and eta'(0) = 1
         assert w.u[k0] == pytest.approx(np.exp(-0.09), abs=1e-8)
@@ -127,7 +133,7 @@ class TestInvert:
         assert np.abs(xi.v.du).max() <= 1e-12
 
     def test_round_trip(self, grid20):
-        eta = from_displacement(bump_displacement(grid20, amp=0.3))
+        eta = Diffeo(bump_displacement(grid20, amp=0.3))
         xi = invert(eta)
         assert distance(comp2(xi, eta), Diffeo.identity(grid20)) <= 10 * grid20.h ** 2
 
@@ -163,7 +169,7 @@ class TestInvert:
         # v(x_0) > 0, or v(x_{n-1}) < 0, puts that end's target off the range
         # of eta: it is pinned at xi = x, where eta(x) - x = v(x) is far above
         # tol at every iteration, so only the inside targets may count.
-        eta = from_displacement(bump_displacement(grid20, amp=amp, width=5.0))
+        eta = Diffeo(bump_displacement(grid20, amp=amp, width=5.0))
         end, inside = (0, slice(1, None)) if amp > 0 else (-1, slice(None, -1))
         assert abs(eta.v.u[end]) > 1e-10
         xi = invert(eta, tol=1e-12)
@@ -172,7 +178,7 @@ class TestInvert:
         assert xi.v.u[end] == 0.0 and xi.v.du[end] == 0.0
 
     def test_failure_is_reported(self, grid20):
-        eta = from_displacement(bump_displacement(grid20, amp=0.3))
+        eta = Diffeo(bump_displacement(grid20, amp=0.3))
         with pytest.raises(ConvergenceFailure):
             invert(eta, max_iter=0)
 
@@ -203,7 +209,7 @@ class TestInversionStability:
             eta1 = random_diffeo(grid20, rng, max_slope=0.45)
             pert = gaussian_field(grid20, amp=rng.uniform(0.005, 0.05),
                                   center=rng.uniform(-3, 3))
-            eta2 = from_displacement(eta1.v + pert)
+            eta2 = Diffeo(eta1.v + pert)
             rho = distance(eta1, eta2)
             diff = invert(eta1).v - invert(eta2).v
             assert np.abs(diff.u).max() <= rho / eta1.a + slack

@@ -4,15 +4,15 @@ import pytest
 from chflow import (
     Grid,
     ScalarField1,
-    check_membership,
     derivative_consistency,
     norm_11,
     norm_components,
     read_field_csv,
     reflect,
+    require_admissible,
     write_field_csv,
 )
-from chflow.errors import GridMismatch, ParseError
+from chflow.errors import AdmissibilityError, GridMismatch, ParseError
 
 from conftest import gaussian_field
 
@@ -179,23 +179,28 @@ class TestEval:
 
 class TestMembership:
     def test_gaussian_passes(self, grid20):
-        report = check_membership(gaussian_field(grid20))
-        assert report.ok
-        assert all(passed for _, _, passed in report.conditions())
+        require_admissible(gaussian_field(grid20))
 
     def test_linear_ramp_fails_decay(self, grid20):
         f = ScalarField1(grid20, grid20.x.copy(), np.ones(grid20.n))
-        report = check_membership(f)
-        assert not report.ok
-        assert report.failures() == ["boundary_decay"]
+        with pytest.raises(AdmissibilityError) as exc:
+            require_admissible(f)
+        assert str(exc.value).endswith("condition(s): boundary_decay")
 
     def test_zero_passes(self, grid20):
-        assert check_membership(ScalarField1.zeros(grid20)).ok
+        require_admissible(ScalarField1.zeros(grid20))
 
     def test_tolerance_is_configurable(self, grid20):
         f = gaussian_field(grid20, width=8.0)
-        assert not check_membership(f, tail_tol=1e-8).ok
-        assert check_membership(f, tail_tol=1e-2).ok
+        with pytest.raises(AdmissibilityError):
+            require_admissible(f, tail_tol=1e-8)
+        require_admissible(f, tail_tol=1e-2)
+
+    def test_overflow_fails_l2(self, grid20):
+        f = gaussian_field(grid20, amp=1e160)
+        with np.errstate(over="ignore"), pytest.raises(AdmissibilityError) as exc:
+            require_admissible(f)
+        assert str(exc.value).endswith("condition(s): l2_norms_finite")
 
 
 def test_derivative_consistency_is_second_order():
