@@ -186,7 +186,7 @@ def _summary_items(traj: Trajectory, cfg: SimConfig, order: int):
     momentum_abs, momentum_rel = _momentum_drift(d)
     items = [
         ("n", cfg.grid.n),
-        ("h", (cfg.grid.x_max - cfg.grid.x_min) / (cfg.grid.n - 1)),
+        ("h", traj.final.grid.h),
         ("dt", cfg.time.dt),
         ("quad_order", order),
         ("final_time", traj.final.t),
@@ -240,24 +240,23 @@ def cmd_converge(args) -> int:
     levels = _entries(args.levels, int, "--levels")
     study = lagrangian_refinement(cfg, levels, quad_order=args.order,
                                   workers=args.workers, base_dir=base_dir)
-    items = [(f"level_n{m.n}_h", m.h) for m in study.levels]
+    items = [(f"level_n{n}_h", run.final.grid.h) for n, run in study.levels.items()]
     items.append(("level_execution", study.execution))
-    broken = [m for m in study.levels if m.breakdown_time is not None]
+    broken = {n: run for n, run in study.levels.items() if not run.completed}
     if broken:
         # Final states at different times are not comparable: no gaps, no
         # order.  The breaking-time estimates are comparable across levels.
-        items += _breakdown_items({m.n: m for m in broken})
+        items += _breakdown_items(broken)
         if study.estimate_order is not None:
             items.append(("breaking_time_estimate_fitted_order", study.estimate_order))
         items.append(("quad_order", args.order))
         _write_kv(os.path.join(out_dir, "convergence.txt"), items)
-        _say(args, f"study stopped by wave breaking at n = {broken[0].n}, "
-                   f"t = {_fmt(broken[0].breakdown_time)}")
+        n = min(broken)
+        _say(args, f"study stopped by wave breaking at n = {n}, "
+                   f"t = {_fmt(broken[n].breakdown_time)}")
         return 2
-    for m, gap in zip(study.levels, study.gaps):
-        items.append((f"gap_n{m.n}", gap))
-    for m, order in zip(study.levels, study.orders):
-        items.append((f"order_n{m.n}", order))
+    items += [(f"gap_n{n}", gap) for n, gap in zip(study.levels, study.gaps)]
+    items += [(f"order_n{n}", order) for n, order in zip(study.levels, study.orders)]
     items.append(("fitted_order", study.fitted_order))
     items.append(("quad_order", args.order))
     _write_kv(os.path.join(out_dir, "convergence.txt"), items)
@@ -310,9 +309,8 @@ def cmd_oracle_compare(args) -> int:
                       ["x", "u", "u_x"],
                       [state.grid.x, state.u, fourth_order_dx(state.u, state.grid.h)])
     path = os.path.join(out_dir, "oracle_compare.txt")
-    broken = {m.n: m for m in study.levels if m.breakdown_time is not None}
-    if traj.breakdown_time is not None:
-        broken[cfg.grid.n] = traj
+    broken = {n: run for n, run in (study.levels | {cfg.grid.n: traj}).items()
+              if not run.completed}
     if broken:
         # A flow-map run stopped before t_end: nothing is compared.
         _write_kv(path, _breakdown_items(broken)
@@ -327,10 +325,9 @@ def cmd_oracle_compare(args) -> int:
         items.append((f"l2_diff_t{_fmt(t)}", l2))
     items.append(("level_execution", study.execution))
     if levels:
-        for m, gap in zip(study.levels, study.gaps):
-            items.append((f"gap_n{m.n}", gap))
-        for m, order in zip(study.levels, study.orders):
-            items.append((f"refinement_order_n{m.n}", order))
+        items += [(f"gap_n{n}", gap) for n, gap in zip(study.levels, study.gaps)]
+        items += [(f"refinement_order_n{n}", order)
+                  for n, order in zip(study.levels, study.orders)]
         items.append(("fitted_order", study.fitted_order))
     _write_kv(path, items)
     for t, sup, l2 in study.report.rows():

@@ -48,11 +48,11 @@ class Diffeo:
 
     __slots__ = ("v", "a", "b")
 
-    def __init__(self, v: ScalarField1, *, eps_chart: float = DEFAULT_EPS_CHART):
+    def __init__(self, v: ScalarField1):
         m = v.grid.x + v.u
         margin = _chart_margin(v.du, m[1:] - m[:-1], v.grid.h)
-        if not margin > eps_chart:
-            raise ChartViolation(f"chart margin {margin:.6g} <= {eps_chart:g}: "
+        if not margin > DEFAULT_EPS_CHART:
+            raise ChartViolation(f"chart margin {margin:.6g} <= {DEFAULT_EPS_CHART:g}: "
                                  "the map is not a diffeomorphism", min_slope=margin)
         self.v = v
         self.a = 1.0 + float(v.du.min())
@@ -95,9 +95,7 @@ def comp2(zeta: Diffeo, eta: Diffeo) -> Diffeo:
     """The composition zeta o eta via displacements: (zeta - id) o eta + (eta - id)."""
     if zeta.grid != eta.grid:
         raise GridMismatch("diffeomorphisms live on different grids")
-    val, der = zeta.v.eval(eta.values())
-    disp = ScalarField1(eta.grid, val + eta.v.u, der * eta.slopes() + eta.v.du)
-    return Diffeo(disp)
+    return Diffeo(comp1(zeta.v, eta) + eta.v)
 
 
 def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, max_iter: int = 80) -> Diffeo:

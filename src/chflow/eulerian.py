@@ -88,15 +88,16 @@ def _dudt(u: np.ndarray, grid: Grid, order: int) -> np.ndarray:
 
 
 def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
-                       record_every: int = DEFAULT_RECORD_EVERY, *, order: int = 2,
+                       record_every: int = DEFAULT_RECORD_EVERY, *,
                        tail_tol: float = DEFAULT_TAIL_TOL) -> list[EulerianState]:
     """RK4 time stepping of the Eulerian form from u0 to t_end.
 
-    Records the state at t = 0, every record_every steps, and at the final
-    time.  Steps run through the flow-map solver's time loop and input
-    check, with fixed dt.  If a value stops being finite, in a stage, in the
-    new state or in its right side, the run halts and ends at the last state
-    whose right side is finite.
+    The nonlocal term takes the order-2 (per-cell trapezoid) scan.  Records
+    the state at t = 0, every record_every steps, and at the final time.
+    Steps run through the flow-map solver's time loop and input check, with
+    fixed dt.  If a value stops being finite, in a stage, in the new state
+    or in its right side, the run halts and ends at the last state whose
+    right side is finite.
     """
     _check_run(u0, t_end, dt, record_every, tail_tol)
     grid = u0.grid
@@ -104,7 +105,7 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     states = [EulerianState(t, grid, u)]
     steps = 0
     try:
-        for t, u, _ in _march(u, t_end, dt, lambda z, tz: _dudt(z, grid, order)):
+        for t, u, _ in _march(u, t_end, dt, lambda z, tz: _dudt(z, grid, 2)):
             steps += 1
             if steps % record_every == 0:
                 states.append(EulerianState(t, grid, u))

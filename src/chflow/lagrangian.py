@@ -36,7 +36,7 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .diffeo import DEFAULT_EPS_CHART, DEFAULT_INV_TOL, Diffeo, _chart_margin, invert
+from .diffeo import DEFAULT_EPS_CHART, DEFAULT_INV_TOL, Diffeo, _chart_margin, comp1, invert
 from .errors import ChartViolation, GridMismatch
 from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, _trapz, require_admissible
 from .operators import _l_eta_arrays
@@ -409,10 +409,7 @@ def reconstruct_u(state: FlowState, *, inv_tol: float = DEFAULT_INV_TOL) -> Scal
     u'(x_k) = U'(xi_k) * xi'(x_k) with xi the computed inverse; nothing is
     differenced numerically.
     """
-    xi = invert(state.eta, tol=inv_tol)
-    points = state.grid.x + xi.v.u
-    val, der = state.U.eval(points)
-    return ScalarField1(state.grid, val, der * (1.0 + xi.v.du))
+    return comp1(state.U, invert(state.eta, tol=inv_tol))
 
 
 def conserved_quantities(u: ScalarField1) -> tuple[float, float]:

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffeo import DEFAULT_INV_TOL, Diffeo, invert
+from .diffeo import DEFAULT_INV_TOL, Diffeo, comp1, invert
 from .errors import GridMismatch
 from .fields import ScalarField0, ScalarField1
 
@@ -257,12 +257,8 @@ def l_eta_conjugated(phi: ScalarField0, eta: Diffeo, *, order: int = 2,
     """
     if phi.grid != eta.grid:
         raise GridMismatch("source and diffeomorphism live on different grids")
-    grid = phi.grid
-    xi = invert(eta, tol=inv_tol)
-    psi = ScalarField0(grid, phi.eval(grid.x + xi.v.u))
-    lpsi = l_op(psi, order=order)
-    val, der = lpsi.eval(eta.values())
-    return ScalarField1(grid, val, der * eta.slopes())
+    psi = ScalarField0(phi.grid, phi.eval(invert(eta, tol=inv_tol).values()))
+    return comp1(l_op(psi, order=order), eta)
 
 
 def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1, *,

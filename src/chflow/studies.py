@@ -17,6 +17,9 @@ self-convergence study, and one per solver and level for a cross-method
 study.  The tasks run in a process pool when one can be started, finest
 level first; they run serially otherwise, and the study records which.  An
 error raised by a task itself propagates once and is not retried.
+
+A study keeps each level's flow-map trajectory as its solve returned it,
+final state only: the level's spacing and breakdown are read from it.
 """
 
 from __future__ import annotations
@@ -34,32 +37,18 @@ from .eulerian import ComparisonReport, EulerianState, compare, integrate_euleri
 from .lagrangian import Trajectory, integrate, reconstruct_u
 
 __all__ = [
-    "LevelResult",
     "RefinementStudy",
-    "scaled_config",
     "lagrangian_refinement",
     "oracle_refinement",
 ]
 
 
 @dataclass
-class LevelResult:
-    """One rung of the ladder.
-
-    breakdown_time and breaking_time_estimate are set when its run hit wave
-    breaking: the stop time and the extrapolated breaking time T*.
-    """
-
-    n: int
-    h: float
-    breakdown_time: float | None = None
-    breaking_time_estimate: float | None = None
-
-
-@dataclass
 class RefinementStudy:
     """Gaps and observed orders across a resolution ladder.
 
+    levels maps each ladder n, in order, to its flow-map trajectory (final
+    state only), whose grid and breakdown fields describe the level.
     For a self-convergence study gap[i] compares levels i and i+1 (there is
     one fewer gap than levels); for a cross-method study gap[i] belongs to
     level i.  orders[i] is the observed rate between consecutive gaps and
@@ -74,7 +63,7 @@ class RefinementStudy:
     requested times.
     """
 
-    levels: list[LevelResult]
+    levels: dict[int, Trajectory]
     gaps: list[float]
     orders: list[float]
     fitted_order: float | None
@@ -84,15 +73,8 @@ class RefinementStudy:
     report: ComparisonReport | None = None
 
 
-def scaled_config(cfg: SimConfig, n: int) -> SimConfig:
-    """The same run at resolution n with dt scaled proportionally to h."""
-    scale = (cfg.grid.n - 1) / (n - 1)
-    return replace(cfg, grid=replace(cfg.grid, n=n),
-                   time=replace(cfg.time, dt=cfg.time.dt * scale))
-
-
 def _at(cfg: SimConfig, n: int) -> SimConfig:
-    """The same run at resolution n with the same dt: the flow map's level."""
+    """The same run at resolution n, with the same dt."""
     return replace(cfg, grid=replace(cfg.grid, n=n))
 
 
@@ -109,11 +91,6 @@ def _check_levels(cfg: SimConfig, levels: list[int], fewest: int) -> None:
         _validate(_at(cfg, n), problems)
     if problems:
         raise ValidationError(dict.fromkeys(problems))
-
-
-def _level(cfg: SimConfig, n: int, traj: Trajectory) -> LevelResult:
-    return LevelResult(n, _at(cfg, n).grid.build().h, traj.breakdown_time,
-                       traj.breaking_time_estimate)
 
 
 def _usable_cpus() -> int:
@@ -150,14 +127,14 @@ def _solve(payload) -> Trajectory | list[EulerianState]:
     The flow map keeps cfg's dt, the Eulerian reference scales it with h.
     """
     solver, cfg, n, quad_order, base_dir, keep_all = payload
-    level_cfg = _at(cfg, n) if solver == "flow_map" else scaled_config(cfg, n)
-    u0 = make_initial(level_cfg, base_dir=base_dir)
+    u0 = make_initial(_at(cfg, n), base_dir=base_dir)
     if solver == "flow_map":
-        traj = integrate(u0, **level_cfg.integrate_kwargs(quad_order))
+        traj = integrate(u0, **cfg.integrate_kwargs(quad_order))
         return traj if keep_all else replace(traj, states=traj.states[-1:])
-    states = integrate_eulerian(u0, level_cfg.time.t_end, level_cfg.time.dt,
-                                record_every=level_cfg.time.record_every,
-                                tail_tol=level_cfg.tolerances.tail_tol)
+    states = integrate_eulerian(u0, cfg.time.t_end,
+                                cfg.time.dt * ((cfg.grid.n - 1) / (n - 1)),
+                                record_every=cfg.time.record_every,
+                                tail_tol=cfg.tolerances.tail_tol)
     return states if keep_all else states[-1:]
 
 
@@ -186,21 +163,21 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
     payloads = [("flow_map", cfg, n, quad_order, base_dir, False) for n in levels[::-1]]
     results, execution = _run_tasks(_solve, payloads, workers)
     trajs = results[::-1]
-    meta = [_level(cfg, n, traj) for n, traj in zip(levels, trajs)]
-    study = RefinementStudy(meta, gaps=[], orders=[], fitted_order=None,
-                            execution=execution)
-    if any(m.breakdown_time is not None for m in meta):
-        if all(m.breakdown_time is not None for m in meta):
-            estimates = [m.breaking_time_estimate for m in meta]
+    study = RefinementStudy(dict(zip(levels, trajs)), gaps=[], orders=[],
+                            fitted_order=None, execution=execution)
+    hs = [traj.final.grid.h for traj in trajs[:-1]]
+    if not all(traj.completed for traj in trajs):
+        if not any(traj.completed for traj in trajs):
+            estimates = [traj.breaking_time_estimate for traj in trajs]
             diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
-            _, study.estimate_order = _orders(diffs, [m.h for m in meta[:-1]])
+            _, study.estimate_order = _orders(diffs, hs)
         return study
     solutions = [reconstruct_u(traj.final, inv_tol=cfg.tolerances.inv_tol)
                  for traj in trajs]
     for coarse, fine in zip(solutions[:-1], solutions[1:]):
         fine_at_coarse, _ = fine.eval(coarse.grid.x)
         study.gaps.append(float(np.abs(fine_at_coarse - coarse.u).max()))
-    study.orders, study.fitted_order = _orders(study.gaps, [m.h for m in meta[:-1]])
+    study.orders, study.fitted_order = _orders(study.gaps, hs)
     return study
 
 
@@ -215,30 +192,36 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     resolution takes its gap from that report when t_end is among the times.
     Other levels keep only their final states, all their gap reads.  levels
     may be empty: then only cfg's own resolution runs, and there are no gaps.
-    If any flow-map run broke down, the study compares nothing: it has no
-    report and no gaps, and the breakdowns are on study.levels and
-    study.base.
+    If any flow-map run broke down, the study compares nothing: no report,
+    no gaps, and the breakdowns are on study.levels and study.base.  An
+    adaptive run is sure to record only 0 and t_end (within compare()'s
+    relative 1e-9), so any other time is a ValidationError before any solve.
     """
     _check_levels(cfg, levels, 0)
-    times = [cfg.time.t_end] if times is None else list(times)
+    t_end = cfg.time.t_end
+    times = [t_end] if times is None else list(times)
+    unsure = [t for t in times if min(abs(t), abs(t - t_end)) > 1e-9 * max(1.0, abs(t))]
+    if cfg.time.adaptive and unsure:
+        raise ValidationError([f"an adaptive run records only t = 0 and t_end = {t_end:.9g}, "
+                               f"not {', '.join(f'{t:.9g}' for t in unsure)}"])
     resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
     payloads = [(solver, cfg, n, quad_order, base_dir, n == cfg.grid.n)
                 for n in resolutions for solver in ("flow_map", "eulerian")]
     results, execution = _run_tasks(_solve, payloads, None)
     runs = {(p[0], p[2]): r for p, r in zip(payloads, results)}
     base = (runs["flow_map", cfg.grid.n], runs["eulerian", cfg.grid.n])
-    study = RefinementStudy([_level(cfg, n, runs["flow_map", n]) for n in levels],
+    study = RefinementStudy({n: runs["flow_map", n] for n in levels},
                             gaps=[], orders=[], fitted_order=None,
                             execution=execution, base=base)
     if not all(runs["flow_map", n].completed for n in resolutions):
         return study
     study.report = compare(*base, times, inv_tol=cfg.tolerances.inv_tol)
-    t_end = cfg.time.t_end
     for n in levels:
         if n == cfg.grid.n and t_end in times:
             study.gaps.append(study.report.sup_diff[times.index(t_end)])
         else:
             study.gaps.append(compare(runs["flow_map", n], runs["eulerian", n], [t_end],
                                       inv_tol=cfg.tolerances.inv_tol).sup_diff[0])
-    study.orders, study.fitted_order = _orders(study.gaps, [m.h for m in study.levels])
+    study.orders, study.fitted_order = _orders(
+        study.gaps, [traj.final.grid.h for traj in study.levels.values()])
     return study

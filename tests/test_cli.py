@@ -285,6 +285,24 @@ class TestFailurePaths:
         assert "Traceback" not in capsys.readouterr().err
 
 
+    def test_adaptive_unrecorded_time_fails_before_any_solve(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # An adaptive run is sure to record only 0 and t_end.
+        monkeypatch.setattr(studies, "_run_tasks",
+                            lambda *a, **k: pytest.fail("a solve started"))
+        cfg = write_config(tmp_path, t_end=0.25, dt=4e-3, record_every=20)
+        payload = json.loads(cfg.read_text())
+        payload["time"]["adaptive"] = True
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", str(cfg), "--out", str(out),
+                     "--times", "0.08,0.25", "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "ValidationError"
+        assert "records only t = 0 and t_end = 0.25, not 0.08" in report["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestConverge:
     def test_study_report(self, tmp_path):
         cfg = write_config(tmp_path, n=128, t_end=0.25, dt=8e-3, record_every=1000)

@@ -125,6 +125,13 @@ class TestComp2:
             assert distance(comp2(comp2(al, be), ga),
                             comp2(al, comp2(be, ga))) <= slack
 
+    def test_grid_mismatch(self, grid20):
+        other = Diffeo.identity(Grid.from_interval(-20.0, 20.0, 513))
+        for zeta, eta in [(other, Diffeo.identity(grid20)),
+                          (Diffeo.identity(grid20), other)]:
+            with pytest.raises(GridMismatch, match="^diffeomorphisms live on"):
+                comp2(zeta, eta)
+
 
 class TestInvert:
     def test_identity(self, grid20):

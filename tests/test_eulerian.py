@@ -8,7 +8,7 @@ from chflow import (
     integrate,
     integrate_eulerian,
 )
-from chflow.errors import TimeMismatch
+from chflow.errors import GridMismatch, TimeMismatch
 from chflow.eulerian import _dudt, fourth_order_dx
 
 from conftest import antisymmetric_field, gaussian_field
@@ -99,6 +99,13 @@ class TestCompare:
         states = integrate_eulerian(ScalarField1.zeros(grid20), 0.1, 1e-2)
         with pytest.raises(TimeMismatch):
             compare(traj, states, [0.05])
+
+    def test_grid_mismatch_rejected(self, grid20):
+        other = Grid.from_interval(-20.0, 20.0, 513)
+        traj = integrate(ScalarField1.zeros(grid20), 0.1, 1e-2)
+        states = integrate_eulerian(ScalarField1.zeros(other), 0.1, 1e-2)
+        with pytest.raises(GridMismatch, match="trajectories live on different grids"):
+            compare(traj, states, [0.1])
 
     def test_cross_method_gap_shrinks_second_order(self):
         # Halving h (and dt with it) cuts the cross-formulation gap by the

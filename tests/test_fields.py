@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,15 @@ class TestMembership:
         with np.errstate(over="ignore"), pytest.raises(AdmissibilityError) as exc:
             require_admissible(f)
         assert str(exc.value).endswith("condition(s): l2_norms_finite")
+
+    def test_overflow_is_reported_without_warning(self, grid20):
+        # The overflow is the failure the error names, so numpy must not also
+        # warn about it.
+        f = gaussian_field(grid20, amp=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdmissibilityError, match="l2_norms_finite"):
+                require_admissible(f)
 
 
 def test_derivative_consistency_is_second_order():

@@ -9,6 +9,7 @@ from chflow import (
     Grid,
     ScalarField0,
     ScalarField1,
+    Trajectory,
     comp1,
     conserved_quantities,
     derivative_consistency,
@@ -20,7 +21,7 @@ from chflow import (
 )
 from chflow import lagrangian
 from chflow.config import config_from_dict, make_initial
-from chflow.errors import AdmissibilityError, ChartViolation
+from chflow.errors import AdmissibilityError, ChartViolation, GridMismatch
 from chflow.eulerian import _dudt
 from chflow.fields import norm_11
 
@@ -208,6 +209,20 @@ class TestTableaus:
             errs.append(err)
         assert np.log2(diffs[0] / diffs[1]) >= 5.5
         assert np.log2(errs[0] / errs[1]) >= 4.5
+
+
+class TestRecords:
+    def test_flow_state_grids_must_match(self, grid20):
+        other = Grid.from_interval(-20.0, 20.0, 513)
+        with pytest.raises(GridMismatch, match="flow map and velocity"):
+            FlowState(0.0, Diffeo.identity(other), ScalarField1.zeros(grid20))
+
+    def test_trajectory_times_must_increase(self, grid20):
+        traj = integrate(ScalarField1.zeros(grid20), 0.1, 1e-2, record_every=5)
+        assert len(traj.states) == 3
+        for states in (traj.states[::-1], [traj.states[0], traj.final, traj.final]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Trajectory(states=states, diagnostics=traj.diagnostics)
 
 
 class TestIntegrate:

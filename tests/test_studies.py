@@ -4,7 +4,7 @@ import pytest
 
 from chflow import studies
 from chflow.config import load_config
-from chflow.errors import AdmissibilityError
+from chflow.errors import AdmissibilityError, ValidationError
 
 
 def test_level_error_in_pool_propagates_without_serial_rerun(tmp_path, monkeypatch):
@@ -32,6 +32,17 @@ def _no_pool(*args, **kwargs):
     raise OSError("no process pool")
 
 
+def _same_levels(a, b) -> bool:
+    """Same ladder, and per level the same grid, final U bit for bit and breakdown."""
+    return list(a) == list(b) and all(
+        a[n].final.grid == b[n].final.grid
+        and (a[n].final.U.u == b[n].final.U.u).all()
+        and (a[n].final.U.du == b[n].final.U.du).all()
+        and a[n].breakdown_time == b[n].breakdown_time
+        and a[n].breaking_time_estimate == b[n].breaking_time_estimate
+        for n in a)
+
+
 def test_pool_matches_serial_in_ladder_order(tmp_path, monkeypatch):
     # The pool takes the finest level first; the study keeps ladder order and
     # the same numbers as a serial run.
@@ -44,8 +55,8 @@ def test_pool_matches_serial_in_ladder_order(tmp_path, monkeypatch):
     pool = studies.lagrangian_refinement(cfg, [64, 128, 256], workers=2)
     serial = studies.lagrangian_refinement(cfg, [64, 128, 256], workers=1)
     assert (pool.execution, serial.execution) == ("pool", "serial")
-    assert [m.n for m in pool.levels] == [64, 128, 256]
-    assert pool.levels == serial.levels
+    assert list(pool.levels) == [64, 128, 256]
+    assert _same_levels(pool.levels, serial.levels)
     assert pool.gaps == serial.gaps and pool.fitted_order == serial.fitted_order
     # The cross-method study runs both solvers of every level as tasks; it
     # takes its worker count from the usable CPUs and runs serially when no
@@ -55,8 +66,8 @@ def test_pool_matches_serial_in_ladder_order(tmp_path, monkeypatch):
     monkeypatch.setattr(studies, "ProcessPoolExecutor", _no_pool)
     serial = studies.oracle_refinement(cfg, [64, 128, 256])
     assert (pool.execution, serial.execution) == ("pool", "serial")
-    assert [m.n for m in pool.levels] == [64, 128, 256]
-    assert pool.levels == serial.levels
+    assert list(pool.levels) == [64, 128, 256]
+    assert _same_levels(pool.levels, serial.levels)
     assert pool.gaps == serial.gaps and pool.fitted_order == serial.fitted_order
     assert (pool.base[0].final.U.u == serial.base[0].final.U.u).all()
     assert (pool.base[1][-1].u == serial.base[1][-1].u).all()
@@ -150,3 +161,34 @@ def test_flow_map_solves_keep_config_dt(tmp_path, monkeypatch):
                                         (256, 1e-2), (256, 1e-2)]
     assert sorted(seen["eulerian"]) == [(64, 1e-2), (128, 1e-2 * 63 / 127),
                                         (256, 1e-2 * 63 / 255)]
+
+
+class _Started(Exception):
+    pass
+
+
+def _started(*args, **kwargs):
+    raise _Started
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_adaptive_oracle_takes_only_times_it_is_sure_to_record(tmp_path, monkeypatch,
+                                                                adaptive):
+    # compare() matches times within a relative 1e-9; an adaptive run is sure
+    # to record only 0 and t_end, so any other time fails before the solves.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
+        "time": {"t_end": 0.1, "dt": 1e-2, "adaptive": adaptive},
+        "initial": {"kind": "gaussian", "amplitude": 0.5}}))
+    cfg = load_config(path)
+    monkeypatch.setattr(studies, "_run_tasks", _started)
+    with pytest.raises(_Started):
+        studies.oracle_refinement(cfg, [], times=[0.0, 0.1 + 1e-11, 0.1])
+    unrecorded = [0.0, 0.1 - 1e-8]
+    if adaptive:
+        with pytest.raises(ValidationError, match="not 0.09999999"):
+            studies.oracle_refinement(cfg, [], times=unrecorded)
+    else:
+        with pytest.raises(_Started):
+            studies.oracle_refinement(cfg, [], times=unrecorded)
