@@ -28,11 +28,9 @@ from .fields import (
     NormComponents,
     ScalarField0,
     ScalarField1,
-    derivative_consistency,
     norm_11,
     norm_components,
     read_field_csv,
-    reflect,
     require_admissible,
     write_field_csv,
 )
@@ -53,7 +51,6 @@ from .operators import (
 from .lagrangian import (
     FlowState,
     Trajectory,
-    conserved_quantities,
     integrate,
     reconstruct_u,
     rk4_step,
@@ -72,12 +69,11 @@ __all__ = [
     "AdmissibilityError", "CHFlowError", "ChartViolation", "ConvergenceFailure",
     "GridMismatch", "ParseError", "TimeMismatch", "ValidationError",
     "Grid", "NormComponents", "ScalarField0", "ScalarField1",
-    "derivative_consistency", "norm_11", "norm_components",
-    "read_field_csv", "reflect", "require_admissible", "write_field_csv",
+    "norm_11", "norm_components", "read_field_csv", "require_admissible",
+    "write_field_csv",
     "Diffeo", "comp1", "comp2", "distance", "invert",
     "gateaux_df", "inv_helmholtz", "l_eta_conjugated", "l_eta_direct", "l_op",
-    "FlowState", "Trajectory", "conserved_quantities", "integrate",
-    "reconstruct_u", "rk4_step",
+    "FlowState", "Trajectory", "integrate", "reconstruct_u", "rk4_step",
     "ComparisonReport", "EulerianState", "compare", "integrate_eulerian",
     "SimConfig", "load_config", "make_initial",
     "__version__",

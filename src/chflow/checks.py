@@ -48,13 +48,13 @@ class BoundCheck:
         return self.measured <= self.allowed
 
 
-def _gaussian_sum(grid: Grid, rng: np.random.Generator, n_bumps: int,
-                  centers: tuple[float, float], widths: tuple[float, float],
-                  amps: float) -> tuple[np.ndarray, np.ndarray]:
+def _gaussian_sum(grid: Grid, rng: np.random.Generator, amps: float = 1.0,
+                  centers: tuple[float, float] = (-5.0, 5.0),
+                  widths: tuple[float, float] = (0.8, 2.5)) -> tuple[np.ndarray, np.ndarray]:
     x = grid.x
     u = np.zeros(grid.n)
     du = np.zeros(grid.n)
-    for _ in range(n_bumps):
+    for _ in range(3):
         a = rng.uniform(-amps, amps)
         c = rng.uniform(*centers)
         w = rng.uniform(*widths)
@@ -65,12 +65,10 @@ def _gaussian_sum(grid: Grid, rng: np.random.Generator, n_bumps: int,
     return u, du
 
 
-def random_bump_field1(grid: Grid, rng: np.random.Generator, *, n_bumps: int = 3,
-                       amps: float = 1.0, centers: tuple[float, float] = (-5.0, 5.0),
-                       widths: tuple[float, float] = (0.8, 2.5),
+def random_bump_field1(grid: Grid, rng: np.random.Generator, *,
                        max_slope: float | None = None) -> ScalarField1:
-    """Sum of random Gaussian bumps with exact derivative samples."""
-    u, du = _gaussian_sum(grid, rng, n_bumps, centers, widths, amps)
+    """Sum of three random Gaussian bumps with exact derivative samples."""
+    u, du = _gaussian_sum(grid, rng)
     if max_slope is not None:
         peak = np.abs(du).max()
         if peak > 0:
@@ -79,10 +77,10 @@ def random_bump_field1(grid: Grid, rng: np.random.Generator, *, n_bumps: int = 3
     return ScalarField1(grid, u, du)
 
 
-def random_bump_field0(grid: Grid, rng: np.random.Generator, *, n_bumps: int = 3,
-                       amps: float = 1.0, centers: tuple[float, float] = (-5.0, 5.0),
+def random_bump_field0(grid: Grid, rng: np.random.Generator, *, amps: float = 1.0,
+                       centers: tuple[float, float] = (-5.0, 5.0),
                        widths: tuple[float, float] = (0.8, 2.5)) -> ScalarField0:
-    u, _ = _gaussian_sum(grid, rng, n_bumps, centers, widths, amps)
+    u, _ = _gaussian_sum(grid, rng, amps, centers, widths)
     return ScalarField0(grid, u)
 
 
@@ -92,8 +90,8 @@ def random_bump_diffeo(grid: Grid, rng: np.random.Generator, *,
     return Diffeo(random_bump_field1(grid, rng, max_slope=max_slope))
 
 
-def operator_bound_suite(grid: Grid, samples: int, rng: np.random.Generator, *,
-                         order: int = 2) -> list[BoundCheck]:
+def operator_bound_suite(grid: Grid, samples: int,
+                         rng: np.random.Generator) -> list[BoundCheck]:
     """Check boundedness and linearity of the conjugated smoothing operator.
 
     Over random (phi, eta):
@@ -111,7 +109,7 @@ def operator_bound_suite(grid: Grid, samples: int, rng: np.random.Generator, *,
     for _ in range(samples):
         eta = random_bump_diffeo(grid, rng)
         phi = random_bump_field0(grid, rng)
-        f = l_eta_direct(phi, eta, order=order)
+        f = l_eta_direct(phi, eta)
         a, b = eta.a, eta.b
         sup_phi = float(np.abs(phi.g).max())
         l2_phi = float(np.sqrt(_trapz(phi.g ** 2, h)))
@@ -122,8 +120,8 @@ def operator_bound_suite(grid: Grid, samples: int, rng: np.random.Generator, *,
         worst["h1_bound"].update(h1, (np.sqrt(b / a) + b) * l2_phi + slack)
         phi2 = random_bump_field0(grid, rng)
         al, be = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        combo = l_eta_direct(ScalarField0(grid, al * phi.g + be * phi2.g), eta, order=order)
-        f2 = l_eta_direct(phi2, eta, order=order)
+        combo = l_eta_direct(ScalarField0(grid, al * phi.g + be * phi2.g), eta)
+        f2 = l_eta_direct(phi2, eta)
         lin = max(float(np.abs(combo.u - al * f.u - be * f2.u).max()),
                   float(np.abs(combo.du - al * f.du - be * f2.du).max()))
         worst["linearity"].update(lin, 1e-12)

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ParseError, ValidationError
 from .diffeo import DEFAULT_INV_TOL
-from .fields import (DEFAULT_TAIL_TOL, Grid, ScalarField0, ScalarField1, read_field_csv,
-                     require_admissible)
+from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField0, ScalarField1, read_field_csv
 from .lagrangian import DEFAULT_EPS_BREAK, DEFAULT_RECORD_EVERY
 from .operators import inv_helmholtz
 
@@ -230,12 +229,13 @@ def _validate(cfg: SimConfig, problems: list[str]):
 
 
 def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1:
-    """Construct the initial velocity field and verify its admissibility.
+    """Construct the initial velocity field.
 
     Analytic profiles carry exact derivative channels, momentum_gaussian the
     kernel-identity channel of inv_helmholtz; custom CSV data must provide
-    both channels.  The field must pass the admissibility conditions of
-    the solution space or an AdmissibilityError names the failed conditions.
+    both channels, on the configured grid, or an AdmissibilityError says why
+    not.  Admissibility is checked by the solver the field is given to
+    (integrate or integrate_eulerian), once per run.
     """
     grid = cfg.grid.build()
     ic = cfg.initial
@@ -275,5 +275,4 @@ def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1
     else:  # pragma: no cover - kinds are validated upstream
         raise ValidationError([f"unsupported initial kind '{ic.kind}'"])
 
-    require_admissible(field1, cfg.tolerances.tail_tol)
     return field1

@@ -62,11 +62,6 @@ class EulerianState:
         if not np.isfinite(self.u).all():
             raise ValueError("velocity samples contain non-finite entries")
 
-    def energy_momentum(self) -> tuple[float, float]:
-        ux = fourth_order_dx(self.u, self.grid.h)
-        return (float(_trapz(self.u ** 2 + ux ** 2, self.grid.h)),
-                float(_trapz(self.u, self.grid.h)))
-
 
 def fourth_order_dx(u: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order centered derivative with zero continuation off the ends."""

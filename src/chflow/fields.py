@@ -48,14 +48,13 @@ __all__ = [
     "norm_components",
     "norm_11",
     "require_admissible",
-    "derivative_consistency",
-    "reflect",
     "write_csv",
     "write_field_csv",
     "read_field_csv",
 ]
 
 DEFAULT_TAIL_TOL = 1e-8
+_FIELD_HEADER = ["x", "u", "du"]
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,6 @@ class Grid:
         xs = self.x_min + self.h * np.arange(self.n)
         xs.setflags(write=False)
         return xs
-
-    def is_symmetric(self) -> bool:
-        return abs(self.x_min + self.x_max) <= 1e-12 * (self.x_max - self.x_min)
 
 
 def _own_array(values, n: int, name: str) -> np.ndarray:
@@ -258,23 +254,6 @@ def require_admissible(f: ScalarField1, tail_tol: float = DEFAULT_TAIL_TOL) -> N
             "initial data violates admissibility condition(s): " + ", ".join(failed))
 
 
-def derivative_consistency(f: ScalarField1) -> float:
-    """Max deviation between the derivative channel and centered differences.
-
-    Diagnostic only: O(h^2) for smooth consistent fields.  Boundary nodes use
-    one-sided second-order stencils.
-    """
-    fd = np.gradient(f.u, f.grid.h, edge_order=2)
-    return float(np.abs(fd - f.du).max())
-
-
-def reflect(f: ScalarField1) -> ScalarField1:
-    """The field x -> -f(-x); requires a symmetric grid."""
-    if not f.grid.is_symmetric():
-        raise GridMismatch("reflection needs a grid symmetric about zero")
-    return ScalarField1(f.grid, -f.u[::-1], f.du[::-1])
-
-
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns as CSV, every value with 17 significant digits.
 
@@ -287,19 +266,19 @@ def write_csv(path, header, columns) -> None:
         fh.writelines(line % tuple(row) for row in np.column_stack(columns).tolist())
 
 
-def write_field_csv(f: ScalarField1, path, header=("x", "u", "du")) -> None:
-    """Serialize as CSV with 17 significant digits per value."""
-    write_csv(path, header, [f.grid.x, f.u, f.du])
+def write_field_csv(f: ScalarField1, path) -> None:
+    """Serialize as x,u,du CSV with 17 significant digits per value."""
+    write_csv(path, _FIELD_HEADER, [f.grid.x, f.u, f.du])
 
 
-def read_field_csv(path, header=("x", "u", "du")) -> ScalarField1:
+def read_field_csv(path) -> ScalarField1:
     """Read a field CSV produced by write_field_csv; grid is inferred from x."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ParseError(f"{path}: empty file")
-    if [c.strip() for c in rows[0]] != list(header):
-        raise ParseError(f"{path}: expected columns {','.join(header)}, "
+    if [c.strip() for c in rows[0]] != _FIELD_HEADER:
+        raise ParseError(f"{path}: expected columns {','.join(_FIELD_HEADER)}, "
                          f"got {','.join(rows[0])}")
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)

@@ -50,7 +50,6 @@ __all__ = [
     "rk4_step",
     "integrate",
     "reconstruct_u",
-    "conserved_quantities",
 ]
 
 DEFAULT_EPS_BREAK = 1e-3
@@ -410,9 +409,3 @@ def reconstruct_u(state: FlowState, *, inv_tol: float = DEFAULT_INV_TOL) -> Scal
     differenced numerically.
     """
     return comp1(state.U, invert(state.eta, tol=inv_tol))
-
-
-def conserved_quantities(u: ScalarField1) -> tuple[float, float]:
-    """(H1 energy int u^2 + u_x^2 dx, momentum int u dx) by trapezoid."""
-    h = u.grid.h
-    return float(_trapz(u.u ** 2 + u.du ** 2, h)), float(_trapz(u.u, h))

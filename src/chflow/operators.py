@@ -9,13 +9,14 @@ where m is either the identity (m = x) or an increasing flow map evaluated at
 the nodes.  Both are linear recurrences, A_{k+1} = exp(-(m_{k+1} - m_k)) A_k
 + r_k, and are evaluated without a loop over nodes, in O(n) per direction.
 
-Blocked form.  The nodes are cut into the fewest blocks of at most
-floor(_SPAN / g) + 1 consecutive nodes, g the largest gap m_{j+1} - m_j and
-_SPAN = 8, all of one width W, so a block spans at most _SPAN; the last block
-is padded with copies of the last node of zero weight, fewer than one per
-block.  Both directions share the blocks and, s being a block's first node,
-the factors e_k = exp(m_k - m_s) in [1, e^_SPAN] and r_k = 1/e_k, one
-exponential and one reciprocal per node.  Inside a block
+Blocked form.  A scan takes one row of weights w, one per node.  The nodes
+are cut into the fewest blocks of at most floor(_SPAN / g) + 1 consecutive
+nodes, g the largest gap m_{j+1} - m_j and _SPAN = 8, all of one width W,
+so a block spans at most _SPAN; the last block is padded with copies of the
+last node of zero weight, fewer than one per block.  Both directions share
+the blocks and, s being a block's first node, the factors
+e_k = exp(m_k - m_s) in [1, e^_SPAN] and r_k = 1/e_k, one exponential and
+one reciprocal per node.  Inside a block
 
     A_k = r_k (C_s + sum_{s <= j < k} h w_j e_j) + q_k,
     B_k = e_k (D_s + sum_{k < j < s + W} h w_j r_j) + q'_k,
@@ -83,24 +84,23 @@ __all__ = [
 _SPAN = 8.0
 
 
-def _decay_scans(m: np.ndarray, g: np.ndarray, seeds: list[tuple[float, float]],
+def _decay_scans(m: np.ndarray, g: np.ndarray, cl: float, cr: float,
                  gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right exponential-decay sums of the rows of g, shape (k, n).
+    """Left and right exponential-decay sums of the weights g along m.
 
-    Returns (L, R), each of shape (k, n), with
+    Returns (L, R), each of the shape of g, with
 
-        L[:, k] = cl exp(-(m_k - m_0))   + sum_{j<k} g_j exp(-(m_k - m_j)),
-        R[:, k] = cr exp(-(m_end - m_k)) + sum_{j>k} g_j exp(-(m_j - m_k)),
+        L_k = cl exp(-(m_k - m_0))   + sum_{j<k} g_j exp(-(m_k - m_j)),
+        R_k = cr exp(-(m_end - m_k)) + sum_{j>k} g_j exp(-(m_j - m_k)),
 
-    seeds holding one pair of floats (cl, cr) per row and gap being the
-    largest m_{j+1} - m_j.  Both directions share the blocks and the factors
-    e = exp(m - m_s), r = 1/e of their first node s: L = r (C + prefix(g e))
-    and R = e (D + suffix(g r)).  Each block row of a (k, 2, blocks, width + 1)
-    buffer holds the carry ahead of the terms of a left scan and behind the
-    terms of a right scan, so a cumsum forward or backward along it gives
-    every exclusive in-block sum plus the carry.
+    gap being the largest m_{j+1} - m_j.  Both directions share the blocks
+    and the factors e = exp(m - m_s), r = 1/e of their first node s:
+    L = r (C + prefix(g e)) and R = e (D + suffix(g r)).  Each block row of a
+    (2, blocks, width + 1) buffer holds the carry ahead of the terms of the
+    left scan and behind the terms of the right scan, so a cumsum forward or
+    backward along it gives every exclusive in-block sum plus the carry.
     """
-    rows, n = g.shape
+    n = g.shape[0]
     blocks = 1 if gap * n <= _SPAN else -(-n // (int(_SPAN / gap) + 1))
     width = -(-n // blocks)
     size = blocks * width
@@ -108,90 +108,79 @@ def _decay_scans(m: np.ndarray, g: np.ndarray, seeds: list[tuple[float, float]],
     if size > n:
         # pad to blocks * width nodes by repeating the last one, with zero weight
         p = np.concatenate((m, np.full(size - n, m[-1])))
-        g = np.concatenate((g, np.zeros((rows, size - n))), axis=1)
+        g = np.concatenate((g, np.zeros(size - n)))
     p = p.reshape(blocks, width)
-    g = g.reshape(rows, blocks, width)
+    g = g.reshape(blocks, width)
     # offsets from each block's first node lie in [0, _SPAN]
     e = np.exp(p - p[:, :1])
     r = 1.0 / e
-    s = np.zeros((rows, 2, blocks, width + 1))
-    left, right = s[:, 0], s[:, 1]
-    np.multiply(g, e, out=left[..., 1:])
-    np.multiply(g, r, out=right[..., :-1])
+    s = np.zeros((2, blocks, width + 1))
+    left, right = s
+    np.multiply(g, e, out=left[:, 1:])
+    np.multiply(g, r, out=right[:, :-1])
     # carries into the blocks at their first node: one decay per block edge
     # serves both directions; the right seed enters at the last node
     decay = np.exp(p[:-1, 0] - p[1:, 0]).tolist()
-    totals = np.add.reduce(s, axis=-1).tolist()
-    r_end = float(r.flat[n - 1])
-    carry = []
-    for (cl, cr), (tl, tr) in zip(seeds, totals):
-        carry.append(cl)
-        for f, total in zip(decay, tl):
-            cl = f * (cl + total)
-            carry.append(cl)
-        right_carry = [cr * r_end]
-        for f, total in zip(decay[::-1], tr[:0:-1]):
-            right_carry.append(f * (right_carry[-1] + total))
-        carry += right_carry[::-1]
-    carry = np.array(carry).reshape(rows, 2, blocks)
-    left[..., 0] = carry[:, 0]
-    right[..., -1] = carry[:, 1]
+    left_totals, right_totals = np.add.reduce(s, axis=-1).tolist()
+    left_carry = [cl]
+    for f, total in zip(decay, left_totals):
+        left_carry.append(f * (left_carry[-1] + total))
+    right_carry = [cr * float(r.flat[n - 1])]
+    for f, total in zip(decay[::-1], right_totals[:0:-1]):
+        right_carry.append(f * (right_carry[-1] + total))
+    left[:, 0] = left_carry
+    right[:, -1] = right_carry[::-1]
     np.add.accumulate(left, axis=-1, out=left)
-    np.add.accumulate(right[..., ::-1], axis=-1, out=right[..., ::-1])
-    left = np.multiply(left[..., :-1], r).reshape(rows, size)
-    right = np.multiply(right[..., 1:], e).reshape(rows, size)
-    return left[:, :n], right[:, :n]
+    np.add.accumulate(right[:, ::-1], axis=-1, out=right[:, ::-1])
+    left = np.multiply(left[:, :-1], r).reshape(size)
+    right = np.multiply(right[:, 1:], e).reshape(size)
+    return left[:n], right[:n]
 
 
-def _scan_sd(positions: np.ndarray, weights: np.ndarray, h: float,
+def _scan_sd(positions: np.ndarray, w: np.ndarray, h: float,
              slopes: np.ndarray | None = None, order: int = 2,
              gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Half sum S = (A+B)/2 and half difference D = (B-A)/2 of the left/right
-    exponential-weighted prefix integrals along the last axis of weights.
+    exponential-weighted prefix integrals of the weights w along positions.
 
-    weights may be (n,) or a stack (..., n); each row is scanned against the
-    same positions, and S, D have the shape of weights.  gaps is
-    np.diff(positions), passed only by a caller that has already checked the
-    positions finite and strictly increasing (the time stepper's chart check).
+    w, S and D have one entry per position.  gaps is np.diff(positions),
+    passed only by a caller that has already checked the positions finite
+    and strictly increasing (the time stepper's chart check).
     """
-    n = positions.shape[0]
     d = gaps
     if d is None:
         d = np.diff(positions)
         if not (d.min() > 0.0 and np.isfinite(positions[-1] - positions[0])):
             raise ValueError("scan positions must be finite and strictly increasing")
-    w = weights.reshape(-1, n)
     # the scans run at half weight, so they return L/2 and R/2
     g = (0.5 * h) * w
     corr = None
     if order == 2:
         # q = h w / 2 in both directions
         mid = g
-        seeds = [(-0.5 * a, -0.5 * b) for a, b in g[:, ::n - 1].tolist()]
+        first, last = g[0], g[-1]
     elif order == 4:
         # q = mid -+ corr, mid = h w / 2 - c slopes w, corr = c w' with w'
         # by second-order differences
         c, f = h * h / 12.0, h / 24.0
         mid = w * (0.5 * h - c * (1.0 if slopes is None else slopes))
         corr = np.empty_like(mid)
-        np.subtract(w[:, 2:], w[:, :-2], out=corr[:, 1:-1])
-        corr[:, 1:-1] *= f
-        seeds = []
-        for row, (a, b), (w0, w1, w2), (w3, w4, w5) in zip(
-                corr, mid[:, ::n - 1].tolist(), w[:, :3].tolist(), w[:, -3:].tolist()):
-            row[0] = c0 = f * (-3.0 * w0 + 4.0 * w1 - w2)
-            row[-1] = c1 = f * (3.0 * w5 - 4.0 * w4 + w3)
-            seeds.append((-0.5 * (a - c0), -0.5 * (b + c1)))
+        np.subtract(w[2:], w[:-2], out=corr[1:-1])
+        corr[1:-1] *= f
+        (w0, w1, w2), (w3, w4, w5) = w[:3].tolist(), w[-3:].tolist()
+        corr[0] = c0 = f * (-3.0 * w0 + 4.0 * w1 - w2)
+        corr[-1] = c1 = f * (3.0 * w5 - 4.0 * w4 + w3)
+        first, last = mid[0] - c0, mid[-1] + c1
     else:
         raise ValueError(f"quadrature order must be 2 or 4, got {order}")
     # -q/2 at each direction's first node seeds its carry, so A_0 = B_end = 0
-    left, right = _decay_scans(positions, g, seeds, d.max())
+    left, right = _decay_scans(positions, g, -0.5 * float(first), -0.5 * float(last), d.max())
     S = mid + left
     S += right
     D = right - left
     if corr is not None:
         D += corr
-    return S.reshape(weights.shape), D.reshape(weights.shape)
+    return S, D
 
 
 def inv_helmholtz(g: ScalarField0, *, order: int = 2) -> ScalarField1:
@@ -286,7 +275,8 @@ def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1, *,
     m = eta.values()
     slopes = eta.slopes()
     w1 = phi.g * slopes
-    (S1, S2, _), (_, _, D3) = _scan_sd(
-        m, np.stack((w1, rho.u * w1, phi.g * rho.du)), grid.h, slopes, order)
+    S1, _ = _scan_sd(m, w1, grid.h, slopes, order)
+    S2, _ = _scan_sd(m, rho.u * w1, grid.h, slopes, order)
+    _, D3 = _scan_sd(m, phi.g * rho.du, grid.h, slopes, order)
     value = rho.u * S1 - S2 + D3
     return ScalarField1(grid, value, np.gradient(value, grid.h, edge_order=2))

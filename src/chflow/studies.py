@@ -193,17 +193,31 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     Other levels keep only their final states, all their gap reads.  levels
     may be empty: then only cfg's own resolution runs, and there are no gaps.
     If any flow-map run broke down, the study compares nothing: no report,
-    no gaps, and the breakdowns are on study.levels and study.base.  An
-    adaptive run is sure to record only 0 and t_end (within compare()'s
-    relative 1e-9), so any other time is a ValidationError before any solve.
+    no gaps, and the breakdowns are on study.levels and study.base.  A time
+    that cfg's run is not sure to record (within compare()'s relative 1e-9)
+    is a ValidationError before any solve: a fixed run records the multiples
+    of dt * record_every in [0, t_end], plus t_end; an adaptive run is sure
+    to record only 0 and t_end.
     """
     _check_levels(cfg, levels, 0)
     t_end = cfg.time.t_end
     times = [t_end] if times is None else list(times)
-    unsure = [t for t in times if min(abs(t), abs(t - t_end)) > 1e-9 * max(1.0, abs(t))]
-    if cfg.time.adaptive and unsure:
-        raise ValidationError([f"an adaptive run records only t = 0 and t_end = {t_end:.9g}, "
-                               f"not {', '.join(f'{t:.9g}' for t in unsure)}"])
+    period = cfg.time.dt * cfg.time.record_every
+
+    def recorded(t: float) -> bool:
+        sure = [0.0, t_end]
+        if not cfg.time.adaptive and np.isfinite(t):
+            # the recorded multiple nearest to t
+            sure.append(min(max(round(t / period) * period, 0.0), t_end))
+        return min(abs(t - s) for s in sure) <= 1e-9 * max(1.0, abs(t))
+
+    unsure = ", ".join(f"{t:.9g}" for t in times if not recorded(t))
+    if unsure:
+        rule = (f"an adaptive run records only t = 0 and t_end = {t_end:.9g}"
+                if cfg.time.adaptive else
+                f"a fixed run records only the multiples of dt * record_every = {period:.9g}"
+                f" up to t_end = {t_end:.9g}, and t_end")
+        raise ValidationError([f"{rule}, not {unsure}"])
     resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
     payloads = [(solver, cfg, n, quad_order, base_dir, n == cfg.grid.n)
                 for n in resolutions for solver in ("flow_map", "eulerian")]

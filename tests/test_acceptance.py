@@ -21,7 +21,6 @@ from chflow import (
     l_eta_direct,
     norm_11,
     reconstruct_u,
-    reflect,
 )
 from chflow.checks import (
     group_suite,
@@ -31,7 +30,7 @@ from chflow.checks import (
 )
 from chflow.cli import main
 
-from conftest import antisymmetric_field, gaussian_field
+from conftest import antisymmetric_field, gaussian_field, reflect
 
 
 def report(criterion: int, detail: str) -> None:

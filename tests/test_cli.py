@@ -1,12 +1,15 @@
 import csv
 import hashlib
+import importlib
 import importlib.util
 import json
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chflow
 from chflow import Grid, ScalarField1, cli, studies, write_field_csv
 from chflow.cli import main
 from chflow.fields import write_csv
@@ -302,6 +305,21 @@ class TestFailurePaths:
         assert "records only t = 0 and t_end = 0.25, not 0.08" in report["message"]
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_fixed_unrecorded_time_fails_before_any_solve(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # A fixed run records the multiples of dt * record_every = 0.05 and t_end.
+        monkeypatch.setattr(studies, "_run_tasks",
+                            lambda *a, **k: pytest.fail("a solve started"))
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=5e-3, record_every=10)
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", str(cfg), "--out", str(out),
+                     "--levels", "128,256,512", "--times", "0.07,0.25", "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "ValidationError"
+        assert "multiples of dt * record_every = 0.05" in report["message"]
+        assert report["message"].endswith("not 0.07")
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestConverge:
     def test_study_report(self, tmp_path):
@@ -497,6 +515,16 @@ class TestOracleCompare:
         for digest in digests:
             del digest["oracle_compare.txt"]
         assert digests[0] == digests[1] and "eulerian_00001.csv" in digests[0]
+
+
+def test_exports_resolve():
+    # Every name in an __all__ must exist; a star import would fail otherwise.
+    modules = [chflow] + [importlib.import_module(f"chflow.{info.name}")
+                          for info in pkgutil.iter_modules(chflow.__path__)
+                          if info.name != "__main__"]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_tracer_targets_resolve():

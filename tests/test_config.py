@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from chflow import ScalarField1, load_config, make_initial, norm_11, write_field_csv
+from chflow import ScalarField1, integrate, load_config, make_initial, norm_11, write_field_csv
 from chflow.config import config_from_dict
 from chflow.errors import AdmissibilityError, ParseError, ValidationError
 from chflow.fields import Grid
@@ -183,7 +183,7 @@ class TestMakeInitial:
         payload["initial"]["width"] = 15.0
         cfg = config_from_dict(payload)
         with pytest.raises(AdmissibilityError, match="boundary_decay"):
-            make_initial(cfg)
+            integrate(make_initial(cfg), **cfg.integrate_kwargs(4))
 
     def test_custom_csv_round_trip(self, tmp_path):
         grid = Grid.from_interval(-20.0, 20.0, 256)

@@ -10,6 +10,7 @@ from chflow import (
 )
 from chflow.errors import GridMismatch, TimeMismatch
 from chflow.eulerian import _dudt, fourth_order_dx
+from chflow.fields import _trapz
 
 from conftest import antisymmetric_field, gaussian_field
 
@@ -44,9 +45,12 @@ class TestIntegrateEulerian:
         grid = Grid.from_interval(-20.0, 20.0, 1024)
         states = integrate_eulerian(gaussian_field(grid, amp=0.5), 0.5, 2e-3,
                                     record_every=50)
-        ems = [s.energy_momentum() for s in states]
-        E = np.array([e for e, _ in ems])
-        M = np.array([m for _, m in ems])
+        E, M = [], []
+        for s in states:
+            ux = fourth_order_dx(s.u, grid.h)
+            E.append(_trapz(s.u ** 2 + ux ** 2, grid.h))
+            M.append(_trapz(s.u, grid.h))
+        E, M = np.array(E), np.array(M)
         # The trapezoid kernel scans leave an O(h^2) conservation residual,
         # measured at ~4e-5 relative at this resolution and horizon.
         assert np.abs(E - E[0]).max() / E[0] <= 1e-4

@@ -6,17 +6,15 @@ import pytest
 from chflow import (
     Grid,
     ScalarField1,
-    derivative_consistency,
     norm_11,
     norm_components,
     read_field_csv,
-    reflect,
     require_admissible,
     write_field_csv,
 )
 from chflow.errors import AdmissibilityError, GridMismatch, ParseError
 
-from conftest import gaussian_field
+from conftest import derivative_consistency, gaussian_field, reflect
 
 
 def random_field(grid, rng, amp=1.0):

@@ -11,12 +11,9 @@ from chflow import (
     ScalarField1,
     Trajectory,
     comp1,
-    conserved_quantities,
-    derivative_consistency,
     integrate,
     l_op,
     reconstruct_u,
-    reflect,
     rk4_step,
 )
 from chflow import lagrangian
@@ -25,7 +22,13 @@ from chflow.errors import AdmissibilityError, ChartViolation, GridMismatch
 from chflow.eulerian import _dudt
 from chflow.fields import norm_11
 
-from conftest import antisymmetric_field, gaussian_field
+from conftest import (
+    antisymmetric_field,
+    conserved_quantities,
+    derivative_consistency,
+    gaussian_field,
+    reflect,
+)
 
 
 def id_state(grid, U):

@@ -8,7 +8,7 @@ from chflow.errors import AdmissibilityError, ValidationError
 
 
 def test_level_error_in_pool_propagates_without_serial_rerun(tmp_path, monkeypatch):
-    # width 15 on [-20, 20] fails boundary decay, so every level raises in make_initial.
+    # width 15 on [-20, 20] fails boundary decay, so every level's solve raises.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
@@ -175,7 +175,9 @@ def _started(*args, **kwargs):
 def test_adaptive_oracle_takes_only_times_it_is_sure_to_record(tmp_path, monkeypatch,
                                                                 adaptive):
     # compare() matches times within a relative 1e-9; an adaptive run is sure
-    # to record only 0 and t_end, so any other time fails before the solves.
+    # to record only 0 and t_end, and a fixed one with dt * record_every = 1
+    # past t_end = 0.1 records nothing else either, so any other time fails
+    # before the solves.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
@@ -186,9 +188,21 @@ def test_adaptive_oracle_takes_only_times_it_is_sure_to_record(tmp_path, monkeyp
     with pytest.raises(_Started):
         studies.oracle_refinement(cfg, [], times=[0.0, 0.1 + 1e-11, 0.1])
     unrecorded = [0.0, 0.1 - 1e-8]
-    if adaptive:
-        with pytest.raises(ValidationError, match="not 0.09999999"):
-            studies.oracle_refinement(cfg, [], times=unrecorded)
-    else:
-        with pytest.raises(_Started):
-            studies.oracle_refinement(cfg, [], times=unrecorded)
+    with pytest.raises(ValidationError, match="not 0.09999999"):
+        studies.oracle_refinement(cfg, [], times=unrecorded)
+
+
+def test_fixed_oracle_takes_the_multiples_of_its_record_period(tmp_path, monkeypatch):
+    # dt * record_every = 0.05 up to t_end = 0.12: 0, 0.05, 0.1 and 0.12 are recorded.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
+        "time": {"t_end": 0.12, "dt": 1e-2, "record_every": 5},
+        "initial": {"kind": "gaussian", "amplitude": 0.5}}))
+    cfg = load_config(path)
+    monkeypatch.setattr(studies, "_run_tasks", _started)
+    with pytest.raises(_Started):
+        studies.oracle_refinement(cfg, [], times=[0.0, 0.05, 0.1 + 1e-11, 0.12])
+    for t in (0.07, 0.15, -0.05):
+        with pytest.raises(ValidationError, match=f"not {t:g}$"):
+            studies.oracle_refinement(cfg, [], times=[t])
