@@ -10,14 +10,22 @@ oracle-compare  flow-map solver versus the Eulerian reference
 
 Exit codes: 0 success, 1 usage/configuration/verification failure, 2 the run
 hit wave breaking (a documented outcome: artifacts and the breakdown time are
-still written).  Every failure path writes a structured key-value report
-instead of a bare stack trace.  All numeric output carries 17 significant
-digits so artifacts are bit-reproducible for identical configurations.
+still written).  Every failure path, an OSError included, writes a structured
+key-value report instead of a bare stack trace.  All numeric output carries 17
+significant digits so artifacts are bit-reproducible for identical
+configurations.
+
+Each command returns its exit code, report and stdout lines.  main owns the
+output directory (--out, else the config's output.directory): before a command
+runs it deletes there the files that command writes (failure.txt, its report,
+and run's state_*.csv and diagnostics.csv or oracle-compare's eulerian_*.csv),
+so a rerun leaves no stale artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 
@@ -90,62 +98,44 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(name, text, func, report, *artifacts, **defaults):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to a JSON configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
+        p.set_defaults(func=func, report=report, artifacts=artifacts, **defaults)
+        return p
 
-    p_run = sub.add_parser("run", help="integrate and export a trajectory")
-    common(p_run)
+    p_run = common("run", "integrate and export a trajectory", cmd_run, "summary.txt",
+                   "state_*.csv", "diagnostics.csv")
     p_run.add_argument("--order", type=int, default=4, choices=(2, 4),
                        help="scan quadrature order used by the solver")
-    p_run.set_defaults(func=cmd_run)
 
-    p_conv = sub.add_parser("converge", help="self-convergence study")
-    common(p_conv)
+    p_conv = common("converge", "self-convergence study", cmd_converge, "convergence.txt")
     p_conv.add_argument("--levels", default="512,1024,2048,4096",
                         help="comma-separated grid sizes")
     p_conv.add_argument("--order", type=int, default=2, choices=(2, 4),
                         help="scan quadrature order under study")
     p_conv.add_argument("--workers", type=_positive_int, default=None,
                         help="process count for concurrent levels (1 = serial)")
-    p_conv.set_defaults(func=cmd_converge)
 
-    p_ops = sub.add_parser("check-operators", help="operator bound suite")
-    common(p_ops)
-    p_ops.add_argument("--samples", type=_positive_int, default=200)
-    p_ops.add_argument("--seed", type=_seed, default=0, help="seed for the random samples")
-    p_ops.set_defaults(func=cmd_check_operators)
+    for name, text, suite, report, samples in (
+            ("check-operators", "operator bound suite", operator_bound_suite,
+             "operator_report.txt", 200),
+            ("check-group", "group axiom and stability suite", group_suite,
+             "group_report.txt", 100)):
+        p_chk = common(name, text, cmd_check, report, suite=suite)
+        p_chk.add_argument("--samples", type=_positive_int, default=samples)
+        p_chk.add_argument("--seed", type=_seed, default=0, help="seed for the random samples")
 
-    p_grp = sub.add_parser("check-group", help="group axiom and stability suite")
-    common(p_grp)
-    p_grp.add_argument("--samples", type=_positive_int, default=100)
-    p_grp.add_argument("--seed", type=_seed, default=0, help="seed for the random samples")
-    p_grp.set_defaults(func=cmd_check_group)
-
-    p_cmp = sub.add_parser("oracle-compare", help="flow-map versus Eulerian reference")
-    common(p_cmp)
+    p_cmp = common("oracle-compare", "flow-map versus Eulerian reference",
+                   cmd_oracle_compare, "oracle_compare.txt", "eulerian_*.csv")
     p_cmp.add_argument("--times", default=None,
                        help="comma-separated comparison times (default: final time)")
     p_cmp.add_argument("--levels", default=None,
                        help="optional resolution ladder for a gap-refinement table")
     p_cmp.add_argument("--order", type=int, default=4, choices=(2, 4))
-    p_cmp.set_defaults(func=cmd_oracle_compare)
     return parser
-
-
-def _prepare(args) -> tuple[SimConfig, str, str]:
-    """Config, output directory (recorded as args.out) and config directory."""
-    cfg = load_config(args.config)
-    args.out = out_dir = args.out or cfg.output.directory
-    os.makedirs(out_dir, exist_ok=True)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    return cfg, out_dir, base_dir
-
-
-def _say(args, text: str) -> None:
-    if not args.quiet:
-        print(text)
 
 
 def _export_trajectory(traj: Trajectory, cfg: SimConfig, out_dir: str) -> None:
@@ -212,31 +202,30 @@ def _summary_items(traj: Trajectory, cfg: SimConfig, order: int):
     return items
 
 
-def cmd_run(args) -> int:
-    cfg, out_dir, base_dir = _prepare(args)
+def cmd_run(args, cfg: SimConfig, out_dir: str, base_dir: str):
     u0 = make_initial(cfg, base_dir=base_dir)
     traj = integrate(u0, **cfg.integrate_kwargs(args.order))
     _export_trajectory(traj, cfg, out_dir)
-    if "summary" in cfg.output.formats:
-        _write_kv(os.path.join(out_dir, "summary.txt"),
-                  _summary_items(traj, cfg, args.order))
+    items = (_summary_items(traj, cfg, args.order)
+             if "summary" in cfg.output.formats else None)
     if traj.breakdown_time is None:
-        _say(args, f"run complete at t = {_fmt(traj.final.t)}")
-        return 0
-    _say(args, f"run stopped by wave breaking at t = {_fmt(traj.breakdown_time)}")
-    return 2
+        return 0, items, [f"run complete at t = {_fmt(traj.final.t)}"]
+    return 2, items, [f"run stopped by wave breaking at t = {_fmt(traj.breakdown_time)}"]
 
 
-def _breakdown_items(broken: dict) -> list:
-    """breakdown_time_n<N>, then breaking_time_estimate_n<N>, of each broken run by n."""
+def _breaking_exit(what: str, broken: dict, before: list, after: list):
+    """Exit 2 of a study whose runs broken (by n) hit wave breaking; the report
+    lists breakdown_time_n<N>, then breaking_time_estimate_n<N>, between the
+    items before and after."""
     ns = sorted(broken)
-    return ([(f"breakdown_time_n{n}", broken[n].breakdown_time) for n in ns]
-            + [(f"breaking_time_estimate_n{n}", broken[n].breaking_time_estimate)
-               for n in ns])
+    items = (before + [(f"breakdown_time_n{n}", broken[n].breakdown_time) for n in ns]
+             + [(f"breaking_time_estimate_n{n}", broken[n].breaking_time_estimate)
+                for n in ns] + after)
+    return 2, items, [f"{what} stopped by wave breaking at n = {ns[0]}, "
+                      f"t = {_fmt(broken[ns[0]].breakdown_time)}"]
 
 
-def cmd_converge(args) -> int:
-    cfg, out_dir, base_dir = _prepare(args)
+def cmd_converge(args, cfg: SimConfig, out_dir: str, base_dir: str):
     levels = _entries(args.levels, int, "--levels")
     study = lagrangian_refinement(cfg, levels, quad_order=args.order,
                                   workers=args.workers, base_dir=base_dir)
@@ -246,25 +235,20 @@ def cmd_converge(args) -> int:
     if broken:
         # Final states at different times are not comparable: no gaps, no
         # order.  The breaking-time estimates are comparable across levels.
-        items += _breakdown_items(broken)
+        after = [("quad_order", args.order)]
         if study.estimate_order is not None:
-            items.append(("breaking_time_estimate_fitted_order", study.estimate_order))
-        items.append(("quad_order", args.order))
-        _write_kv(os.path.join(out_dir, "convergence.txt"), items)
-        n = min(broken)
-        _say(args, f"study stopped by wave breaking at n = {n}, "
-                   f"t = {_fmt(broken[n].breakdown_time)}")
-        return 2
+            after.insert(0, ("breaking_time_estimate_fitted_order", study.estimate_order))
+        return _breaking_exit("study", broken, items, after)
     items += [(f"gap_n{n}", gap) for n, gap in zip(study.levels, study.gaps)]
     items += [(f"order_n{n}", order) for n, order in zip(study.levels, study.orders)]
     items.append(("fitted_order", study.fitted_order))
     items.append(("quad_order", args.order))
-    _write_kv(os.path.join(out_dir, "convergence.txt"), items)
-    _say(args, f"fitted spatial order {_fmt(study.fitted_order)}")
-    return 0
+    return 0, items, [f"fitted spatial order {_fmt(study.fitted_order)}"]
 
 
-def _report_checks(args, checks, path: str) -> int:
+def cmd_check(args, cfg: SimConfig, out_dir: str, base_dir: str):
+    """Run the bound suite args.suite: exit 1 unless every check passes."""
+    checks = args.suite(cfg.grid.build(), args.samples, np.random.default_rng(args.seed))
     items = []
     for c in checks:
         items.append((f"{c.name}_measured", c.measured))
@@ -272,31 +256,12 @@ def _report_checks(args, checks, path: str) -> int:
         items.append((f"{c.name}_ratio", c.ratio))
         items.append((f"{c.name}_pass", c.passed))
     ok = all(c.passed for c in checks)
-    items.append(("all_pass", ok))
-    items.append(("seed", args.seed))
-    _write_kv(path, items)
-    for c in checks:
-        _say(args, f"{'pass' if c.passed else 'FAIL'}  {c.name}: "
-                   f"ratio {_fmt(c.ratio)}")
-    return 0 if ok else 1
+    items += [("all_pass", ok), ("seed", args.seed)]
+    return 0 if ok else 1, items, [f"{'pass' if c.passed else 'FAIL'}  {c.name}: "
+                                   f"ratio {_fmt(c.ratio)}" for c in checks]
 
 
-def cmd_check_operators(args) -> int:
-    cfg, out_dir, _ = _prepare(args)
-    rng = np.random.default_rng(args.seed)
-    checks = operator_bound_suite(cfg.grid.build(), args.samples, rng)
-    return _report_checks(args, checks, os.path.join(out_dir, "operator_report.txt"))
-
-
-def cmd_check_group(args) -> int:
-    cfg, out_dir, _ = _prepare(args)
-    rng = np.random.default_rng(args.seed)
-    checks = group_suite(cfg.grid.build(), args.samples, rng)
-    return _report_checks(args, checks, os.path.join(out_dir, "group_report.txt"))
-
-
-def cmd_oracle_compare(args) -> int:
-    cfg, out_dir, base_dir = _prepare(args)
+def cmd_oracle_compare(args, cfg: SimConfig, out_dir: str, base_dir: str):
     levels = _entries(args.levels, int, "--levels") if args.levels else []
     times = _entries(args.times, float, "--times") if args.times else None
     # Both solvers of every level, cfg's own n included, run as tasks of the study.
@@ -308,17 +273,12 @@ def cmd_oracle_compare(args) -> int:
             write_csv(os.path.join(out_dir, f"eulerian_{i:05d}.csv"),
                       ["x", "u", "u_x"],
                       [state.grid.x, state.u, fourth_order_dx(state.u, state.grid.h)])
-    path = os.path.join(out_dir, "oracle_compare.txt")
     broken = {n: run for n, run in (study.levels | {cfg.grid.n: traj}).items()
               if not run.completed}
     if broken:
         # A flow-map run stopped before t_end: nothing is compared.
-        _write_kv(path, _breakdown_items(broken)
-                  + [("level_execution", study.execution)])
-        n = min(broken)
-        _say(args, f"comparison stopped by wave breaking at n = {n}, "
-                   f"t = {_fmt(broken[n].breakdown_time)}")
-        return 2
+        return _breaking_exit("comparison", broken, [],
+                              [("level_execution", study.execution)])
     items = []
     for t, sup, l2 in study.report.rows():
         items.append((f"sup_diff_t{_fmt(t)}", sup))
@@ -329,36 +289,47 @@ def cmd_oracle_compare(args) -> int:
         items += [(f"refinement_order_n{n}", order)
                   for n, order in zip(study.levels, study.orders)]
         items.append(("fitted_order", study.fitted_order))
-    _write_kv(path, items)
-    for t, sup, l2 in study.report.rows():
-        _say(args, f"t = {_fmt(t)}: sup gap {_fmt(sup)}, L2 gap {_fmt(l2)}")
-    return 0
+    return 0, items, [f"t = {_fmt(t)}: sup gap {_fmt(sup)}, L2 gap {_fmt(l2)}"
+                      for t, sup, l2 in study.report.rows()]
 
 
-def _write_failure(out_dir: str | None, exc: Exception) -> None:
-    target = os.path.join(out_dir or ".", "failure.txt")
-    try:
-        os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
-        _write_kv(target, [("error", type(exc).__name__), ("message", str(exc))])
-    except OSError:
-        pass  # stderr still carries the structured message
+def _report_error(exc: Exception) -> int:
+    print(f"error={type(exc).__name__}", file=sys.stderr)
+    print(f"message={exc}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except ParseError as exc:
-        print(f"error={type(exc).__name__}", file=sys.stderr)
-        print(f"message={exc}", file=sys.stderr)
-        return 1
+        return _report_error(exc)  # a usage error writes no failure.txt
+    out_dir = args.out
     try:
-        return args.func(args)
-    except CHFlowError as exc:
-        _write_failure(args.out, exc)
-        print(f"error={type(exc).__name__}", file=sys.stderr)
-        print(f"message={exc}", file=sys.stderr)
-        return 1
+        cfg = load_config(args.config)
+        out_dir = out_dir or cfg.output.directory
+        os.makedirs(out_dir, exist_ok=True)
+        # Delete what an earlier run left of this command's files.
+        for pattern in ("failure.txt", args.report, *args.artifacts):
+            for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+                os.remove(path)
+        code, items, lines = args.func(args, cfg, out_dir,
+                                       os.path.dirname(os.path.abspath(args.config)))
+        if items is not None:
+            _write_kv(os.path.join(out_dir, args.report), items)
+    except (CHFlowError, OSError) as exc:
+        out_dir = out_dir or "."
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            _write_kv(os.path.join(out_dir, "failure.txt"),
+                      [("error", type(exc).__name__), ("message", str(exc))])
+        except OSError:
+            pass  # stderr still carries the structured message
+        return _report_error(exc)
+    if not args.quiet:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,7 +3,10 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +131,21 @@ class TestRun:
         drift_rel = float(summary["momentum_drift_rel"])
         assert drift_rel <= 1e-6
         assert drift_rel == pytest.approx(drift_abs / float(summary["momentum_initial"]))
+
+
+    def test_rerun_leaves_no_stale_states(self, tmp_path):
+        # A shorter rerun into the same --out records fewer states; the files
+        # of the earlier run's later states must not survive beside them.
+        out = tmp_path / "out"
+        args = ["run", "--out", str(out), "--quiet", "--config"]
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=5e-3, record_every=10)
+        assert main(args + [str(cfg)]) == 0
+        assert len(list(out.glob("state_*.csv"))) == 6
+        cfg = write_config(tmp_path, n=128, t_end=0.05, dt=5e-3, record_every=10)
+        assert main(args + [str(cfg)]) == 0
+        assert read_kv(out / "summary.txt")["recorded_states"] == "2"
+        assert sorted(p.name for p in out.glob("state_*.csv")) == [
+            "state_00000.csv", "state_00001.csv"]
 
 
 def csv_module_writer(path, header, columns):
@@ -319,6 +337,45 @@ class TestFailurePaths:
         assert "multiples of dt * record_every = 0.05" in report["message"]
         assert report["message"].endswith("not 0.07")
         assert "Traceback" not in capsys.readouterr().err
+
+
+    def test_rerun_clears_stale_reports(self, tmp_path):
+        # Each command first deletes the failure.txt, report and artifacts an
+        # earlier run left in its --out, so no report contradicts the exit code.
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=5e-3, record_every=10)
+        out = tmp_path / "out"
+        args = ["oracle-compare", "--config", str(cfg), "--out", str(out), "--quiet"]
+        assert main(args + ["--times", "0.07"]) == 1
+        assert (out / "failure.txt").exists()
+        assert main(args + ["--times", "0.05"]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert "failure.txt" not in names and "oracle_compare.txt" in names
+        assert "eulerian_00000.csv" in names
+        assert main(args + ["--times", "0.07"]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["failure.txt"]
+
+    def test_out_naming_a_file_reports_os_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "error=FileExistsError" in err and "message=" in err
+        assert "Traceback" not in err
+        assert out.read_text() == "not a directory\n"
+
+    def test_missing_custom_csv_reports_os_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        payload = json.loads(cfg.read_text())
+        payload["initial"] = {"kind": "custom_csv", "path": "missing.csv"}
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "FileNotFoundError"
+        assert "missing.csv" in report["message"]
+        err = capsys.readouterr().err
+        assert "error=FileNotFoundError" in err and "Traceback" not in err
 
 
 class TestConverge:
@@ -515,6 +572,75 @@ class TestOracleCompare:
         for digest in digests:
             del digest["oracle_compare.txt"]
         assert digests[0] == digests[1] and "eulerian_00001.csv" in digests[0]
+
+
+BREAKING = dict(n=128, t_end=3.0, dt=8e-3, record_every=1000,
+                kind="antisymmetric_gaussian", amplitude=-1.0)
+SMOOTH = dict(n=128, t_end=0.1, dt=5e-3, record_every=10)
+
+
+def suite_lines(report: dict) -> list[str]:
+    names = [k[:-len("_ratio")] for k in report if k.endswith("_ratio")]
+    return [f"{'pass' if report[f'{n}_pass'] == '1' else 'FAIL'}  {n}: "
+            f"ratio {report[f'{n}_ratio']}" for n in names]
+
+
+def oracle_lines(report: dict) -> list[str]:
+    times = [k[len("sup_diff_t"):] for k in report if k.startswith("sup_diff_t")]
+    return [f"t = {t}: sup gap {report[f'sup_diff_t{t}']}, "
+            f"L2 gap {report[f'l2_diff_t{t}']}" for t in times]
+
+
+@pytest.mark.parametrize("args, config, code, report, expected", [
+    (["run"], SMOOTH, 0, "summary.txt",
+     lambda r: [f"run complete at t = {r['final_time']}"]),
+    (["run"], BREAKING, 2, "summary.txt",
+     lambda r: [f"run stopped by wave breaking at t = {r['breakdown_time']}"]),
+    (["converge", "--levels", "128,256", "--workers", "1"], SMOOTH, 0, "convergence.txt",
+     lambda r: [f"fitted spatial order {r['fitted_order']}"]),
+    (["converge", "--levels", "128,256", "--workers", "1"], BREAKING, 2,
+     "convergence.txt",
+     lambda r: [f"study stopped by wave breaking at n = 128, t = {r['breakdown_time_n128']}"]),
+    (["check-operators", "--samples", "3"], dict(n=256), 0, "operator_report.txt",
+     suite_lines),
+    (["check-group", "--samples", "3"], dict(n=256), 0, "group_report.txt", suite_lines),
+    (["oracle-compare", "--times", "0.05,0.1"], SMOOTH, 0, "oracle_compare.txt",
+     oracle_lines),
+], ids=["run", "run-breaking", "converge", "converge-breaking", "check-operators",
+        "check-group", "oracle-compare"])
+def test_stdout_lines(tmp_path, capsys, args, config, code, report, expected):
+    # Without --quiet each command prints these lines, its numbers exactly as
+    # its report writes them, and nothing else.
+    cfg = write_config(tmp_path, **config)
+    out = tmp_path / "out"
+    assert main([args[0], "--config", str(cfg), "--out", str(out), *args[1:]]) == code
+    lines = expected(read_kv(out / report))
+    assert lines
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def run_module(*args, cwd):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "chflow", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs(tmp_path):
+    cfg = write_config(tmp_path, n=64, t_end=0.02, dt=1e-2, record_every=1)
+    res = run_module("run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("run complete at t = ")
+    assert (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_module_entry_point_usage_error(tmp_path):
+    res = run_module(cwd=tmp_path)
+    assert res.returncode == 1
+    assert "error=ParseError" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "failure.txt").exists()
 
 
 def test_exports_resolve():
