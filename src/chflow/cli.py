@@ -19,7 +19,7 @@ Each command returns its exit code, report and stdout lines.  main owns the
 output directory (--out, else the config's output.directory): before a command
 runs it deletes there the files that command writes (failure.txt, its report,
 and run's state_*.csv and diagnostics.csv or oracle-compare's eulerian_*.csv),
-so a rerun leaves no stale artifact.
+so a rerun leaves no stale artifact; --out is cleared before the config loads.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import argparse
 import glob
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -138,11 +139,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _export_trajectory(traj: Trajectory, cfg: SimConfig, out_dir: str) -> None:
+def _export_trajectory(traj: Trajectory, cfg: SimConfig, out_dir: str, tally: Counter) -> None:
     formats = cfg.output.formats
     if "csv" in formats:
         for i, state in enumerate(traj.states):
-            u = reconstruct_u(state, inv_tol=cfg.tolerances.inv_tol)
+            u = reconstruct_u(state, inv_tol=cfg.tolerances.inv_tol, tally=tally)
             write_csv(
                 os.path.join(out_dir, f"state_{i:05d}.csv"),
                 ["x", "eta", "eta_x", "U", "U_x", "u", "u_x"],
@@ -171,7 +172,7 @@ def _momentum_drift(d: StepDiagnostics) -> tuple[float, float]:
     return dev, (dev / base if base > 1e-12 * float(d.energy[0]) else float("nan"))
 
 
-def _summary_items(traj: Trajectory, cfg: SimConfig, order: int):
+def _summary_items(traj: Trajectory, cfg: SimConfig, order: int, tally: Counter):
     d = traj.diagnostics
     momentum_abs, momentum_rel = _momentum_drift(d)
     items = [
@@ -194,6 +195,8 @@ def _summary_items(traj: Trajectory, cfg: SimConfig, order: int):
         ("rhs_evaluations", traj.rhs_evaluations),
         ("step_min", traj.step_min),
         ("step_max", traj.step_max),
+        ("invert_iterations", tally["iterations"]),
+        ("invert_bisections", tally["bisections"]),
     ]
     if traj.breakdown_time is not None:
         items[6:6] = [("breakdown_time", traj.breakdown_time),
@@ -205,8 +208,9 @@ def _summary_items(traj: Trajectory, cfg: SimConfig, order: int):
 def cmd_run(args, cfg: SimConfig, out_dir: str, base_dir: str):
     u0 = make_initial(cfg, base_dir=base_dir)
     traj = integrate(u0, **cfg.integrate_kwargs(args.order))
-    _export_trajectory(traj, cfg, out_dir)
-    items = (_summary_items(traj, cfg, args.order)
+    tally = Counter()  # invert's counts over the reconstructed states
+    _export_trajectory(traj, cfg, out_dir, tally)
+    items = (_summary_items(traj, cfg, args.order, tally)
              if "summary" in cfg.output.formats else None)
     if traj.breakdown_time is None:
         return 0, items, [f"run complete at t = {_fmt(traj.final.t)}"]
@@ -306,13 +310,15 @@ def main(argv=None) -> int:
         return _report_error(exc)  # a usage error writes no failure.txt
     out_dir = args.out
     try:
-        cfg = load_config(args.config)
+        cfg = None if out_dir else load_config(args.config)  # it names out_dir
         out_dir = out_dir or cfg.output.directory
-        os.makedirs(out_dir, exist_ok=True)
-        # Delete what an earlier run left of this command's files.
+        # Delete what an earlier run left of this command's files; with --out
+        # before the config loads, so a config that fails to load leaves none.
         for pattern in ("failure.txt", args.report, *args.artifacts):
             for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
                 os.remove(path)
+        cfg = cfg or load_config(args.config)
+        os.makedirs(out_dir, exist_ok=True)
         code, items, lines = args.func(args, cfg, out_dir,
                                        os.path.dirname(os.path.abspath(args.config)))
         if items is not None:

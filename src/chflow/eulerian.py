@@ -7,11 +7,11 @@ Discretizes
 directly on the grid: u_x by fourth-order centered differences (with the
 zero continuation outside the domain supplying the boundary stencils, which
 is consistent with the decay convention), the nonlocal term by the same
-kernel scans as the flow-map solver, and classical RK4 in time through the
-flow-map solver's time loop (the FSAL RK4 march and its input check, at
-fixed dt).  The two solvers share only the kernel and the time loop, so
-comparing them isolates the formulation (flow map versus fixed grid), not
-the kernel.
+kernel scans as the flow-map solver (one scan plan of the fixed grid per run,
+applied to flat arrays), and classical RK4 in time through the flow-map
+solver's time loop (the FSAL RK4 march and its input check, at fixed dt).
+The two solvers share only the kernel and the time loop, so comparing them
+isolates the formulation (flow map versus fixed grid), not the kernel.
 
 This is a cross-validation oracle, not a production solver: it has no shock
 capturing and simply halts when a value stops being finite (an Eulerian
@@ -31,12 +31,12 @@ from .errors import GridMismatch, TimeMismatch
 from .fields import (
     DEFAULT_TAIL_TOL,
     Grid,
-    ScalarField0,
     ScalarField1,
     _trapz,
 )
 from .lagrangian import DEFAULT_RECORD_EVERY, Trajectory, _check_run, _march, reconstruct_u
-from .operators import l_op
+# l_op is unused here; bound so that perfbench/tracer.py can patch it in this module.
+from .operators import _scan_plan, _scan_sd, l_op  # noqa: F401
 
 __all__ = [
     "EulerianState",
@@ -70,16 +70,17 @@ def fourth_order_dx(u: np.ndarray, h: float) -> np.ndarray:
     return (-up[4:] + 8.0 * up[3:-1] - 8.0 * up[1:-3] + up[:-4]) / (12.0 * h)
 
 
-def _dudt(u: np.ndarray, grid: Grid, order: int) -> np.ndarray:
-    """u_t of the grid samples u; ValueError when the source is not finite.
-
-    A blow-up overflows on its way to that error, which is the expected end
-    of the run, so numpy's overflow warnings are not raised.
+def _dudt(u: np.ndarray, plan: tuple, h: float) -> np.ndarray:
+    """u_t of the grid samples u, plan the grid's scan plan; ValueError when
+    the source or l_op's value or derivative channel is not finite (the
+    source is finite wherever the derivative channel S - source is).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ux = fourth_order_dx(u, grid.h)
-        phi = ScalarField0(grid, u * u + 0.5 * ux * ux)
-        return -u * ux - l_op(phi, order=order).u
+    ux = fourth_order_dx(u, h)
+    phi = u * u + 0.5 * ux * ux
+    S, D = _scan_sd(plan, phi, h)
+    if not np.isfinite((D, S - phi)).all():
+        raise ValueError("Eulerian right side is not finite")
+    return -u * ux - D
 
 
 def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
@@ -96,16 +97,20 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     """
     _check_run(u0, t_end, dt, record_every, tail_tol)
     grid = u0.grid
+    plan = _scan_plan(grid.x)
     t, u = 0.0, u0.u
     states = [EulerianState(t, grid, u)]
     steps = 0
-    try:
-        for t, u, _ in _march(u, t_end, dt, lambda z, tz: _dudt(z, grid, 2)):
-            steps += 1
-            if steps % record_every == 0:
-                states.append(EulerianState(t, grid, u))
-    except ValueError:
-        pass  # a value stopped being finite: the Eulerian form blew up
+    # A blow-up overflows on its way to the ValueError that is the expected
+    # end of the run, so numpy's overflow warnings are not raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for t, u, _ in _march(u, t_end, dt, lambda z, tz: _dudt(z, plan, grid.h)):
+                steps += 1
+                if steps % record_every == 0:
+                    states.append(EulerianState(t, grid, u))
+        except ValueError:
+            pass  # a value stopped being finite: the Eulerian form blew up
     if states[-1].t != t:
         states.append(EulerianState(t, grid, u))
     return states

@@ -401,11 +401,12 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
                       step_max=step_max if steps_done else float("nan"))
 
 
-def reconstruct_u(state: FlowState, *, inv_tol: float = DEFAULT_INV_TOL) -> ScalarField1:
+def reconstruct_u(state: FlowState, *, inv_tol: float = DEFAULT_INV_TOL,
+                  tally: Counter | None = None) -> ScalarField1:
     """The Eulerian velocity u = U o eta^(-1) on the grid.
 
     The derivative channel uses u_x o eta = U_x / eta_x, i.e.
     u'(x_k) = U'(xi_k) * xi'(x_k) with xi the computed inverse; nothing is
-    differenced numerically.
+    differenced numerically.  tally, when given, gathers invert's counts.
     """
-    return comp1(state.U, invert(state.eta, tol=inv_tol))
+    return comp1(state.U, invert(state.eta, tol=inv_tol, tally=tally))

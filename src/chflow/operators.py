@@ -16,7 +16,8 @@ so a block spans at most _SPAN; the last block is padded with copies of the
 last node of zero weight, fewer than one per block.  Both directions share
 the blocks and, s being a block's first node, the factors
 e_k = exp(m_k - m_s) in [1, e^_SPAN] and r_k = 1/e_k, one exponential and
-one reciprocal per node.  Inside a block
+one reciprocal per node; what depends on the positions alone is a plan
+(_scan_plan) that serves every weight row along them.  Inside a block
 
     A_k = r_k (C_s + sum_{s <= j < k} h w_j e_j) + q_k,
     B_k = e_k (D_s + sum_{k < j < s + W} h w_j r_j) + q'_k,
@@ -84,74 +85,83 @@ __all__ = [
 _SPAN = 8.0
 
 
-def _decay_scans(m: np.ndarray, g: np.ndarray, cl: float, cr: float,
-                 gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right exponential-decay sums of the weights g along m.
+def _scan_plan(positions: np.ndarray, gaps: np.ndarray | None = None) -> tuple:
+    """(n, e, r, decay, r_end) of a scan along positions, for any weight row along them.
+
+    e = exp(p - p_s) and r = 1/e on the (blocks, width) padded positions p, s each
+    block's first node; decay = exp(-(p_s' - p_s)) per block edge; r_end is r at
+    the last node.  gaps is np.diff(positions), passed only by a caller that has
+    checked the positions (the time stepper's chart check).
+    """
+    if gaps is None:
+        gaps = np.diff(positions)
+        if not (gaps.min() > 0.0 and np.isfinite(positions[-1] - positions[0])):
+            raise ValueError("scan positions must be finite and strictly increasing")
+    n, gap = positions.shape[0], gaps.max()
+    blocks = 1 if gap * n <= _SPAN else -(-n // (int(_SPAN / gap) + 1))
+    width = -(-n // blocks)
+    p = positions
+    if blocks * width > n:
+        # pad to blocks * width nodes by repeating the last one
+        p = np.concatenate((p, np.full(blocks * width - n, p[-1])))
+    p = p.reshape(blocks, width)
+    # offsets from each block's first node lie in [0, _SPAN]
+    e = np.exp(p - p[:, :1])
+    r = 1.0 / e
+    decay = np.exp(p[:-1, 0] - p[1:, 0]).tolist()
+    return n, e, r, decay, float(r.flat[n - 1])
+
+
+def _decay_scans(plan: tuple, g: np.ndarray, cl: float,
+                 cr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right exponential-decay sums of the weights g along the positions m of plan.
 
     Returns (L, R), each of the shape of g, with
 
         L_k = cl exp(-(m_k - m_0))   + sum_{j<k} g_j exp(-(m_k - m_j)),
-        R_k = cr exp(-(m_end - m_k)) + sum_{j>k} g_j exp(-(m_j - m_k)),
+        R_k = cr exp(-(m_end - m_k)) + sum_{j>k} g_j exp(-(m_j - m_k)).
 
-    gap being the largest m_{j+1} - m_j.  Both directions share the blocks
-    and the factors e = exp(m - m_s), r = 1/e of their first node s:
-    L = r (C + prefix(g e)) and R = e (D + suffix(g r)).  Each block row of a
-    (2, blocks, width + 1) buffer holds the carry ahead of the terms of the
-    left scan and behind the terms of the right scan, so a cumsum forward or
-    backward along it gives every exclusive in-block sum plus the carry.
+    Both directions share the blocks and the factors e = exp(m - m_s),
+    r = 1/e of their first node s: L = r (C + prefix(g e)) and
+    R = e (D + suffix(g r)).  Each block row of a (2, blocks, width + 1)
+    buffer holds the carry ahead of the terms of the left scan and behind
+    the terms of the right scan, so a cumsum forward or backward along it
+    gives every exclusive in-block sum plus the carry.
     """
-    n = g.shape[0]
-    blocks = 1 if gap * n <= _SPAN else -(-n // (int(_SPAN / gap) + 1))
-    width = -(-n // blocks)
-    size = blocks * width
-    p = m
-    if size > n:
-        # pad to blocks * width nodes by repeating the last one, with zero weight
-        p = np.concatenate((m, np.full(size - n, m[-1])))
-        g = np.concatenate((g, np.zeros(size - n)))
-    p = p.reshape(blocks, width)
+    n, e, r, decay, r_end = plan
+    blocks, width = e.shape
+    if e.size > n:
+        g = np.concatenate((g, np.zeros(e.size - n)))  # padded nodes weigh zero
     g = g.reshape(blocks, width)
-    # offsets from each block's first node lie in [0, _SPAN]
-    e = np.exp(p - p[:, :1])
-    r = 1.0 / e
     s = np.zeros((2, blocks, width + 1))
     left, right = s
     np.multiply(g, e, out=left[:, 1:])
     np.multiply(g, r, out=right[:, :-1])
     # carries into the blocks at their first node: one decay per block edge
     # serves both directions; the right seed enters at the last node
-    decay = np.exp(p[:-1, 0] - p[1:, 0]).tolist()
     left_totals, right_totals = np.add.reduce(s, axis=-1).tolist()
     left_carry = [cl]
     for f, total in zip(decay, left_totals):
         left_carry.append(f * (left_carry[-1] + total))
-    right_carry = [cr * float(r.flat[n - 1])]
+    right_carry = [cr * r_end]
     for f, total in zip(decay[::-1], right_totals[:0:-1]):
         right_carry.append(f * (right_carry[-1] + total))
     left[:, 0] = left_carry
     right[:, -1] = right_carry[::-1]
     np.add.accumulate(left, axis=-1, out=left)
     np.add.accumulate(right[:, ::-1], axis=-1, out=right[:, ::-1])
-    left = np.multiply(left[:, :-1], r).reshape(size)
-    right = np.multiply(right[:, 1:], e).reshape(size)
+    left = np.multiply(left[:, :-1], r).reshape(e.size)
+    right = np.multiply(right[:, 1:], e).reshape(e.size)
     return left[:n], right[:n]
 
 
-def _scan_sd(positions: np.ndarray, w: np.ndarray, h: float,
-             slopes: np.ndarray | None = None, order: int = 2,
-             gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _scan_sd(plan: tuple, w: np.ndarray, h: float, slopes: np.ndarray | None = None,
+             order: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Half sum S = (A+B)/2 and half difference D = (B-A)/2 of the left/right
-    exponential-weighted prefix integrals of the weights w along positions.
+    exponential-weighted prefix integrals of the weights w along plan's positions.
 
-    w, S and D have one entry per position.  gaps is np.diff(positions),
-    passed only by a caller that has already checked the positions finite
-    and strictly increasing (the time stepper's chart check).
+    w, S and D have one entry per position.
     """
-    d = gaps
-    if d is None:
-        d = np.diff(positions)
-        if not (d.min() > 0.0 and np.isfinite(positions[-1] - positions[0])):
-            raise ValueError("scan positions must be finite and strictly increasing")
     # the scans run at half weight, so they return L/2 and R/2
     g = (0.5 * h) * w
     corr = None
@@ -174,7 +184,7 @@ def _scan_sd(positions: np.ndarray, w: np.ndarray, h: float,
     else:
         raise ValueError(f"quadrature order must be 2 or 4, got {order}")
     # -q/2 at each direction's first node seeds its carry, so A_0 = B_end = 0
-    left, right = _decay_scans(positions, g, -0.5 * float(first), -0.5 * float(last), d.max())
+    left, right = _decay_scans(plan, g, -0.5 * float(first), -0.5 * float(last))
     S = mid + left
     S += right
     D = right - left
@@ -190,7 +200,7 @@ def inv_helmholtz(g: ScalarField0, *, order: int = 2) -> ScalarField1:
     same accumulators rather than by differencing f.
     """
     grid = g.grid
-    S, D = _scan_sd(grid.x, g.g, grid.h, order=order)
+    S, D = _scan_sd(_scan_plan(grid.x), g.g, grid.h, order=order)
     return ScalarField1(grid, S, D)
 
 
@@ -205,7 +215,7 @@ def l_op(phi: ScalarField0, *, order: int = 2) -> ScalarField1:
     and the derivative channel uses d_x L = (1 - d_xx)^(-1) - id.
     """
     grid = phi.grid
-    S, D = _scan_sd(grid.x, phi.g, grid.h, order=order)
+    S, D = _scan_sd(_scan_plan(grid.x), phi.g, grid.h, order=order)
     return ScalarField1(grid, D, S - phi.g)
 
 
@@ -213,9 +223,9 @@ def _l_eta_arrays(m: np.ndarray, slopes: np.ndarray, phi: np.ndarray, h: float,
                   order: int, gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(value, derivative) of L_eta(phi) from raw node positions m = eta(x_k).
 
-    gaps, when given, are the checked np.diff(m) (see _scan_sd).
+    gaps, when given, are the checked np.diff(m) (see _scan_plan).
     """
-    S, D = _scan_sd(m, phi * slopes, h, slopes, order, gaps)
+    S, D = _scan_sd(_scan_plan(m, gaps), phi * slopes, h, slopes, order)
     S -= phi
     S *= slopes
     return D, S
@@ -272,11 +282,11 @@ def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1, *,
     if phi.grid != eta.grid or rho.grid != eta.grid:
         raise GridMismatch("operands live on different grids")
     grid = phi.grid
-    m = eta.values()
+    plan = _scan_plan(eta.values())
     slopes = eta.slopes()
     w1 = phi.g * slopes
-    S1, _ = _scan_sd(m, w1, grid.h, slopes, order)
-    S2, _ = _scan_sd(m, rho.u * w1, grid.h, slopes, order)
-    _, D3 = _scan_sd(m, phi.g * rho.du, grid.h, slopes, order)
+    S1, _ = _scan_sd(plan, w1, grid.h, slopes, order)
+    S2, _ = _scan_sd(plan, rho.u * w1, grid.h, slopes, order)
+    _, D3 = _scan_sd(plan, phi.g * rho.du, grid.h, slopes, order)
     value = rho.u * S1 - S2 + D3
     return ScalarField1(grid, value, np.gradient(value, grid.h, edge_order=2))

@@ -7,14 +7,16 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chflow
-from chflow import Grid, ScalarField1, cli, studies, write_field_csv
+from chflow import Grid, ScalarField1, cli, integrate, invert, studies, write_field_csv
 from chflow.cli import main
+from chflow.config import load_config, make_initial
 from chflow.fields import write_csv
 
 
@@ -146,6 +148,22 @@ class TestRun:
         assert read_kv(out / "summary.txt")["recorded_states"] == "2"
         assert sorted(p.name for p in out.glob("state_*.csv")) == [
             "state_00000.csv", "state_00001.csv"]
+
+    def test_summary_invert_counts_sum_over_states(self, tmp_path):
+        cfg_path = write_config(tmp_path, n=256, t_end=1.5, dt=5e-3, record_every=50,
+                                kind="antisymmetric_gaussian", amplitude=-1.0)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+        cfg = load_config(cfg_path)
+        traj = integrate(make_initial(cfg), **cfg.integrate_kwargs(4))
+        tally = Counter()
+        for state in traj.states:
+            invert(state.eta, tol=cfg.tolerances.inv_tol, tally=tally)
+        summary = read_kv(out / "summary.txt")
+        assert len(traj.states) == int(summary["recorded_states"]) == 7
+        assert tally["iterations"] > 0 and tally["bisections"] > 0
+        assert int(summary["invert_iterations"]) == tally["iterations"]
+        assert int(summary["invert_bisections"]) == tally["bisections"]
 
 
 def csv_module_writer(path, header, columns):
@@ -353,6 +371,19 @@ class TestFailurePaths:
         assert "eulerian_00000.csv" in names
         assert main(args + ["--times", "0.07"]) == 1
         assert sorted(p.name for p in out.iterdir()) == ["failure.txt"]
+
+    def test_config_that_fails_to_load_leaves_no_stale_artifacts(self, tmp_path):
+        # With --out the command's files go before the config loads, so a
+        # config that does not parse leaves only its failure.txt there.
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=5e-3, record_every=20)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert len(list(out.glob("state_*.csv"))) == 4
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert main(["run", "--config", str(bad), "--out", str(out), "--quiet"]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["failure.txt"]
+        assert read_kv(out / "failure.txt")["error"] == "ParseError"
 
     def test_out_naming_a_file_reports_os_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

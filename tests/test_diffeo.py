@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,40 @@ class TestInvert:
         eta = Diffeo(bump_displacement(grid20, amp=0.3))
         with pytest.raises(ConvergenceFailure):
             invert(eta, max_iter=0)
+
+    def test_steep_maps(self):
+        # Slopes down to 1 - 0.97, and a map that is the identity on x < -4
+        # (its bump underflows to exactly 0 there), so those roots are nodes.
+        grid = Grid.from_interval(-20.0, 20.0, 1024)
+        x, slack = grid.x, 10.0 * grid.h ** 2
+        rng = np.random.default_rng(18)
+        etas = [random_diffeo(grid, rng, max_slope=s) for s in (0.9, 0.97) for _ in range(20)]
+        etas.append(Diffeo(bump_displacement(grid, amp=0.45 / 0.8578, center=10.0, width=0.5)))
+        assert (etas[-1].v.u[x < -4.0] == 0.0).all() and etas[-1].a < 0.11
+        for eta in etas:
+            xi = invert(eta)
+            nodes = eta.values()
+            inside = (x > nodes[0]) & (x < nodes[-1])
+            values, _ = eta.eval(x + xi.v.u)
+            assert np.abs(values - x)[inside].max() <= 1e-12
+            cell = np.searchsorted(nodes, x[inside]) - 1
+            roots = (x + xi.v.u)[inside]
+            assert (x[cell] <= roots).all() and (roots <= x[cell + 1]).all()
+            slopes = 1.0 + xi.v.du
+            assert slopes.min() >= 1.0 / eta.b - slack
+            assert slopes.max() <= 1.0 / eta.a + slack
+
+    def test_tally_of_identity_has_no_bisection(self, grid20):
+        tally = Counter()
+        invert(Diffeo.identity(grid20), tally=tally)
+        assert tally["bisections"] == 0
+
+    def test_tally_counts_bisection_fallback(self, grid20):
+        # a = 0.31: from x - v(x), some Newton steps leave their bracket
+        tally = Counter()
+        xi = invert(Diffeo(bump_displacement(grid20, amp=0.8)), tally=tally)
+        assert tally["bisections"] >= 1 and tally["iterations"] >= 1
+        assert np.abs(xi.v.u).max() > 0.0
 
 
 class TestDistance:

@@ -3,26 +3,30 @@ import pytest
 
 from chflow import (
     Grid,
+    ScalarField0,
     ScalarField1,
     compare,
     integrate,
     integrate_eulerian,
+    l_op,
 )
 from chflow.errors import GridMismatch, TimeMismatch
 from chflow.eulerian import _dudt, fourth_order_dx
 from chflow.fields import _trapz
+from chflow.lagrangian import _march
+from chflow.operators import _scan_plan
 
 from conftest import antisymmetric_field, gaussian_field
 
 
 class TestEulerRhs:
     def test_zero(self, grid20):
-        out = _dudt(np.zeros(grid20.n), grid20, 2)
+        out = _dudt(np.zeros(grid20.n), _scan_plan(grid20.x), grid20.h)
         assert np.abs(out).max() == 0.0
 
     def test_even_velocity_gives_odd_tendency(self, grid20):
         u = 0.7 * np.exp(-grid20.x ** 2)
-        out = _dudt(u, grid20, 2)
+        out = _dudt(u, _scan_plan(grid20.x), grid20.h)
         assert np.abs(out + out[::-1]).max() <= 1e-13
 
     def test_fd_stencil_is_fourth_order_on_interior(self):
@@ -33,6 +37,45 @@ class TestEulerRhs:
             ux = fourth_order_dx(u, grid.h)
             errs.append(np.abs(ux + 2 * grid.x * u).max())
         assert np.log2(errs[0] / errs[1]) >= 3.5
+
+
+def l_op_rhs(u, grid):
+    """The Eulerian right side through l_op and its typed fields, planning each scan."""
+    ux = fourth_order_dx(u, grid.h)
+    return -u * ux - l_op(ScalarField0(grid, u * u + 0.5 * ux * ux)).u
+
+
+class TestPlannedRightSide:
+    """The oracle scans its fixed grid with one plan per run, and that is exact."""
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("scale", [1.0, 1.3])
+    def test_matches_l_op_bit_for_bit(self, n, scale):
+        grid = Grid.from_interval(-20.0, 20.0, n)
+        u = scale * gaussian_field(grid, amp=0.5).u
+        np.testing.assert_array_equal(_dudt(u, _scan_plan(grid.x), grid.h),
+                                      l_op_rhs(u, grid))
+
+    def test_blow_up_run_matches_l_op_loop(self):
+        grid = Grid.from_interval(-20.0, 20.0, 256)
+        u0 = antisymmetric_field(grid, amp=-1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = integrate_eulerian(u0, 3.0, 2e-3, record_every=100)
+            t, u = 0.0, u0.u
+            expected = [(t, u)]
+            try:
+                march = _march(u, 3.0, 2e-3, lambda z, tz: l_op_rhs(z, grid))
+                for steps, (t, u, _) in enumerate(march, 1):
+                    if steps % 100 == 0:
+                        expected.append((t, u))
+            except ValueError:
+                pass  # the reference blew up too
+        if expected[-1][0] != t:
+            expected.append((t, u))
+        assert t < 3.0
+        assert [s.t for s in states] == [te for te, _ in expected]
+        for state, (_, u) in zip(states, expected):
+            np.testing.assert_array_equal(state.u, u)
 
 
 class TestIntegrateEulerian:
@@ -77,7 +120,7 @@ class TestIntegrateEulerian:
                                         record_every=10 ** 9)
         assert [s.t for s in states[:-1]] == [0.0]
         assert states[-1].t == pytest.approx(t_last, abs=1e-9)
-        assert np.isfinite(_dudt(states[-1].u, grid, 2)).all()
+        assert np.isfinite(_dudt(states[-1].u, _scan_plan(grid.x), grid.h)).all()
 
     @pytest.mark.filterwarnings("error")
     def test_blow_up_raises_no_warning(self):

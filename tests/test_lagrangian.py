@@ -21,6 +21,7 @@ from chflow.config import config_from_dict, make_initial
 from chflow.errors import AdmissibilityError, ChartViolation, GridMismatch
 from chflow.eulerian import _dudt
 from chflow.fields import norm_11
+from chflow.operators import _scan_plan
 
 from conftest import (
     antisymmetric_field,
@@ -100,7 +101,7 @@ class TestRhs:
         _, dU = dydt(state, order=2)
         direct = l_op(source(state))
         np.testing.assert_array_equal(dU.u, -direct.u)
-        eul = _dudt(u0.u, grid20, 2)
+        eul = _dudt(u0.u, _scan_plan(grid20.x), grid20.h)
         ux = np.gradient(u0.u, grid20.h, edge_order=2)
         assert np.abs(dU.u - (eul + u0.u * ux)).max() <= 50 * grid20.h ** 2
 
@@ -111,7 +112,7 @@ class TestRhs:
         direct = l_op(source(state), order=4)
         np.testing.assert_array_equal(dU.u, -direct.u)
         np.testing.assert_array_equal(dU.du, -direct.du)
-        eul = _dudt(u0.u, grid20, 2)
+        eul = _dudt(u0.u, _scan_plan(grid20.x), grid20.h)
         ux = np.gradient(u0.u, grid20.h, edge_order=2)
         assert np.abs(dU.u - (eul + u0.u * ux)).max() <= 50 * grid20.h ** 2
 

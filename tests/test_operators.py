@@ -16,7 +16,7 @@ from chflow import (
 )
 from chflow.checks import random_bump_diffeo, random_bump_field0, random_bump_field1
 from chflow.errors import GridMismatch
-from chflow.operators import _decay_scans, _l_eta_arrays, _scan_sd
+from chflow.operators import _decay_scans, _l_eta_arrays, _scan_plan, _scan_sd
 
 from conftest import gaussian_field, gaussian_source
 
@@ -97,7 +97,7 @@ class TestScanPair:
     def test_matches_reference_recurrence(self, case, order):
         _, m, w, h, slopes = case
         # half sum S = (A + B)/2 and half difference D = (B - A)/2 of the node loop
-        S, D = _scan_sd(m, w, h, slopes=slopes, order=order)
+        S, D = _scan_sd(_scan_plan(m), w, h, slopes=slopes, order=order)
         A0, B0 = reference_scans(m, w, h, slopes=slopes, order=order)
         assert np.isfinite(S).all() and np.isfinite(D).all()
         scale = max(np.abs(A0).max(), np.abs(B0).max())
@@ -132,7 +132,7 @@ class TestScanPair:
         seeds = [(0.7, -1.3), (-0.2, 0.9)]
         kernel = np.exp(-np.abs(m[:, None] - m[None, :]))
         for row, (cl, cr) in zip(g, seeds):
-            left, right = _decay_scans(m, row, cl, cr, float(np.diff(m).max()))
+            left, right = _decay_scans(_scan_plan(m), row, cl, cr)
             L0 = np.tril(kernel, -1) @ row + cl * np.exp(-(m - m[0]))
             R0 = np.triu(kernel, 1) @ row + cr * np.exp(-(m[-1] - m))
             scale = (kernel @ np.abs(row)).max() + abs(cl) + abs(cr)
@@ -146,7 +146,7 @@ class TestScanPair:
     ], ids=["decreasing", "nan", "inf"])
     def test_rejects_bad_positions(self, positions):
         with pytest.raises(ValueError):
-            _scan_sd(positions, np.ones(64), 2.0 / 63)
+            _scan_sd(_scan_plan(positions), np.ones(64), 2.0 / 63)
 
 
 class TestInvHelmholtz:
