@@ -27,14 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import DEFAULT_INV_TOL
-from .errors import GridMismatch, TimeMismatch
-from .fields import (
-    DEFAULT_TAIL_TOL,
-    Grid,
-    ScalarField1,
-    _trapz,
-)
-from .lagrangian import DEFAULT_RECORD_EVERY, Trajectory, _check_run, _march, reconstruct_u
+from .errors import GridMismatch
+from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, _own_array, _trapz
+from .lagrangian import (DEFAULT_RECORD_EVERY, Trajectory, _check_run, _march, _match_time,
+                         reconstruct_u)
 # l_op is unused here; bound so that perfbench/tracer.py can patch it in this module.
 from .operators import _scan_plan, _scan_sd, l_op  # noqa: F401
 
@@ -56,11 +52,7 @@ class EulerianState:
     u: np.ndarray
 
     def __post_init__(self):
-        self.u = np.array(self.u, dtype=float, copy=True).reshape(-1)
-        if self.u.shape != (self.grid.n,):
-            raise ValueError("velocity samples do not match the grid")
-        if not np.isfinite(self.u).all():
-            raise ValueError("velocity samples contain non-finite entries")
+        self.u = _own_array(self.u, self.grid.n, "u")
 
 
 def fourth_order_dx(u: np.ndarray, h: float) -> np.ndarray:
@@ -88,30 +80,29 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
                        tail_tol: float = DEFAULT_TAIL_TOL) -> list[EulerianState]:
     """RK4 time stepping of the Eulerian form from u0 to t_end.
 
-    The nonlocal term takes the order-2 (per-cell trapezoid) scan.  Records
-    the state at t = 0, every record_every steps, and at the final time.
-    Steps run through the flow-map solver's time loop and input check, with
-    fixed dt.  If a value stops being finite, in a stage, in the new state
-    or in its right side, the run halts and ends at the last state whose
-    right side is finite.
+    The nonlocal term takes the order-2 (per-cell trapezoid) scan.  Steps
+    run through the flow-map solver's time loop, input check and record rule,
+    with fixed dt.  If a value stops being finite, in a stage, in the new
+    state or in its right side, the run halts and ends at the last state
+    whose right side is finite.
     """
     _check_run(u0, t_end, dt, record_every, tail_tol)
     grid = u0.grid
     plan = _scan_plan(grid.x)
     t, u = 0.0, u0.u
     states = [EulerianState(t, grid, u)]
-    steps = 0
+    recorded = True
     # A blow-up overflows on its way to the ValueError that is the expected
     # end of the run, so numpy's overflow warnings are not raised.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for t, u, _ in _march(u, t_end, dt, lambda z, tz: _dudt(z, plan, grid.h)):
-                steps += 1
-                if steps % record_every == 0:
+            for t, u, _, recorded in _march(u, t_end, dt, record_every,
+                                            lambda z, tz: _dudt(z, plan, grid.h)):
+                if recorded:
                     states.append(EulerianState(t, grid, u))
         except ValueError:
             pass  # a value stopped being finite: the Eulerian form blew up
-    if states[-1].t != t:
+    if not recorded:
         states.append(EulerianState(t, grid, u))
     return states
 
@@ -128,14 +119,6 @@ class ComparisonReport:
         return list(zip(self.times, self.sup_diff, self.l2_diff))
 
 
-def _match_time(times: np.ndarray, t: float) -> int:
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
-        raise TimeMismatch(
-            f"time {t:.9g} is not recorded (nearest is {times[k]:.9g})")
-    return k
-
-
 def compare(traj: Trajectory, eulerian_states: list[EulerianState],
             times: list[float], *, inv_tol: float = DEFAULT_INV_TOL) -> ComparisonReport:
     """Gaps between the reconstructed flow-map velocity and the Eulerian one.
@@ -144,8 +127,8 @@ def compare(traj: Trajectory, eulerian_states: list[EulerianState],
     |.| sup and trapezoidal L2 differences per time and is symmetric in the
     two solutions.
     """
-    lag_times = np.array([s.t for s in traj.states])
-    eul_times = np.array([s.t for s in eulerian_states])
+    lag_times = [s.t for s in traj.states]
+    eul_times = [s.t for s in eulerian_states]
     sup, l2 = [], []
     for t in times:
         sl = traj.states[_match_time(lag_times, t)]

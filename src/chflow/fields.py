@@ -55,6 +55,7 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-8
 _FIELD_HEADER = ["x", "u", "du"]
+_CSV_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -258,12 +259,16 @@ def write_csv(path, header, columns) -> None:
     """Write equal-length columns as CSV, every value with 17 significant digits.
 
     The bytes are those of the csv module (rows ended by \\r\\n) writing each
-    value formatted as %.17g, without its per-row overhead.
+    value formatted as %.17g, without its per-row overhead: one % formats
+    each chunk of _CSV_CHUNK rows, so no string of the whole file is built.
     """
     line = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    rows = np.column_stack(columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % tuple(row) for row in np.column_stack(columns).tolist())
+        for i in range(0, len(rows), _CSV_CHUNK):
+            chunk = rows[i:i + _CSV_CHUNK]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_field_csv(f: ScalarField1, path) -> None:

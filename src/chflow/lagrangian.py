@@ -32,12 +32,13 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction as _F
+from functools import lru_cache
 from math import isfinite, lcm
 
 import numpy as np
 
 from .diffeo import DEFAULT_EPS_CHART, DEFAULT_INV_TOL, Diffeo, _chart_margin, comp1, invert
-from .errors import ChartViolation, GridMismatch
+from .errors import ChartViolation, GridMismatch, TimeMismatch, ValidationError
 from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, _trapz, require_admissible
 from .operators import _l_eta_arrays
 # Unused here; bound so that perfbench/tracer.py can patch it in this module.
@@ -201,12 +202,19 @@ _DP54 = _Tableau(
     e_order=4)
 
 
+@lru_cache(maxsize=2)
+def _stage_rows(tab: _Tableau, step: float) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """The (j, step a_ij) pairs of each stage; a fixed run builds them once."""
+    return tuple(tuple((j, step * a) for j, a in row) for row in tab.rows)
+
+
 def _lincomb(ks: list[np.ndarray], weights: list[tuple[int, float]]) -> np.ndarray:
-    """sum_j w_j k_j over the (j, w_j) pairs, added in their order."""
+    """sum_j w_j k_j over the (j, w_j) pairs, added in their order (k_j itself at w_j = 1)."""
     (j, w), *rest = weights
-    total = ks[j] * w
+    total = ks[j].copy() if w == 1.0 else ks[j] * w
+    term = np.empty_like(total)
     for j, w in rest:
-        total += ks[j] * w
+        total += ks[j] if w == 1.0 else np.multiply(ks[j], w, out=term)
     return total
 
 
@@ -220,8 +228,8 @@ def _rk_step(tab: _Tableau, y: np.ndarray, t: float, step: float,
     through it.
     """
     ks = [k1]
-    for c, row in zip(tab.nodes, tab.rows):
-        stage = _lincomb(ks, [(j, step * a) for j, a in row])
+    for c, row in zip(tab.nodes, _stage_rows(tab, step)):
+        stage = _lincomb(ks, row)
         stage += y
         ks.append(f(stage, t + c * step))
     weights, den = tab.b_int
@@ -282,10 +290,14 @@ def _check_run(u0: ScalarField1, t_end: float, dt: float, record_every: int,
         raise ValueError("record_every must be a positive integer")
 
 
-def _march(y: np.ndarray, t_end: float, dt: float,
+def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
            f: Callable[[np.ndarray, float], np.ndarray], tab: _Tableau = _RK4,
            tol: float = 0.0, tally: Counter | None = None):
-    """Accepted steps (t, y_n, step) of tab from the flat state y at t = 0 to t_end.
+    """Accepted steps (t, y_n, step, recorded) of tab from the flat state y at t = 0 to t_end.
+
+    The record rule of both solvers: a run records its initial state, every
+    record_every-th step (recorded true) and, however the march ends, its
+    last state if that step is not recorded.
 
     The last evaluation of each step, f(y_{n+1}), is the next step's first
     stage, so f has accepted every yielded state; an error raised by f, or a
@@ -301,6 +313,7 @@ def _march(y: np.ndarray, t_end: float, dt: float,
     counts "rejected" and "at_floor" steps.
     """
     t, dt_cur, floor = 0.0, dt, dt * 2.0 ** -12
+    steps = 0
     k1 = f(y, t)
     while t < t_end - 1e-12 * max(1.0, t_end):
         step = min(dt_cur, t_end - t)
@@ -327,7 +340,37 @@ def _march(y: np.ndarray, t_end: float, dt: float,
                     continue
                 tally["at_floor"] += 1
         y, k1, t = new, k_next, t + step
-        yield t, y, step
+        steps += 1
+        yield t, y, step, steps % record_every == 0
+
+
+def _match_time(times: list[float], t: float) -> int:
+    """Index of the recorded time nearest to t; TimeMismatch unless within a relative 1e-9."""
+    k = int(np.argmin(np.abs(np.subtract(times, t))))
+    if not (isfinite(t) and abs(times[k] - t) <= 1e-9 * max(1.0, abs(t))):
+        raise TimeMismatch(f"time {t:.9g} is not recorded (nearest is {times[k]:.9g})")
+    return k
+
+
+def _check_record_times(times: list[float], t_end: float, dt: float, record_every: int,
+                        adaptive: bool) -> None:
+    """ValidationError, before any solve, naming each of times a run may not record."""
+    period = dt * record_every
+    unsure = []
+    for t in times:
+        sure = [0.0, t_end]
+        if not adaptive:  # the multiple nearest to t in [0, t_end]; nan clips to 0
+            sure.append(min(round(min(t_end, max(0.0, t)) / period) * period, t_end))
+        try:
+            _match_time(sure, t)
+        except TimeMismatch:
+            unsure.append(f"{t:.9g}")
+    if unsure:
+        rule = (f"an adaptive run records only t = 0 and t_end = {t_end:.9g}"
+                if adaptive else
+                f"a fixed run records only the multiples of dt * record_every = {period:.9g}"
+                f" up to t_end = {t_end:.9g}, and t_end")
+        raise ValidationError([f"{rule}, not {', '.join(unsure)}"])
 
 
 def integrate(u0: ScalarField1, t_end: float, dt: float,
@@ -338,10 +381,9 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
               adaptive: bool = False, adapt_tol: float = 1e-10) -> Trajectory:
     """Integrate from (id, u0) to t_end, or to breakdown of the chart condition.
 
-    States are recorded at t = 0, every record_every accepted steps, and at
-    the final time; diagnostics are recorded every step.  On wave breaking
-    the trajectory ends at the last valid state and carries the breakdown
-    time; no non-finite value is ever stored.
+    States are recorded by _march's rule, diagnostics every step.  On wave
+    breaking the trajectory ends at the last valid state and carries the
+    breakdown time; no non-finite value is ever stored.
 
     Each step's last evaluation f(y_{n+1}) is the next step's first stage.
     A fixed run steps by dt with classical RK4 (4 evaluations per step).  An
@@ -362,7 +404,7 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
     y = _pack(states[0])
     rows = [_diag_row(t, y, grid.h)]
     breakdown_time = breakdown_slope = estimate = None
-    steps_done = evals = 0
+    evals, recorded = 0, True
     step_min, step_max = np.inf, 0.0
     tally = Counter()
 
@@ -372,12 +414,11 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
         return _dydt(z, tz, grid, eps, quad_order)
 
     try:
-        for t, y, step in _march(y, t_end, dt, f, _DP54 if adaptive else _RK4,
-                                 adapt_tol, tally):
-            steps_done += 1
+        for t, y, step, recorded in _march(y, t_end, dt, record_every, f,
+                                           _DP54 if adaptive else _RK4, adapt_tol, tally):
             step_min, step_max = min(step_min, step), max(step_max, step)
             rows.append(_diag_row(t, y, grid.h))
-            if steps_done % record_every == 0:
+            if recorded:
                 states.append(_unpack(y, t, grid))
     except ChartViolation as exc:
         breakdown_time = exc.time
@@ -386,7 +427,7 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
         inf_ux = float((y[3] / (1.0 + y[1])).min())
         estimate = t - 2.0 / inf_ux if inf_ux < 0.0 else float("nan")
 
-    if steps_done % record_every:
+    if not recorded:
         states.append(_unpack(y, t, grid))
     cols = np.array(rows).T
     diags = StepDiagnostics(t=cols[0], energy=cols[1], momentum=cols[2],
@@ -397,8 +438,8 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
                       breaking_time_estimate=estimate,
                       steps_rejected=tally["rejected"],
                       steps_at_floor=tally["at_floor"], rhs_evaluations=evals,
-                      step_min=step_min if steps_done else float("nan"),
-                      step_max=step_max if steps_done else float("nan"))
+                      step_min=step_min if len(rows) > 1 else float("nan"),
+                      step_max=step_max if len(rows) > 1 else float("nan"))
 
 
 def reconstruct_u(state: FlowState, *, inv_tol: float = DEFAULT_INV_TOL,

@@ -22,17 +22,17 @@ one reciprocal per node; what depends on the positions alone is a plan
     A_k = r_k (C_s + sum_{s <= j < k} h w_j e_j) + q_k,
     B_k = e_k (D_s + sum_{k < j < s + W} h w_j r_j) + q'_k,
 
-each one cumsum, forward or backward, along a row of W + 1 entries that
-holds the block's terms and the carry ahead of them (A) or behind them (B).
-The carries C_s and D_s, both taken at the block's first node, follow from
-the block totals by short recurrences over blocks that share one decay
-factor exp(-(m_s' - m_s)) per block edge; the right carry starts at the last
-node as its seed times r_end.  Each exponential has its argument in
-[-_SPAN, _SPAN] except the decay factor, whose argument is nonpositive, so
-no domain, however wide or coarse (W = 1), can overflow.  Rounding stays eps
-times the kernel-weighted sum of |w|, as for the node-by-node recurrence; a
-wider span would add rounding of order eps * span through the exponent
-arguments m_j - m_s.
+both from one cumsum along a complex row of W + 1 entries: its real parts
+hold the carry and then the block's terms of A, its imaginary parts those of
+B back to front, carry first again.  The carries C_s and D_s, both taken at
+the block's first node, follow from the block totals by short recurrences
+over blocks that share one decay factor exp(-(m_s' - m_s)) per block edge;
+the right carry starts at the last node as its seed times r_end.  Each
+exponential has its argument in [-_SPAN, _SPAN] except the decay factor,
+whose argument is nonpositive, so no domain, however wide or coarse (W = 1),
+can overflow.  Rounding stays eps times the kernel-weighted sum of |w|, as
+for the node-by-node recurrence; a wider span would add rounding of order
+eps * span through the exponent arguments m_j - m_s.
 
 The cell rule is shared by both quadrature orders: node j enters with weight
 h w_j, and q, q' are the endpoint terms of the rule at the output node, which
@@ -123,23 +123,26 @@ def _decay_scans(plan: tuple, g: np.ndarray, cl: float,
 
     Both directions share the blocks and the factors e = exp(m - m_s),
     r = 1/e of their first node s: L = r (C + prefix(g e)) and
-    R = e (D + suffix(g r)).  Each block row of a (2, blocks, width + 1)
-    buffer holds the carry ahead of the terms of the left scan and behind
-    the terms of the right scan, so a cumsum forward or backward along it
-    gives every exclusive in-block sum plus the carry.
+    R = e (D + suffix(g r)).  Each row of one complex (blocks, width + 1)
+    buffer holds a block of the left scan in its real parts, carry ahead of
+    the terms, and of the right scan back to front in its imaginary parts,
+    so one forward cumsum along it gives every exclusive in-block sum plus
+    the carry of both directions.  Each block total is reduced on the view
+    of its own direction, in the order of the terms.
     """
     n, e, r, decay, r_end = plan
     blocks, width = e.shape
     if e.size > n:
         g = np.concatenate((g, np.zeros(e.size - n)))  # padded nodes weigh zero
     g = g.reshape(blocks, width)
-    s = np.zeros((2, blocks, width + 1))
-    left, right = s
+    s = np.zeros((blocks, width + 1), dtype=complex)
+    left, right = s.real, s.imag[:, ::-1]
     np.multiply(g, e, out=left[:, 1:])
     np.multiply(g, r, out=right[:, :-1])
     # carries into the blocks at their first node: one decay per block edge
     # serves both directions; the right seed enters at the last node
-    left_totals, right_totals = np.add.reduce(s, axis=-1).tolist()
+    left_totals = np.add.reduce(left, axis=-1).tolist()
+    right_totals = np.add.reduce(right, axis=-1).tolist()
     left_carry = [cl]
     for f, total in zip(decay, left_totals):
         left_carry.append(f * (left_carry[-1] + total))
@@ -148,8 +151,7 @@ def _decay_scans(plan: tuple, g: np.ndarray, cl: float,
         right_carry.append(f * (right_carry[-1] + total))
     left[:, 0] = left_carry
     right[:, -1] = right_carry[::-1]
-    np.add.accumulate(left, axis=-1, out=left)
-    np.add.accumulate(right[:, ::-1], axis=-1, out=right[:, ::-1])
+    np.add.accumulate(s, axis=-1, out=s)
     left = np.multiply(left[:, :-1], r).reshape(e.size)
     right = np.multiply(right[:, 1:], e).reshape(e.size)
     return left[:n], right[:n]

@@ -34,7 +34,7 @@ import numpy as np
 from .config import SimConfig, _validate, make_initial
 from .errors import ValidationError
 from .eulerian import ComparisonReport, EulerianState, compare, integrate_eulerian
-from .lagrangian import Trajectory, integrate, reconstruct_u
+from .lagrangian import Trajectory, _check_record_times, integrate, reconstruct_u
 
 __all__ = [
     "RefinementStudy",
@@ -194,30 +194,13 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     may be empty: then only cfg's own resolution runs, and there are no gaps.
     If any flow-map run broke down, the study compares nothing: no report,
     no gaps, and the breakdowns are on study.levels and study.base.  A time
-    that cfg's run is not sure to record (within compare()'s relative 1e-9)
-    is a ValidationError before any solve: a fixed run records the multiples
-    of dt * record_every in [0, t_end], plus t_end; an adaptive run is sure
-    to record only 0 and t_end.
+    that cfg's run is not sure to record is a ValidationError before any
+    solve (lagrangian._check_record_times).
     """
     _check_levels(cfg, levels, 0)
     t_end = cfg.time.t_end
     times = [t_end] if times is None else list(times)
-    period = cfg.time.dt * cfg.time.record_every
-
-    def recorded(t: float) -> bool:
-        sure = [0.0, t_end]
-        if not cfg.time.adaptive and np.isfinite(t):
-            # the recorded multiple nearest to t
-            sure.append(min(max(round(t / period) * period, 0.0), t_end))
-        return min(abs(t - s) for s in sure) <= 1e-9 * max(1.0, abs(t))
-
-    unsure = ", ".join(f"{t:.9g}" for t in times if not recorded(t))
-    if unsure:
-        rule = (f"an adaptive run records only t = 0 and t_end = {t_end:.9g}"
-                if cfg.time.adaptive else
-                f"a fixed run records only the multiples of dt * record_every = {period:.9g}"
-                f" up to t_end = {t_end:.9g}, and t_end")
-        raise ValidationError([f"{rule}, not {unsure}"])
+    _check_record_times(times, t_end, cfg.time.dt, cfg.time.record_every, cfg.time.adaptive)
     resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
     payloads = [(solver, cfg, n, quad_order, base_dir, n == cfg.grid.n)
                 for n in resolutions for solver in ("flow_map", "eulerian")]

@@ -17,7 +17,7 @@ import chflow
 from chflow import Grid, ScalarField1, cli, integrate, invert, studies, write_field_csv
 from chflow.cli import main
 from chflow.config import load_config, make_initial
-from chflow.fields import write_csv
+from chflow.fields import _CSV_CHUNK, write_csv
 
 
 def write_config(tmp_path, *, n=256, t_end=0.5, dt=2e-3, record_every=50,
@@ -193,6 +193,17 @@ def test_csv_export_matches_csv_module_bytes(tmp_path):
     csv_module_writer(tmp_path / "field_old.csv", ["x", "u", "du"],
                       [grid.x, field.u, field.du])
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "field_old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_CHUNK, 2 * _CSV_CHUNK + 3])
+def test_csv_export_in_chunks_matches_csv_module_bytes(tmp_path, rows):
+    # one % formats each chunk of rows: a single row, one whole chunk, and
+    # more rows than one chunk with a partial last one
+    rng = np.random.default_rng(rows)
+    columns = list(rng.standard_normal((3, rows)) * 10.0 ** rng.integers(-300, 300, (3, rows)))
+    write_csv(tmp_path / "new.csv", ["a", "b", "c"], columns)
+    csv_module_writer(tmp_path / "old.csv", ["a", "b", "c"], columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestFailurePaths:

@@ -64,9 +64,9 @@ class TestPlannedRightSide:
             t, u = 0.0, u0.u
             expected = [(t, u)]
             try:
-                march = _march(u, 3.0, 2e-3, lambda z, tz: l_op_rhs(z, grid))
-                for steps, (t, u, _) in enumerate(march, 1):
-                    if steps % 100 == 0:
+                march = _march(u, 3.0, 2e-3, 100, lambda z, tz: l_op_rhs(z, grid))
+                for t, u, _, recorded in march:
+                    if recorded:
                         expected.append((t, u))
             except ValueError:
                 pass  # the reference blew up too
@@ -146,6 +146,14 @@ class TestCompare:
         states = integrate_eulerian(ScalarField1.zeros(grid20), 0.1, 1e-2)
         with pytest.raises(TimeMismatch):
             compare(traj, states, [0.05])
+
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_non_finite_time_rejected(self, grid20, t):
+        # inf is as far from every recorded time as it is from t = 0
+        traj = integrate(ScalarField1.zeros(grid20), 0.1, 1e-2)
+        states = integrate_eulerian(ScalarField1.zeros(grid20), 0.1, 1e-2)
+        with pytest.raises(TimeMismatch):
+            compare(traj, states, [t])
 
     def test_grid_mismatch_rejected(self, grid20):
         other = Grid.from_interval(-20.0, 20.0, 513)

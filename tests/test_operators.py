@@ -25,6 +25,31 @@ def exp_kink_source(grid):
     return ScalarField0(grid, np.exp(-np.abs(grid.x)))
 
 
+def two_cumsum_scans(plan, g, cl, cr):
+    """_decay_scans with a real (2, blocks, width + 1) buffer, one cumsum per direction."""
+    n, e, r, decay, r_end = plan
+    blocks, width = e.shape
+    g = np.concatenate((g, np.zeros(e.size - n))).reshape(blocks, width)
+    s = np.zeros((2, blocks, width + 1))
+    left, right = s
+    np.multiply(g, e, out=left[:, 1:])
+    np.multiply(g, r, out=right[:, :-1])
+    left_totals, right_totals = np.add.reduce(s, axis=-1).tolist()
+    left_carry = [cl]
+    for f, total in zip(decay, left_totals):
+        left_carry.append(f * (left_carry[-1] + total))
+    right_carry = [cr * r_end]
+    for f, total in zip(decay[::-1], right_totals[:0:-1]):
+        right_carry.append(f * (right_carry[-1] + total))
+    left[:, 0] = left_carry
+    right[:, -1] = right_carry[::-1]
+    np.add.accumulate(left, axis=-1, out=left)
+    np.add.accumulate(right[:, ::-1], axis=-1, out=right[:, ::-1])
+    left = np.multiply(left[:, :-1], r).reshape(e.size)
+    right = np.multiply(right[:, 1:], e).reshape(e.size)
+    return left[:n], right[:n]
+
+
 def reference_scans(positions, weights, h, slopes=None, order=2):
     """Node-by-node recurrence for the left/right scans: the blocked scan's oracle."""
     n = positions.shape[0]
@@ -138,6 +163,25 @@ class TestScanPair:
             scale = (kernel @ np.abs(row)).max() + abs(cl) + abs(cr)
             assert np.abs(left - L0).max() <= 1e-13 * scale
             assert np.abs(right - R0).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("m", [
+        # gap 0.3: 38 blocks of 27 nodes, the last one padded
+        np.linspace(-150.0, 150.0, 1001),
+        # span 6.5 < 8: one block
+        np.linspace(-3.0, 3.5, 300),
+        # gap 3: 334 blocks of 3 nodes; gap 9: one node per block
+        3.0 * np.arange(1001), 9.0 * np.arange(200),
+    ], ids=["padded", "single block", "narrow blocks", "width one"])
+    def test_decay_scans_equal_two_cumsum_form(self, m):
+        # The complex buffer does both directions in one cumsum: the same
+        # numbers, bit for bit, as a cumsum per direction.
+        rng = np.random.default_rng(12)
+        plan = _scan_plan(m)
+        for row, (cl, cr) in zip(rng.standard_normal((2, m.size)), [(0.7, -1.3), (-0.2, 0.9)]):
+            left, right = _decay_scans(plan, row, cl, cr)
+            left0, right0 = two_cumsum_scans(plan, row, cl, cr)
+            np.testing.assert_array_equal(left, left0)
+            np.testing.assert_array_equal(right, right0)
 
     @pytest.mark.parametrize("positions", [
         np.linspace(1.0, -1.0, 64),

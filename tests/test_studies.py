@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from chflow import studies
@@ -206,3 +208,46 @@ def test_fixed_oracle_takes_the_multiples_of_its_record_period(tmp_path, monkeyp
     for t in (0.07, 0.15, -0.05):
         with pytest.raises(ValidationError, match=f"not {t:g}$"):
             studies.oracle_refinement(cfg, [], times=[t])
+
+
+@pytest.mark.parametrize("t_end, dt, record_every, expected", [
+    (0.12, 1e-2, 5, [0.0, 0.05, 0.1, 0.12]),    # record_every does not divide 12 steps
+    (0.105, 1e-2, 5, [0.0, 0.05, 0.1, 0.105]),  # shortened last step
+    (0.1, 3e-2, 2, [0.0, 0.06, 0.1]),           # the shortened last step is a record step
+    (0.1, 3e-2, 3, [0.0, 0.09, 0.1]),
+    (0.1, 1e-2, 20, [0.0, 0.1]),                # fewer steps than record_every
+])
+def test_solvers_and_times_check_share_the_record_rule(tmp_path, monkeypatch, t_end, dt,
+                                                      record_every, expected):
+    # The flow map and the Eulerian oracle record the same times, and the
+    # --times check accepts exactly those among all step times and midpoints.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
+        "time": {"t_end": t_end, "dt": dt, "record_every": record_every},
+        "initial": {"kind": "gaussian", "amplitude": 0.5}}))
+    cfg = load_config(path)
+    traj = studies._solve(("flow_map", cfg, 64, 4, None, True))
+    recorded = [s.t for s in traj.states]
+    assert recorded == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert [s.t for s in studies._solve(("eulerian", cfg, 64, 4, None, True))] == recorded
+    monkeypatch.setattr(studies, "_run_tasks", _started)
+    steps = traj.diagnostics.t
+    for t in np.concatenate((steps, 0.5 * (steps[1:] + steps[:-1]))).tolist():
+        with pytest.raises(_Started if t in recorded else ValidationError):
+            studies.oracle_refinement(cfg, [], times=[t])
+
+
+@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan"), 1e308])
+def test_non_finite_or_huge_time_is_refused(tmp_path, monkeypatch, t):
+    # A fixed run with dt * record_every = 0.05 up to t_end = 0.1; 1e308 / 0.05
+    # overflows, so the check clips t to [0, t_end] before it divides.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
+        "time": {"t_end": 0.1, "dt": 1e-2, "record_every": 5},
+        "initial": {"kind": "gaussian", "amplitude": 0.5}}))
+    cfg = load_config(path)
+    monkeypatch.setattr(studies, "_run_tasks", _started)
+    with pytest.raises(ValidationError, match=re.escape(f"not {t:g}") + "$"):
+        studies.oracle_refinement(cfg, [], times=[0.1, t])
