@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import glob
 import os
+import random
 import sys
 from collections import Counter
 
@@ -252,7 +253,7 @@ def cmd_converge(args, cfg: SimConfig, out_dir: str, base_dir: str):
 
 def cmd_check(args, cfg: SimConfig, out_dir: str, base_dir: str):
     """Run the bound suite args.suite: exit 1 unless every check passes."""
-    checks = args.suite(cfg.grid.build(), args.samples, np.random.default_rng(args.seed))
+    checks = args.suite(cfg.grid.build(), args.samples, random.Random(args.seed))
     items = []
     for c in checks:
         items.append((f"{c.name}_measured", c.measured))

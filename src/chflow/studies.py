@@ -16,7 +16,9 @@ Every solve of a study is an independent task: one per level for a
 self-convergence study, and one per solver and level for a cross-method
 study.  The tasks run in a process pool when one can be started, finest
 level first; they run serially otherwise, and the study records which.  An
-error raised by a task itself propagates once and is not retried.
+error raised by a task itself propagates once and is not retried.  The
+pool's modules (concurrent.futures.process and multiprocessing) load when a
+study first starts a pool, so a process that starts none never loads them.
 
 A study keeps each level's flow-map trajectory as its solve returned it,
 final state only: the level's spacing and breakdown are read from it.
@@ -25,8 +27,6 @@ final state only: the level's spacing and breakdown are read from it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,6 +110,9 @@ def _run_tasks(task, payloads: list, workers: int | None) -> tuple[list, str]:
     if workers is None:
         workers = min(len(payloads), _usable_cpus())
     if workers > 1:
+        # Loaded here, so that a command that starts no pool loads none of it.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:  # exit waits for all
                 futures = [pool.submit(task, p) for p in payloads]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import importlib
@@ -436,7 +437,7 @@ class TestConverge:
         def no_pool(*args, **kwargs):
             raise OSError("no process pool")
 
-        monkeypatch.setattr(studies, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         cfg = write_config(tmp_path, n=128, t_end=0.25, dt=8e-3, record_every=1000)
         out = tmp_path / "out"
         code = main(["converge", "--config", str(cfg), "--out", str(out),
@@ -531,7 +532,7 @@ class TestOracleCompare:
                 return real(first, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(studies, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(studies, "integrate", counting("flow_map", studies.integrate))
         monkeypatch.setattr(studies, "integrate_eulerian",
                             counting("eulerian", studies.integrate_eulerian))
@@ -602,7 +603,7 @@ class TestOracleCompare:
         def no_pool(*args, **kwargs):
             raise OSError("no process pool")
 
-        monkeypatch.setattr(studies, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert main(args + ["--out", str(tmp_path / "serial")]) == 0
         pool, serial = (read_kv(tmp_path / d / "oracle_compare.txt")
                         for d in ("pool", "serial"))
@@ -683,6 +684,48 @@ def test_module_entry_point_usage_error(tmp_path):
     assert "error=ParseError" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "failure.txt").exists()
+
+
+FOOTPRINT = """
+import json, sys
+from chflow.cli import main
+cfg, out = sys.argv[1:]
+heavy = ("concurrent.futures.process", "multiprocessing", "numpy.random")
+loaded = {}
+for name, args in (("run", ["run"]), ("check-group", ["check-group", "--samples", "2"]),
+                   ("check-operators", ["check-operators", "--samples", "2", "--seed", "5"]),
+                   ("converge", ["converge", "--levels", "128,256", "--workers", "2"])):
+    code = main(args + ["--config", cfg, "--out", f"{out}/{name}", "--quiet"])
+    loaded[name] = [code, [m for m in heavy if m in sys.modules]]
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    # A fresh interpreter: run and the check suites load neither the process
+    # pool nor numpy.random, and converge still starts its pool.
+    cfg = write_config(tmp_path, n=128, t_end=0.25, dt=8e-3, record_every=1000)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-c", FOOTPRINT, str(cfg), str(out)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    loaded = json.loads(res.stdout)
+    assert loaded["run"] == [0, []]
+    assert loaded["check-group"] == [0, []]
+    assert loaded["check-operators"] == [0, []]
+    assert loaded["converge"][0] == 0
+    assert "concurrent.futures.process" in loaded["converge"][1]
+    assert read_kv(out / "converge" / "convergence.txt")["level_execution"] == "pool"
+    # The seeded report repeats across processes, and another seed draws anew.
+    for seed in ("5", "6"):
+        assert main(["check-operators", "--config", str(cfg), "--out", str(tmp_path / seed),
+                     "--samples", "2", "--seed", seed, "--quiet"]) == 0
+    reports = [d / "operator_report.txt" for d in (out / "check-operators", tmp_path / "5")]
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    five, six = ({k: v for k, v in read_kv(tmp_path / seed / "operator_report.txt").items()
+                  if k.endswith("_measured")} for seed in ("5", "6"))
+    assert five and five != six
 
 
 def test_exports_resolve():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 
@@ -65,7 +66,7 @@ def test_pool_matches_serial_in_ladder_order(tmp_path, monkeypatch):
     # pool starts.
     monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
     pool = studies.oracle_refinement(cfg, [64, 128, 256])
-    monkeypatch.setattr(studies, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     serial = studies.oracle_refinement(cfg, [64, 128, 256])
     assert (pool.execution, serial.execution) == ("pool", "serial")
     assert list(pool.levels) == [64, 128, 256]
