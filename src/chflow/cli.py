@@ -136,24 +136,21 @@ def _build_parser() -> _Parser:
                        help="comma-separated comparison times (default: final time)")
     p_cmp.add_argument("--levels", default=None,
                        help="optional resolution ladder for a gap-refinement table")
-    p_cmp.add_argument("--order", type=int, default=4, choices=(2, 4))
     return parser
 
 
 def _export_trajectory(traj: Trajectory, cfg: SimConfig, out_dir: str, tally: Counter) -> None:
-    formats = cfg.output.formats
-    if "csv" in formats:
-        for i, state in enumerate(traj.states):
-            u = reconstruct_u(state, inv_tol=cfg.tolerances.inv_tol, tally=tally)
-            write_csv(
-                os.path.join(out_dir, f"state_{i:05d}.csv"),
-                ["x", "eta", "eta_x", "U", "U_x", "u", "u_x"],
-                [state.grid.x, state.eta.values(), state.eta.slopes(),
-                 state.U.u, state.U.du, u.u, u.du])
-        d = traj.diagnostics
-        write_csv(os.path.join(out_dir, "diagnostics.csv"),
-                  ["t", "energy", "momentum", "min_eta_x", "sup_u"],
-                  [d.t, d.energy, d.momentum, d.min_eta_x, d.sup_u])
+    for i, state in enumerate(traj.states):
+        u = reconstruct_u(state, inv_tol=cfg.tolerances.inv_tol, tally=tally)
+        write_csv(
+            os.path.join(out_dir, f"state_{i:05d}.csv"),
+            ["x", "eta", "eta_x", "U", "U_x", "u", "u_x"],
+            [state.grid.x, state.eta.values(), state.eta.slopes(),
+             state.U.u, state.U.du, u.u, u.du])
+    d = traj.diagnostics
+    write_csv(os.path.join(out_dir, "diagnostics.csv"),
+              ["t", "energy", "momentum", "min_eta_x", "sup_u"],
+              [d.t, d.energy, d.momentum, d.min_eta_x, d.sup_u])
 
 
 def _drift(series: np.ndarray) -> float:
@@ -211,8 +208,7 @@ def cmd_run(args, cfg: SimConfig, out_dir: str, base_dir: str):
     traj = integrate(u0, **cfg.integrate_kwargs(args.order))
     tally = Counter()  # invert's counts over the reconstructed states
     _export_trajectory(traj, cfg, out_dir, tally)
-    items = (_summary_items(traj, cfg, args.order, tally)
-             if "summary" in cfg.output.formats else None)
+    items = _summary_items(traj, cfg, args.order, tally)
     if traj.breakdown_time is None:
         return 0, items, [f"run complete at t = {_fmt(traj.final.t)}"]
     return 2, items, [f"run stopped by wave breaking at t = {_fmt(traj.breakdown_time)}"]
@@ -270,14 +266,12 @@ def cmd_oracle_compare(args, cfg: SimConfig, out_dir: str, base_dir: str):
     levels = _entries(args.levels, int, "--levels") if args.levels else []
     times = _entries(args.times, float, "--times") if args.times else None
     # Both solvers of every level, cfg's own n included, run as tasks of the study.
-    study = oracle_refinement(cfg, levels, times=times, quad_order=args.order,
-                              base_dir=base_dir)
+    study = oracle_refinement(cfg, levels, times=times, base_dir=base_dir)
     traj, states = study.base
-    if "csv" in cfg.output.formats:
-        for i, state in enumerate(states):
-            write_csv(os.path.join(out_dir, f"eulerian_{i:05d}.csv"),
-                      ["x", "u", "u_x"],
-                      [state.grid.x, state.u, fourth_order_dx(state.u, state.grid.h)])
+    for i, state in enumerate(states):
+        write_csv(os.path.join(out_dir, f"eulerian_{i:05d}.csv"),
+                  ["x", "u", "u_x"],
+                  [state.grid.x, state.u, fourth_order_dx(state.u, state.grid.h)])
     broken = {n: run for n, run in (study.levels | {cfg.grid.n: traj}).items()
               if not run.completed}
     if broken:
@@ -322,8 +316,7 @@ def main(argv=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         code, items, lines = args.func(args, cfg, out_dir,
                                        os.path.dirname(os.path.abspath(args.config)))
-        if items is not None:
-            _write_kv(os.path.join(out_dir, args.report), items)
+        _write_kv(os.path.join(out_dir, args.report), items)
     except (CHFlowError, OSError) as exc:
         out_dir = out_dir or "."
         try:

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 INITIAL_KINDS = ("gaussian", "antisymmetric_gaussian", "momentum_gaussian", "custom_csv")
-OUTPUT_FORMATS = ("csv", "summary")
 # Largest grid.n: at 2**22 nodes every flat (4, n) state is already 128 MiB
 MAX_GRID_N = 2 ** 22
 
@@ -76,7 +75,6 @@ class ToleranceConfig:
 @dataclass
 class OutputConfig:
     directory: str = "out"
-    formats: list[str] = field(default_factory=lambda: list(OUTPUT_FORMATS))
 
 
 @dataclass
@@ -141,8 +139,6 @@ _TYPES = {
     bool: (lambda v: isinstance(v, bool), None, "a boolean"),
     str: (lambda v: isinstance(v, str), None, "a string"),
     str | None: (lambda v: v is None or isinstance(v, str), None, "a string"),
-    list[str]: (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-                None, "a list of strings"),
 }
 
 
@@ -223,9 +219,6 @@ def _validate(cfg: SimConfig, problems: list[str]):
         problems.append(f"tolerances.eps_break must lie in (0, 1), got {tol.eps_break}")
     if not (0 < tol.inv_tol < 1e-3):
         problems.append(f"tolerances.inv_tol must lie in (0, 1e-3), got {tol.inv_tol}")
-    for fmt in cfg.output.formats:
-        if fmt not in OUTPUT_FORMATS:
-            problems.append(f"output.formats entries must be in {OUTPUT_FORMATS}, got '{fmt}'")
 
 
 def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1:

@@ -35,6 +35,7 @@ __all__ = [
 
 DEFAULT_EPS_CHART = 1e-10
 DEFAULT_INV_TOL = 1e-12
+_MAX_SWEEPS = 80
 
 
 def _chart_margin(dv: np.ndarray, gaps: np.ndarray, h: float) -> float:
@@ -101,8 +102,7 @@ def comp2(zeta: Diffeo, eta: Diffeo) -> Diffeo:
     return Diffeo(comp1(zeta.v, eta) + eta.v)
 
 
-def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, max_iter: int = 80,
-           tally: Counter | None = None) -> Diffeo:
+def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, tally: Counter | None = None) -> Diffeo:
     """The inverse diffeomorphism xi with eta(xi(x_k)) = x_k to tolerance tol.
 
     A single monotone sweep (searchsorted against the node values of eta)
@@ -111,8 +111,9 @@ def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, max_iter: int = 80,
     the brackets, with bisection whenever a step leaves its bracket.  Targets
     off that range are pinned at xi = x.  The derivative channel is set
     analytically to 1 / eta'(xi(x_k)), never by numerical differentiation.
-    tally, when given, counts the Newton sweeps ("iterations") and the targets
-    whose step was a bisection ("bisections").
+    A residual still above tol after _MAX_SWEEPS (80) sweeps is a
+    ConvergenceFailure.  tally, when given, counts the Newton sweeps
+    ("iterations") and the targets whose step was a bisection ("bisections").
     """
     grid = eta.grid
     x, h = grid.x, grid.h
@@ -130,7 +131,7 @@ def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, max_iter: int = 80,
     xi = np.clip(y - eta.v.u[inside], lo, hi)  # y - v(y): the targets are nodes
     residual = np.inf
     tally = Counter() if tally is None else tally
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         t = (xi - xc) / h
         r = ((a3 * t + a2) * t + a1) * t + a0
         residual = float(np.abs(r).max(initial=0.0))

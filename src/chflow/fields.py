@@ -285,12 +285,15 @@ def read_field_csv(path) -> ScalarField1:
     if [c.strip() for c in rows[0]] != _FIELD_HEADER:
         raise ParseError(f"{path}: expected columns {','.join(_FIELD_HEADER)}, "
                          f"got {','.join(rows[0])}")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ParseError(f"{path}: line {line} has {len(row)} columns, not 3")
+    if len(rows) < 3:
+        raise ParseError(f"{path}: need at least two rows of three columns")
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric entry ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 2:
-        raise ParseError(f"{path}: need at least two rows of three columns")
     x = data[:, 0]
     h = x[1] - x[0]
     if h <= 0 or np.abs(np.diff(x) - h).max() > 1e-9 * max(1.0, abs(h)):

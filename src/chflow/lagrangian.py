@@ -248,20 +248,19 @@ def _unpack(y: np.ndarray, t: float, grid: Grid) -> FlowState:
                      ScalarField1(grid, y[2], y[3]))
 
 
-def rk4_step(state: FlowState, dt: float, *, eps_break: float = DEFAULT_EPS_BREAK,
-             quad_order: int = DEFAULT_QUAD_ORDER) -> FlowState:
-    """One classical four-stage Runge-Kutta step; revalidates the chart throughout."""
+def rk4_step(state: FlowState, dt: float) -> FlowState:
+    """One classical four-stage Runge-Kutta step at the integrator's scan order 4;
+    a chart margin at or below DEFAULT_EPS_BREAK at any stage raises ChartViolation."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be positive and finite, got {dt}")
-    eps = max(eps_break, DEFAULT_EPS_CHART)
     grid, t = state.grid, state.t
     y = _pack(state)
 
     def f(z, tz):
-        return _dydt(z, tz, grid, eps, quad_order)
+        return _dydt(z, tz, grid, DEFAULT_EPS_BREAK, DEFAULT_QUAD_ORDER)
 
     y, _ = _rk_step(_RK4, y, t, dt, f, f(y, t))
-    _chart(y, grid, eps, t + dt)
+    _chart(y, grid, DEFAULT_EPS_BREAK, t + dt)
     return _unpack(y, t + dt, grid)
 
 
@@ -354,7 +353,8 @@ def _match_time(times: list[float], t: float) -> int:
 
 def _check_record_times(times: list[float], t_end: float, dt: float, record_every: int,
                         adaptive: bool) -> None:
-    """ValidationError, before any solve, naming each of times a run may not record."""
+    """ValidationError, before any solve, naming each of times a run may not record
+    and each that repeats an earlier one."""
     period = dt * record_every
     unsure = []
     for t in times:
@@ -365,12 +365,19 @@ def _check_record_times(times: list[float], t_end: float, dt: float, record_ever
             _match_time(sure, t)
         except TimeMismatch:
             unsure.append(f"{t:.9g}")
+    problems = []
     if unsure:
         rule = (f"an adaptive run records only t = 0 and t_end = {t_end:.9g}"
                 if adaptive else
                 f"a fixed run records only the multiples of dt * record_every = {period:.9g}"
                 f" up to t_end = {t_end:.9g}, and t_end")
-        raise ValidationError([f"{rule}, not {', '.join(unsure)}"])
+        problems.append(f"{rule}, not {', '.join(unsure)}")
+    repeated = [f"{t:.9g}" for i, t in enumerate(times) if t in times[:i]]
+    if repeated:
+        problems.append(f"each time is compared once, so {', '.join(repeated)} "
+                        "may not repeat an earlier entry")
+    if problems:
+        raise ValidationError(problems)
 
 
 def integrate(u0: ScalarField1, t_end: float, dt: float,

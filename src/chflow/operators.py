@@ -55,20 +55,22 @@ weight, so no pass forms A or B).  Without any numerical differentiation:
   O(eps^2) with no grid floor.
 
 Quadrature: per-cell trapezoid on the weighted integrand with the exponential
-factor pulled out per cell (order=2, the default), q = h w / 2.  order=4 adds
-the Euler-Maclaurin endpoint correction (h^2/12)(W'_left - W'_right) per cell
+factor pulled out per cell (order=2), q = h w / 2.  order=4 adds the
+Euler-Maclaurin endpoint correction (h^2/12)(W'_left - W'_right) per cell
 with the integrand derivative estimated by centered differences, raising
 smooth accuracy to O(h^4); the corrections of adjacent cells cancel at every
-interior node and survive only in q.  Integrals are truncated at the grid
-boundary; the error is O(exp(-a * margin)) for data supported margin away
-from the ends.
+interior node and survive only in q.  inv_helmholtz and l_op take either
+order (2 by default); l_eta_direct, l_eta_conjugated and gateaux_df use
+order 2, and the time stepper's scans the order it is given.  Integrals
+are truncated at the grid boundary; the error is O(exp(-a * margin)) for
+data supported margin away from the ends.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diffeo import DEFAULT_INV_TOL, Diffeo, comp1, invert
+from .diffeo import Diffeo, comp1, invert
 from .errors import GridMismatch
 from .fields import ScalarField0, ScalarField1
 
@@ -233,37 +235,37 @@ def _l_eta_arrays(m: np.ndarray, slopes: np.ndarray, phi: np.ndarray, h: float,
     return D, S
 
 
-def l_eta_direct(phi: ScalarField0, eta: Diffeo, *, order: int = 2) -> ScalarField1:
+def l_eta_direct(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
     """L conjugated by the flow map, evaluated directly from eta-weighted scans.
 
     f(x_k) = D_k = (B_k - A_k)/2 with positions m = eta(x_k) and weight
     phi * eta'; monotonicity of eta keeps every per-cell exponent
     -(m_{k+1} - m_k) <= -a h < 0.  The derivative channel comes from the
     analytic identity f' = eta' * (S - phi) with S = (A + B)/2, which is the
-    inverse Helmholtz of phi o eta^(-1) carried back along eta.
+    inverse Helmholtz of phi o eta^(-1) carried back along eta.  The scan
+    takes the order-2 cell rule.
     """
     if phi.grid != eta.grid:
         raise GridMismatch("source and diffeomorphism live on different grids")
-    val, der = _l_eta_arrays(eta.values(), eta.slopes(), phi.g, phi.grid.h, order)
+    val, der = _l_eta_arrays(eta.values(), eta.slopes(), phi.g, phi.grid.h, 2)
     return ScalarField1(phi.grid, val, der)
 
 
-def l_eta_conjugated(phi: ScalarField0, eta: Diffeo, *, order: int = 2,
-                     inv_tol: float = DEFAULT_INV_TOL) -> ScalarField1:
+def l_eta_conjugated(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
     """The conjugation identity L(phi o eta^(-1)) o eta computed literally.
 
-    Inverts eta, resamples phi along the inverse, applies l_op, and composes
-    back.  Exists as an independent discretization used to cross-check
-    l_eta_direct; the two agree at the quadrature/interpolation error level.
+    Inverts eta to DEFAULT_INV_TOL, resamples phi along the inverse, applies
+    l_op with the order-2 cell rule, and composes back.  Exists as an
+    independent discretization used to cross-check l_eta_direct; the two
+    agree at the quadrature/interpolation error level.
     """
     if phi.grid != eta.grid:
         raise GridMismatch("source and diffeomorphism live on different grids")
-    psi = ScalarField0(phi.grid, phi.eval(invert(eta, tol=inv_tol).values()))
-    return comp1(l_op(psi, order=order), eta)
+    psi = ScalarField0(phi.grid, phi.eval(invert(eta).values()))
+    return comp1(l_op(psi), eta)
 
 
-def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1, *,
-               order: int = 2) -> ScalarField1:
+def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1) -> ScalarField1:
     """Directional derivative of (phi, eta) -> l_eta_direct(phi, eta) in eta.
 
     With G the derivative in direction rho,
@@ -287,8 +289,8 @@ def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1, *,
     plan = _scan_plan(eta.values())
     slopes = eta.slopes()
     w1 = phi.g * slopes
-    S1, _ = _scan_sd(plan, w1, grid.h, slopes, order)
-    S2, _ = _scan_sd(plan, rho.u * w1, grid.h, slopes, order)
-    _, D3 = _scan_sd(plan, phi.g * rho.du, grid.h, slopes, order)
+    S1, _ = _scan_sd(plan, w1, grid.h, slopes)
+    S2, _ = _scan_sd(plan, rho.u * w1, grid.h, slopes)
+    _, D3 = _scan_sd(plan, phi.g * rho.du, grid.h, slopes)
     value = rho.u * S1 - S2 + D3
     return ScalarField1(grid, value, np.gradient(value, grid.h, edge_order=2))

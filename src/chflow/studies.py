@@ -34,7 +34,8 @@ import numpy as np
 from .config import SimConfig, _validate, make_initial
 from .errors import ValidationError
 from .eulerian import ComparisonReport, EulerianState, compare, integrate_eulerian
-from .lagrangian import Trajectory, _check_record_times, integrate, reconstruct_u
+from .lagrangian import (DEFAULT_QUAD_ORDER, Trajectory, _check_record_times, integrate,
+                         reconstruct_u)
 
 __all__ = [
     "RefinementStudy",
@@ -185,27 +186,28 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
 
 
 def oracle_refinement(cfg: SimConfig, levels: list[int], *,
-                      times: list[float] | None = None, quad_order: int = 4,
+                      times: list[float] | None = None,
                       base_dir: str | None = None) -> RefinementStudy:
     """Gap between the flow-map solver and the Eulerian reference per level.
 
     Each solver runs once at every level and at cfg's own resolution, each
-    run a task of its own.  study.base holds the pair at cfg's resolution
-    and study.report compares it at times (default: t_end); a level at cfg's
-    resolution takes its gap from that report when t_end is among the times.
-    Other levels keep only their final states, all their gap reads.  levels
-    may be empty: then only cfg's own resolution runs, and there are no gaps.
-    If any flow-map run broke down, the study compares nothing: no report,
-    no gaps, and the breakdowns are on study.levels and study.base.  A time
-    that cfg's run is not sure to record is a ValidationError before any
-    solve (lagrangian._check_record_times).
+    run a task of its own; the flow map takes the integrator's scan order 4.
+    study.base holds the pair at cfg's resolution and study.report compares
+    it at times (default: t_end); a level at cfg's resolution takes its gap
+    from that report when t_end is among the times.  Other levels keep only
+    their final states, all their gap reads.  levels may be empty: then only
+    cfg's own resolution runs, and there are no gaps.  If any flow-map run
+    broke down, the study compares nothing: no report, no gaps, and the
+    breakdowns are on study.levels and study.base.  A time that cfg's run is
+    not sure to record, or that repeats an earlier one, is a ValidationError
+    before any solve (lagrangian._check_record_times).
     """
     _check_levels(cfg, levels, 0)
     t_end = cfg.time.t_end
     times = [t_end] if times is None else list(times)
     _check_record_times(times, t_end, cfg.time.dt, cfg.time.record_every, cfg.time.adaptive)
     resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
-    payloads = [(solver, cfg, n, quad_order, base_dir, n == cfg.grid.n)
+    payloads = [(solver, cfg, n, DEFAULT_QUAD_ORDER, base_dir, n == cfg.grid.n)
                 for n in resolutions for solver in ("flow_map", "eulerian")]
     results, execution = _run_tasks(_solve, payloads, None)
     runs = {(p[0], p[2]): r for p, r in zip(payloads, results)}

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import csv
 import hashlib
@@ -6,6 +7,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -261,6 +263,15 @@ class TestFailurePaths:
         assert main([command, "--config", str(cfg), "--seed", "1"]) == 1
         assert "error=ParseError" in capsys.readouterr().err
 
+    def test_oracle_compare_order_is_a_usage_error(self, tmp_path, capsys):
+        # oracle-compare runs the integrator's scan order 4; it has no --order.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", str(cfg), "--out", str(out),
+                     "--order", "2", "--quiet"]) == 1
+        assert "error=ParseError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inadmissible_initial_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, width=15.0)
         out = tmp_path / "out"
@@ -315,13 +326,15 @@ class TestFailurePaths:
         (["converge", "--levels", "512,256"], "ValidationError", "strictly increasing"),
         (["converge", "--levels", "4,8"], "ValidationError", "grid.n must lie in"),
         (["oracle-compare", "--times", "abc"], "ParseError", "--times"),
+        (["oracle-compare", "--times", "0.1,0.2,0.1"], "ValidationError",
+         "0.1 may not repeat an earlier entry"),
         (["oracle-compare", "--levels", "256,256"], "ValidationError",
          "strictly increasing"),
         (["oracle-compare", "--levels", "256,4000000000"], "ValidationError",
          "grid.n must lie in"),
     ], ids=["converge-token", "converge-one-level", "converge-decreasing",
-            "converge-too-small", "oracle-times-token", "oracle-repeated",
-            "oracle-too-large"])
+            "converge-too-small", "oracle-times-token", "oracle-times-repeated",
+            "oracle-repeated", "oracle-too-large"])
     def test_bad_ladder_fails_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                args, error, fragment):
         monkeypatch.setattr(studies, "_run_tasks",
@@ -736,6 +749,21 @@ def test_exports_resolve():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_synopsis_matches_parser():
+    # Each command's line in the README "Command line" block names exactly the
+    # options of its parser, apart from the shared --config, --out and --quiet.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shared = {"-h", "--help", "--config", "--out", "--quiet"}
+    documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line)) - shared
+                  for line in block.splitlines() if line.startswith("chflow ")}
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {s for a in p._actions for s in a.option_strings} - shared
+              for name, p in sub.choices.items()}
+    assert documented == parsed
 
 
 def test_tracer_targets_resolve():

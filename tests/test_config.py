@@ -35,7 +35,6 @@ class TestLoadConfig:
         assert cfg.tolerances.eps_break == 1e-3
         assert cfg.tolerances.inv_tol == 1e-12
         assert cfg.output.directory == "out"
-        assert cfg.output.formats == ["csv", "summary"]
         assert cfg.initial.amplitude == 1.0
 
     def test_small_grid_rejected(self, tmp_path):
@@ -109,12 +108,11 @@ class TestLoadConfig:
                 "grid": {"x_min": -1.0, "n": 64.5},
                 "time": {"adaptive": "yes"},
                 "initial": {"kind": "gaussian", "path": 3},
-                "output": {"formats": "csv"},
             })
         assert exc.value.violations == [
             "missing key 'grid.x_max'", "grid.n must be an integer",
             "missing key 'time.t_end'", "time.adaptive must be a boolean",
-            "initial.path must be a string", "output.formats must be a list of strings"]
+            "initial.path must be a string"]
 
     def test_integer_beyond_float_range_is_infinite(self):
         # As 1e400 parses to inf, so does the integer literal 10**400.
@@ -126,10 +124,11 @@ class TestLoadConfig:
         assert exc.value.violations == ["grid.x_min must be finite and < grid.x_max",
                                         "time.t_end must be > 0, got inf"]
 
-    def test_bad_format_rejected(self):
+    def test_output_formats_is_an_unknown_key(self):
+        # Every command writes its fixed set of files; there is no format switch.
         payload = json.loads(json.dumps(MINIMAL))
-        payload["output"] = {"formats": ["csv", "parquet"]}
-        with pytest.raises(ValidationError, match="parquet"):
+        payload["output"] = {"formats": ["csv", "summary"]}
+        with pytest.raises(ParseError, match="unknown key 'output.formats'"):
             config_from_dict(payload)
 
     def test_custom_csv_needs_path(self):

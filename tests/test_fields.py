@@ -260,3 +260,11 @@ class TestCsv:
         path.write_text("x,u,du\n0,zero,0\n1,0,0\n")
         with pytest.raises(ParseError):
             read_field_csv(path)
+
+    @pytest.mark.parametrize("row, columns", [("1,0", 2), ("1,0,0,0", 4)],
+                             ids=["short", "long"])
+    def test_ragged_row_named(self, tmp_path, row, columns):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,u,du\n0,0,0\n{row}\n2,0,0\n")
+        with pytest.raises(ParseError, match=f"line 3 has {columns} columns, not 3"):
+            read_field_csv(path)
