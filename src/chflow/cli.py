@@ -139,9 +139,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _export_trajectory(traj: Trajectory, cfg: SimConfig, out_dir: str, tally: Counter) -> None:
+def _export_trajectory(traj: Trajectory, out_dir: str, tally: Counter) -> None:
     for i, state in enumerate(traj.states):
-        u = reconstruct_u(state, inv_tol=cfg.tolerances.inv_tol, tally=tally)
+        u = reconstruct_u(state, tally=tally)
         write_csv(
             os.path.join(out_dir, f"state_{i:05d}.csv"),
             ["x", "eta", "eta_x", "U", "U_x", "u", "u_x"],
@@ -207,7 +207,7 @@ def cmd_run(args, cfg: SimConfig, out_dir: str, base_dir: str):
     u0 = make_initial(cfg, base_dir=base_dir)
     traj = integrate(u0, **cfg.integrate_kwargs(args.order))
     tally = Counter()  # invert's counts over the reconstructed states
-    _export_trajectory(traj, cfg, out_dir, tally)
+    _export_trajectory(traj, out_dir, tally)
     items = _summary_items(traj, cfg, args.order, tally)
     if traj.breakdown_time is None:
         return 0, items, [f"run complete at t = {_fmt(traj.final.t)}"]
@@ -264,7 +264,7 @@ def cmd_check(args, cfg: SimConfig, out_dir: str, base_dir: str):
 
 def cmd_oracle_compare(args, cfg: SimConfig, out_dir: str, base_dir: str):
     levels = _entries(args.levels, int, "--levels") if args.levels else []
-    times = _entries(args.times, float, "--times") if args.times else None
+    times = _entries(args.times, float, "--times") if args.times is not None else None
     # Both solvers of every level, cfg's own n included, run as tasks of the study.
     study = oracle_refinement(cfg, levels, times=times, base_dir=base_dir)
     traj, states = study.base

@@ -16,9 +16,8 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import AdmissibilityError, ParseError, ValidationError
-from .diffeo import DEFAULT_INV_TOL
 from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField0, ScalarField1, read_field_csv
-from .lagrangian import DEFAULT_EPS_BREAK, DEFAULT_RECORD_EVERY
+from .lagrangian import DEFAULT_RECORD_EVERY
 from .operators import inv_helmholtz
 
 __all__ = [
@@ -68,8 +67,6 @@ class InitialConfig:
 @dataclass
 class ToleranceConfig:
     tail_tol: float = DEFAULT_TAIL_TOL
-    eps_break: float = DEFAULT_EPS_BREAK
-    inv_tol: float = DEFAULT_INV_TOL
 
 
 @dataclass
@@ -88,8 +85,7 @@ class SimConfig:
     def integrate_kwargs(self, order: int) -> dict:
         """Keyword arguments of ``lagrangian.integrate`` for this run at scan order ``order``."""
         return dict(t_end=self.time.t_end, dt=self.time.dt,
-                    record_every=self.time.record_every,
-                    eps_break=self.tolerances.eps_break, quad_order=order,
+                    record_every=self.time.record_every, quad_order=order,
                     tail_tol=self.tolerances.tail_tol, adaptive=self.time.adaptive)
 
 
@@ -215,10 +211,6 @@ def _validate(cfg: SimConfig, problems: list[str]):
         problems.append("initial.path is required for kind 'custom_csv'")
     if not (0 < tol.tail_tol < 1):
         problems.append(f"tolerances.tail_tol must lie in (0, 1), got {tol.tail_tol}")
-    if not (0 < tol.eps_break < 1):
-        problems.append(f"tolerances.eps_break must lie in (0, 1), got {tol.eps_break}")
-    if not (0 < tol.inv_tol < 1e-3):
-        problems.append(f"tolerances.inv_tol must lie in (0, 1e-3), got {tol.inv_tol}")
 
 
 def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1:

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_EPS_CHART = 1e-10
-DEFAULT_INV_TOL = 1e-12
+_INV_TOL = 1e-12
 _MAX_SWEEPS = 80
 
 
@@ -102,8 +102,8 @@ def comp2(zeta: Diffeo, eta: Diffeo) -> Diffeo:
     return Diffeo(comp1(zeta.v, eta) + eta.v)
 
 
-def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, tally: Counter | None = None) -> Diffeo:
-    """The inverse diffeomorphism xi with eta(xi(x_k)) = x_k to tolerance tol.
+def invert(eta: Diffeo, *, tally: Counter | None = None) -> Diffeo:
+    """The inverse diffeomorphism xi with eta(xi(x_k)) = x_k within _INV_TOL (1e-12).
 
     A single monotone sweep (searchsorted against the node values of eta)
     brackets each target in the range of eta in one grid cell; vectorized Newton
@@ -111,7 +111,7 @@ def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, tally: Counter | None = No
     the brackets, with bisection whenever a step leaves its bracket.  Targets
     off that range are pinned at xi = x.  The derivative channel is set
     analytically to 1 / eta'(xi(x_k)), never by numerical differentiation.
-    A residual still above tol after _MAX_SWEEPS (80) sweeps is a
+    A residual still above _INV_TOL after _MAX_SWEEPS (80) sweeps is a
     ConvergenceFailure.  tally, when given, counts the Newton sweeps
     ("iterations") and the targets whose step was a bisection ("bisections").
     """
@@ -135,7 +135,7 @@ def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, tally: Counter | None = No
         t = (xi - xc) / h
         r = ((a3 * t + a2) * t + a1) * t + a0
         residual = float(np.abs(r).max(initial=0.0))
-        if residual <= tol:
+        if residual <= _INV_TOL:
             break
         hi = np.where(r > 0, np.minimum(hi, xi), hi)
         lo = np.where(r < 0, np.maximum(lo, xi), lo)
@@ -148,7 +148,7 @@ def invert(eta: Diffeo, tol: float = DEFAULT_INV_TOL, tally: Counter | None = No
         tally["bisections"] += xi.size - int(np.count_nonzero(newton))
     else:
         raise ConvergenceFailure(
-            f"inversion stalled at residual {residual:.3g} (tol {tol:g}); "
+            f"inversion stalled at residual {residual:.3g} (tol {_INV_TOL:g}); "
             "input looks corrupted")
 
     full = x.copy()

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeo import DEFAULT_INV_TOL
 from .errors import GridMismatch
 from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, _own_array, _trapz
 from .lagrangian import (DEFAULT_RECORD_EVERY, Trajectory, _check_run, _march, _match_time,
@@ -121,12 +120,13 @@ class ComparisonReport:
 
 
 def compare(traj: Trajectory, eulerian_states: list[EulerianState],
-            times: list[float], *, inv_tol: float = DEFAULT_INV_TOL) -> ComparisonReport:
+            times: list[float]) -> ComparisonReport:
     """Gaps between the reconstructed flow-map velocity and the Eulerian one.
 
-    Every requested time must be recorded in both inputs; the report carries
-    |.| sup and trapezoidal L2 differences per time and is symmetric in the
-    two solutions.
+    Every requested time must be recorded in both inputs, and reconstruct_u
+    turns the flow-map state into a velocity (invert at its fixed tolerance).
+    The report carries |.| sup and trapezoidal L2 differences per time and is
+    symmetric in the two solutions.
     """
     lag_times = [s.t for s in traj.states]
     eul_times = [s.t for s in eulerian_states]
@@ -136,7 +136,7 @@ def compare(traj: Trajectory, eulerian_states: list[EulerianState],
         se = eulerian_states[_match_time(eul_times, t)]
         if sl.grid != se.grid:
             raise GridMismatch("trajectories live on different grids")
-        u_lag = reconstruct_u(sl, inv_tol=inv_tol)
+        u_lag = reconstruct_u(sl)
         diff = u_lag.u - se.u
         sup.append(float(np.abs(diff).max()))
         l2.append(float(np.sqrt(_trapz(diff * diff, sl.grid.h))))

@@ -294,6 +294,9 @@ def read_field_csv(path) -> ScalarField1:
         data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric entry ({exc})") from None
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise ParseError(f"{path}: line {int(bad.argmax()) + 2} holds a non-finite entry")
     x = data[:, 0]
     h = x[1] - x[0]
     if h <= 0 or np.abs(np.diff(x) - h).max() > 1e-9 * max(1.0, abs(h)):

@@ -37,7 +37,7 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .diffeo import DEFAULT_EPS_CHART, DEFAULT_INV_TOL, Diffeo, _chart_margin, comp1, invert
+from .diffeo import DEFAULT_EPS_CHART, Diffeo, _chart_margin, comp1, invert
 from .errors import ChartViolation, GridMismatch, TimeMismatch, ValidationError
 from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, _trapz, require_admissible
 from .operators import _l_eta_arrays
@@ -343,36 +343,39 @@ def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
         yield t, y, step, steps % record_every == 0
 
 
+def _is_time(recorded: float, t: float) -> bool:
+    """Whether t names the recorded time: within a relative 1e-9 of it."""
+    return isfinite(t) and abs(recorded - t) <= 1e-9 * max(1.0, abs(t))
+
+
 def _match_time(times: list[float], t: float) -> int:
-    """Index of the recorded time nearest to t; TimeMismatch unless within a relative 1e-9."""
+    """Index of the recorded time nearest to t; TimeMismatch unless _is_time holds."""
     k = int(np.argmin(np.abs(np.subtract(times, t))))
-    if not (isfinite(t) and abs(times[k] - t) <= 1e-9 * max(1.0, abs(t))):
+    if not _is_time(times[k], t):
         raise TimeMismatch(f"time {t:.9g} is not recorded (nearest is {times[k]:.9g})")
     return k
 
 
 def _check_record_times(times: list[float], t_end: float, dt: float, record_every: int,
                         adaptive: bool) -> None:
-    """ValidationError, before any solve, naming each of times a run may not record
-    and each that repeats an earlier one."""
+    """ValidationError, before any solve, if times is empty, naming each of times a
+    run may not record and each that names the same time as an earlier one."""
     period = dt * record_every
     unsure = []
     for t in times:
         sure = [0.0, t_end]
         if not adaptive:  # the multiple nearest to t in [0, t_end]; nan clips to 0
             sure.append(min(round(min(t_end, max(0.0, t)) / period) * period, t_end))
-        try:
-            _match_time(sure, t)
-        except TimeMismatch:
+        if not any(_is_time(s, t) for s in sure):
             unsure.append(f"{t:.9g}")
-    problems = []
+    problems = [] if times else ["at least one time must be compared, and none was given"]
     if unsure:
         rule = (f"an adaptive run records only t = 0 and t_end = {t_end:.9g}"
                 if adaptive else
                 f"a fixed run records only the multiples of dt * record_every = {period:.9g}"
                 f" up to t_end = {t_end:.9g}, and t_end")
         problems.append(f"{rule}, not {', '.join(unsure)}")
-    repeated = [f"{t:.9g}" for i, t in enumerate(times) if t in times[:i]]
+    repeated = [f"{t:.9g}" for i, t in enumerate(times) if any(_is_time(s, t) for s in times[:i])]
     if repeated:
         problems.append(f"each time is compared once, so {', '.join(repeated)} "
                         "may not repeat an earlier entry")
@@ -449,12 +452,11 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
                       step_max=step_max if len(rows) > 1 else float("nan"))
 
 
-def reconstruct_u(state: FlowState, *, inv_tol: float = DEFAULT_INV_TOL,
-                  tally: Counter | None = None) -> ScalarField1:
+def reconstruct_u(state: FlowState, *, tally: Counter | None = None) -> ScalarField1:
     """The Eulerian velocity u = U o eta^(-1) on the grid.
 
     The derivative channel uses u_x o eta = U_x / eta_x, i.e.
-    u'(x_k) = U'(xi_k) * xi'(x_k) with xi the computed inverse; nothing is
-    differenced numerically.  tally, when given, gathers invert's counts.
+    u'(x_k) = U'(xi_k) * xi'(x_k) with xi = invert(eta) at its fixed tolerance;
+    nothing is differenced numerically.  tally, when given, gathers invert's counts.
     """
-    return comp1(state.U, invert(state.eta, tol=inv_tol, tally=tally))
+    return comp1(state.U, invert(state.eta, tally=tally))

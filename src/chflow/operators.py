@@ -254,7 +254,7 @@ def l_eta_direct(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
 def l_eta_conjugated(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
     """The conjugation identity L(phi o eta^(-1)) o eta computed literally.
 
-    Inverts eta to DEFAULT_INV_TOL, resamples phi along the inverse, applies
+    Inverts eta by diffeo.invert, resamples phi along the inverse, applies
     l_op with the order-2 cell rule, and composes back.  Exists as an
     independent discretization used to cross-check l_eta_direct; the two
     agree at the quadrature/interpolation error level.

@@ -176,8 +176,7 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
             diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
             _, study.estimate_order = _orders(diffs, hs)
         return study
-    solutions = [reconstruct_u(traj.final, inv_tol=cfg.tolerances.inv_tol)
-                 for traj in trajs]
+    solutions = [reconstruct_u(traj.final) for traj in trajs]
     for coarse, fine in zip(solutions[:-1], solutions[1:]):
         fine_at_coarse, _ = fine.eval(coarse.grid.x)
         study.gaps.append(float(np.abs(fine_at_coarse - coarse.u).max()))
@@ -217,13 +216,13 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
                             execution=execution, base=base)
     if not all(runs["flow_map", n].completed for n in resolutions):
         return study
-    study.report = compare(*base, times, inv_tol=cfg.tolerances.inv_tol)
+    study.report = compare(*base, times)
     for n in levels:
         if n == cfg.grid.n and t_end in times:
             study.gaps.append(study.report.sup_diff[times.index(t_end)])
         else:
-            study.gaps.append(compare(runs["flow_map", n], runs["eulerian", n], [t_end],
-                                      inv_tol=cfg.tolerances.inv_tol).sup_diff[0])
+            study.gaps.append(
+                compare(runs["flow_map", n], runs["eulerian", n], [t_end]).sup_diff[0])
     study.orders, study.fitted_order = _orders(
         study.gaps, [traj.final.grid.h for traj in study.levels.values()])
     return study

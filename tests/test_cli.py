@@ -161,7 +161,7 @@ class TestRun:
         traj = integrate(make_initial(cfg), **cfg.integrate_kwargs(4))
         tally = Counter()
         for state in traj.states:
-            invert(state.eta, tol=cfg.tolerances.inv_tol, tally=tally)
+            invert(state.eta, tally=tally)
         summary = read_kv(out / "summary.txt")
         assert len(traj.states) == int(summary["recorded_states"]) == 7
         assert tally["iterations"] > 0 and tally["bisections"] > 0
@@ -328,12 +328,17 @@ class TestFailurePaths:
         (["oracle-compare", "--times", "abc"], "ParseError", "--times"),
         (["oracle-compare", "--times", "0.1,0.2,0.1"], "ValidationError",
          "0.1 may not repeat an earlier entry"),
+        (["oracle-compare", "--times", "0.1,0.1000000000001"], "ValidationError",
+         "0.1 may not repeat an earlier entry"),
+        (["oracle-compare", "--times", ","], "ValidationError", "none was given"),
+        (["oracle-compare", "--times", ""], "ValidationError", "none was given"),
         (["oracle-compare", "--levels", "256,256"], "ValidationError",
          "strictly increasing"),
         (["oracle-compare", "--levels", "256,4000000000"], "ValidationError",
          "grid.n must lie in"),
     ], ids=["converge-token", "converge-one-level", "converge-decreasing",
             "converge-too-small", "oracle-times-token", "oracle-times-repeated",
+            "oracle-times-near-repeat", "oracle-times-comma", "oracle-times-blank",
             "oracle-repeated", "oracle-too-large"])
     def test_bad_ladder_fails_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                args, error, fragment):
@@ -432,6 +437,22 @@ class TestFailurePaths:
         assert "missing.csv" in report["message"]
         err = capsys.readouterr().err
         assert "error=FileNotFoundError" in err and "Traceback" not in err
+
+    def test_non_finite_custom_csv_is_rejected_data(self, tmp_path, capsys):
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        u = 0.5 * np.exp(-grid.x ** 2)
+        write_field_csv(ScalarField1(grid, u, -2.0 * grid.x * u), tmp_path / "u0.csv")
+        lines = (tmp_path / "u0.csv").read_text().splitlines(keepends=True)
+        x, _, du = lines[60].split(",")
+        lines[60] = f"{x},nan,{du}"
+        (tmp_path / "u0.csv").write_text("".join(lines))
+        cfg = write_config(tmp_path, n=128, kind="custom_csv", path="u0.csv")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "AdmissibilityError"
+        assert "line 61 holds a non-finite entry" in report["message"]
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestConverge:

@@ -1,11 +1,13 @@
 import json
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 from chflow import ScalarField1, integrate, load_config, make_initial, norm_11, write_field_csv
-from chflow.config import config_from_dict
+from chflow.config import SimConfig, config_from_dict
 from chflow.errors import AdmissibilityError, ParseError, ValidationError
 from chflow.fields import Grid
 
@@ -32,8 +34,6 @@ class TestLoadConfig:
         assert cfg.time.record_every == 100
         assert cfg.time.adaptive is False
         assert cfg.tolerances.tail_tol == 1e-8
-        assert cfg.tolerances.eps_break == 1e-3
-        assert cfg.tolerances.inv_tol == 1e-12
         assert cfg.output.directory == "out"
         assert cfg.initial.amplitude == 1.0
 
@@ -131,6 +131,14 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="unknown key 'output.formats'"):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize("key", ["inv_tol", "eps_break"])
+    def test_fixed_tolerance_is_an_unknown_key(self, key):
+        # The inversion tolerance and the breaking threshold are not configurable.
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["tolerances"] = {key: 1e-3}
+        with pytest.raises(ParseError, match=f"unknown key 'tolerances.{key}'"):
+            config_from_dict(payload)
+
     def test_custom_csv_needs_path(self):
         payload = json.loads(json.dumps(MINIMAL))
         payload["initial"] = {"kind": "custom_csv"}
@@ -211,3 +219,16 @@ class TestMakeInitial:
         cfg = config_from_dict(payload)
         with pytest.raises(AdmissibilityError, match="grid"):
             make_initial(cfg, base_dir=str(tmp_path))
+
+
+def test_readme_schema_example_holds_the_defaults():
+    # The README "Configuration schema" example loads, and each of its values
+    # but amplitude is its key's default, as the README says.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Configuration schema", 1)[1]
+    cfg = config_from_dict(json.loads(section.split("```json\n", 1)[1].split("```", 1)[0]))
+    for name in (f.name for f in fields(SimConfig)):
+        values = getattr(cfg, name)
+        for f in fields(values):
+            if f.default is not MISSING and f.name != "amplitude":
+                assert getattr(values, f.name) == f.default, f"{name}.{f.name}"

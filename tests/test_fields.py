@@ -268,3 +268,12 @@ class TestCsv:
         path.write_text(f"x,u,du\n0,0,0\n{row}\n2,0,0\n")
         with pytest.raises(ParseError, match=f"line 3 has {columns} columns, not 3"):
             read_field_csv(path)
+
+    @pytest.mark.parametrize("column", range(3), ids=["x", "u", "du"])
+    def test_non_finite_entry_named(self, tmp_path, column):
+        rows = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+        rows[1][column] = "nan"
+        path = tmp_path / "bad.csv"
+        path.write_text("x,u,du\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+        with pytest.raises(ParseError, match="line 3 holds a non-finite entry"):
+            read_field_csv(path)

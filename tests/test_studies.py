@@ -189,7 +189,7 @@ def test_adaptive_oracle_takes_only_times_it_is_sure_to_record(tmp_path, monkeyp
     cfg = load_config(path)
     monkeypatch.setattr(studies, "_run_tasks", _started)
     with pytest.raises(_Started):
-        studies.oracle_refinement(cfg, [], times=[0.0, 0.1 + 1e-11, 0.1])
+        studies.oracle_refinement(cfg, [], times=[0.0, 0.1 + 1e-11])
     unrecorded = [0.0, 0.1 - 1e-8]
     with pytest.raises(ValidationError, match="not 0.09999999"):
         studies.oracle_refinement(cfg, [], times=unrecorded)
