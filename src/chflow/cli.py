@@ -35,7 +35,7 @@ import numpy as np
 
 from .checks import group_suite, operator_bound_suite
 from .config import SimConfig, load_config, make_initial
-from .errors import CHFlowError, ParseError
+from .errors import CHFlowError, ParseError, ValidationError
 from .eulerian import fourth_order_dx
 from .fields import write_csv
 # Unused here; bound so that perfbench/tracer.py can patch them in this module.
@@ -263,7 +263,10 @@ def cmd_check(args, cfg: SimConfig, out_dir: str, base_dir: str):
 
 
 def cmd_oracle_compare(args, cfg: SimConfig, out_dir: str, base_dir: str):
-    levels = _entries(args.levels, int, "--levels") if args.levels else []
+    levels = [] if args.levels is None else _entries(args.levels, int, "--levels")
+    if args.levels is not None and not levels:
+        raise ValidationError(["--levels must name at least one resolution, and none was "
+                               "given; omit it to compare at the configuration's own n only"])
     times = _entries(args.times, float, "--times") if args.times is not None else None
     # Both solvers of every level, cfg's own n included, run as tasks of the study.
     study = oracle_refinement(cfg, levels, times=times, base_dir=base_dir)

@@ -32,8 +32,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction as _F
-from functools import lru_cache
-from math import isfinite, lcm
+from math import isfinite
 
 import numpy as np
 
@@ -156,12 +155,6 @@ def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int) -> np.nda
     return k
 
 
-def _integer_weights(w) -> tuple[list[tuple[int, float]], float]:
-    """Nonzero weights w_j as integers N w_j over their least common denominator N."""
-    den = lcm(*(_F(x).denominator for x in w))
-    return [(j, float(x * den)) for j, x in enumerate(w) if x], float(den)
-
-
 class _Tableau:
     """Explicit Runge-Kutta method whose last evaluation is first same as last.
 
@@ -169,19 +162,20 @@ class _Tableau:
     into y_{n+1}, whose evaluation f(y_{n+1}) checks the new state and is the
     next step's first stage.  e, when given, weights stages 1..s and
     f(y_{n+1}) into the local error of an embedded solution of order e_order.
-    Entries are exact fractions.  A step forms stage i as
-    sum_j (step a_ij) k_j + y, and y_{n+1} as (sum_j N_j k_j) (step / N) + y
-    with N the least common denominator of b and N_j = N b_j integers (the
-    error likewise), so classical RK4 computes
-    (k1 + 2 k2 + 2 k3 + k4) (dt / 6) + y.
+    Entries are exact fractions.  rows, new and err hold the nonzero weights
+    of a, b and e as (j, float) pairs: the rows every combination a step
+    forms, by the one rule of _lincomb.
     """
 
     def __init__(self, a, c, b, e=None, e_order=0):
+        def nonzero(w):
+            return [(j, float(x)) for j, x in enumerate(w) if x]
+
         self.a, self.c, self.b, self.e = a, c, b, e
-        self.rows = [[(j, float(x)) for j, x in enumerate(row) if x] for row in a]
+        self.rows = [nonzero(row) for row in a]
         self.nodes = [float(x) for x in c]
-        self.b_int = _integer_weights(b)
-        self.e_int = None if e is None else _integer_weights(e)
+        self.new = nonzero(b)
+        self.err = None if e is None else nonzero(e)
         self.exponent = 1.0 / (e_order + 1)
 
 
@@ -202,19 +196,14 @@ _DP54 = _Tableau(
     e_order=4)
 
 
-@lru_cache(maxsize=2)
-def _stage_rows(tab: _Tableau, step: float) -> tuple[tuple[tuple[int, float], ...], ...]:
-    """The (j, step a_ij) pairs of each stage; a fixed run builds them once."""
-    return tuple(tuple((j, step * a) for j, a in row) for row in tab.rows)
-
-
-def _lincomb(ks: list[np.ndarray], weights: list[tuple[int, float]]) -> np.ndarray:
-    """sum_j w_j k_j over the (j, w_j) pairs, added in their order (k_j itself at w_j = 1)."""
+def _lincomb(ks: list[np.ndarray], weights: list[tuple[int, float]],
+             step: float) -> np.ndarray:
+    """sum_j (step w_j) k_j over the (j, w_j) pairs of a row, added in their order."""
     (j, w), *rest = weights
-    total = ks[j].copy() if w == 1.0 else ks[j] * w
+    total = ks[j] * (step * w)
     term = np.empty_like(total)
     for j, w in rest:
-        total += ks[j] if w == 1.0 else np.multiply(ks[j], w, out=term)
+        total += np.multiply(ks[j], step * w, out=term)
     return total
 
 
@@ -223,18 +212,17 @@ def _rk_step(tab: _Tableau, y: np.ndarray, t: float, step: float,
              k1: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """One step of tab for the flat state y from k1 = f(y, t).
 
+    Stage i is y + _lincomb of row i, y_{n+1} is y + _lincomb of tab.new.
     Returns the new state, not yet checked by f, and the stages k_1..k_s.
-    The flow-map (4, n) state and the Eulerian oracle's n samples both step
-    through it.
+    Fixed and adaptive runs, rk4_step and the Eulerian oracle's n samples
+    all step through it.
     """
     ks = [k1]
-    for c, row in zip(tab.nodes, _stage_rows(tab, step)):
-        stage = _lincomb(ks, row)
+    for c, row in zip(tab.nodes, tab.rows):
+        stage = _lincomb(ks, row, step)
         stage += y
         ks.append(f(stage, t + c * step))
-    weights, den = tab.b_int
-    new = _lincomb(ks, weights)
-    new *= step / den
+    new = _lincomb(ks, tab.new, step)
     new += y
     return new, ks
 
@@ -302,8 +290,8 @@ def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
     stage, so f has accepted every yielded state; an error raised by f, or a
     non-finite new state (ValueError), ends the march.  Without error weights
     in tab every step is dt.  With them, dt is only the first step: the error
-    err = step max |sum_j e_j k_j| is taken over rows 0-1 of the state (the
-    flow-map channels v, v'), and the next step is
+    err = max |sum_j (step e_j) k_j|, the _lincomb of tab.err, is taken over
+    rows 0-1 of the state (the flow-map channels v, v'), and the next step is
     step * clamp(0.9 (tol / err)^(1/(p+1)), 0.2, 4) for an embedded solution
     of order p (4 when err = 0), never below the floor dt 2^-12 and capped
     by nothing but t_end.  A step with err > tol is retried at that size, and
@@ -322,15 +310,14 @@ def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
                 raise ValueError(f"state became non-finite at t = {t + step:.9g}")
             k_next = f(new, t + step)
         except ChartViolation:
-            if tab.e_int is None or step <= floor:
+            if tab.err is None or step <= floor:
                 raise
             tally["rejected"] += 1
             dt_cur = max(0.5 * step, floor)
             continue
-        if tab.e_int is not None:
+        if tab.err is not None:
             ks.append(k_next)
-            weights, den = tab.e_int
-            err = step / den * float(np.abs(_lincomb([k[:2] for k in ks], weights)).max())
+            err = float(np.abs(_lincomb([k[:2] for k in ks], tab.err, step)).max())
             factor = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** tab.exponent))
             dt_cur = max(factor * step, floor)
             if err > tol:

@@ -53,15 +53,15 @@ class RefinementStudy:
     For a self-convergence study gap[i] compares levels i and i+1 (there is
     one fewer gap than levels); for a cross-method study gap[i] belongs to
     level i.  orders[i] is the observed rate between consecutive gaps and
-    fitted_order the least-squares slope over all of them.  A study in which
-    any flow-map run broke down has no gaps (and a cross-method one no
-    report): its final states belong to different times.  When every level
-    of a self-convergence study broke, estimate_order is instead
-    the fitted order of the differences between consecutive breaking-time
-    estimates.  execution is "pool" or "serial": how the solves ran.  base is
-    the (trajectory, Eulerian states) pair at the configuration's own
-    resolution of a cross-method study and report compares it at the
-    requested times.
+    fitted_order the least-squares slope over all of them, nan with fewer
+    than two positive gaps.  A study in which any flow-map run broke down
+    has no gaps (and a cross-method one no report): its final states belong
+    to different times.  When every level of a self-convergence study broke,
+    estimate_order is instead the fitted order of the differences between
+    consecutive breaking-time estimates.  execution is "pool" or "serial":
+    how the solves ran.  base is the (trajectory, Eulerian states) pair at
+    the configuration's own resolution of a cross-method study and report
+    compares it at the requested times.
     """
 
     levels: dict[int, Trajectory]
@@ -142,7 +142,8 @@ def _solve(payload) -> Trajectory | list[EulerianState]:
     return states if keep_all else states[-1:]
 
 
-def _orders(gaps: list[float], hs: list[float]) -> tuple[list[float], float | None]:
+def _orders(gaps: list[float], hs: list[float]) -> tuple[list[float], float]:
+    """Observed rates between consecutive gaps and the fitted slope; nan where undefined."""
     orders = []
     for i in range(len(gaps) - 1):
         if gaps[i] > 0 and gaps[i + 1] > 0:
@@ -151,7 +152,7 @@ def _orders(gaps: list[float], hs: list[float]) -> tuple[list[float], float | No
         else:
             orders.append(float("nan"))
     positive = [(h, g) for h, g in zip(hs, gaps) if g > 0]
-    fitted = None
+    fitted = float("nan")
     if len(positive) >= 2:
         lh = np.log([p[0] for p in positive])
         lg = np.log([p[1] for p in positive])

@@ -336,10 +336,13 @@ class TestFailurePaths:
          "strictly increasing"),
         (["oracle-compare", "--levels", "256,4000000000"], "ValidationError",
          "grid.n must lie in"),
+        (["oracle-compare", "--levels", ","], "ValidationError", "none was given"),
+        (["oracle-compare", "--levels", ""], "ValidationError", "none was given"),
     ], ids=["converge-token", "converge-one-level", "converge-decreasing",
             "converge-too-small", "oracle-times-token", "oracle-times-repeated",
             "oracle-times-near-repeat", "oracle-times-comma", "oracle-times-blank",
-            "oracle-repeated", "oracle-too-large"])
+            "oracle-repeated", "oracle-too-large", "oracle-levels-comma",
+            "oracle-levels-blank"])
     def test_bad_ladder_fails_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                args, error, fragment):
         monkeypatch.setattr(studies, "_run_tasks",
@@ -696,6 +699,20 @@ def test_stdout_lines(tmp_path, capsys, args, config, code, report, expected):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+@pytest.mark.parametrize("args, report", [
+    (["converge", "--levels", "128,256", "--workers", "1"], "convergence.txt"),
+    (["oracle-compare", "--levels", "128"], "oracle_compare.txt"),
+], ids=["converge", "oracle-compare"])
+def test_single_gap_ladder_reports_nan_fitted_order(tmp_path, args, report):
+    # One gap fits no slope: the report writes nan, as for any undefined value.
+    cfg = write_config(tmp_path, **SMOOTH)
+    out = tmp_path / "out"
+    assert main([args[0], "--config", str(cfg), "--out", str(out), *args[1:],
+                 "--quiet"]) == 0
+    report = read_kv(out / report)
+    assert np.isnan(float(report["fitted_order"]))
+
+
 def run_module(*args, cwd):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -785,6 +802,19 @@ def test_readme_synopsis_matches_parser():
     parsed = {name: {s for a in p._actions for s in a.option_strings} - shared
               for name, p in sub.choices.items()}
     assert documented == parsed
+
+
+def test_benchmark_commands_parse():
+    # perfbench/workloads.py passes these argument lists to the CLI; a flag
+    # they name that the parser drops would fail only benchmark runs.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in ("quickstart", "breaking", "verify"):
+        for name, _, argv, _ in workloads.commands(workload, 0):
+            args = cli._build_parser().parse_args([*argv, "--config", "c.json", "--out", "o"])
+            assert args.command == name, (workload, argv)
 
 
 def test_tracer_targets_resolve():

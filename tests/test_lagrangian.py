@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -188,6 +189,32 @@ class TestTableaus:
         if tab.e is not None:
             assert len(tab.e) == len(tab.b) + 1
             assert sum(tab.e) == 0
+
+    @pytest.mark.parametrize("z", [-2.0, -0.5, 0.3])
+    def test_linear_step_is_the_stability_polynomial(self, z):
+        # On y' = lam y one step from y0 = 1 gives the method's stability
+        # polynomial R(z), z = lam step, and the DP54 error, formed as _march
+        # forms it, gives |E(z)| with E = R - R_hat of the embedded
+        # fourth-order solution.  Stage sums reach magnitudes near ten at
+        # z = -2, so R keeps about 1e-14 of relative accuracy; the error is a
+        # difference of O(1) stage sums, accurate to about 1e-17 absolute.
+        step = 0.5
+
+        def f(y, t):
+            return (z / step) * y
+
+        y = np.ones(1)
+        new, _ = lagrangian._rk_step(lagrangian._RK4, y, 0.0, step, f, f(y, 0.0))
+        rk4 = sum(z ** k / math.factorial(k) for k in range(5))
+        assert new[0] == pytest.approx(rk4, rel=1e-14)
+        tab = lagrangian._DP54
+        new, ks = lagrangian._rk_step(tab, y, 0.0, step, f, f(y, 0.0))
+        dp5 = sum(z ** k / math.factorial(k) for k in range(6)) + z ** 6 / 600
+        assert new[0] == pytest.approx(dp5, rel=1e-14)
+        ks.append(f(new, step))
+        err = float(np.abs(lagrangian._lincomb([k[:2] for k in ks], tab.err, step)).max())
+        e = -97 / 120000 * z ** 5 + 13 / 40000 * z ** 6 - 1 / 24000 * z ** 7
+        assert err == pytest.approx(abs(e), rel=1e-10)
 
     def test_adaptive_local_order_at_least_five_and_a_half(self):
         # Fifth-order solution: one step against two half steps differs by
