@@ -3,9 +3,12 @@
 The section dataclasses below are the schema.  Each section is a field of
 SimConfig and each key a field of its section's class: the field's name is
 the key, its annotation the JSON type, and a field without a default is
-required (grid, time.t_end and initial.kind).  Unknown or duplicate keys are
-parse errors.  Missing keys and wrong types are collected and reported
-together, and then, for a well-typed file, every invariant violation.
+required (grid, time.t_end and initial.kind).  A file that is not UTF-8 JSON,
+and unknown or duplicate keys, are parse errors.  Missing keys and wrong types
+are collected and reported together, and then, for a well-typed file, every
+invariant violation.  Each rule has one owner, which _validate asks: Grid
+for the grid (a finite, positive spacing), lagrangian._time_problems for the
+time loop, and make_initial, after validation, for the initial data.
 """
 
 import json
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ParseError, ValidationError
 from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField0, ScalarField1, read_field_csv
-from .lagrangian import DEFAULT_RECORD_EVERY
+from .lagrangian import DEFAULT_RECORD_EVERY, _time_problems
 from .operators import inv_helmholtz
 
 __all__ = [
@@ -101,12 +104,16 @@ def _reject_duplicates(pairs):
 def load_config(path) -> SimConfig:
     """Parse and validate a configuration file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_reject_duplicates)
     except FileNotFoundError:
         raise ParseError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
     return config_from_dict(raw)
@@ -190,17 +197,21 @@ def config_from_dict(raw: dict) -> SimConfig:
 
 
 def _validate(cfg: SimConfig, problems: list[str]):
+    """Append to problems every invariant cfg violates.
+
+    The grid rules are Grid's, asked by building the grid; an n beyond
+    MAX_GRID_N gets only the range message, as no grid is built for it.  The
+    time rules come from lagrangian._time_problems, prefixed with 'time.'.
+    """
     g, t, i, tol = cfg.grid, cfg.time, cfg.initial, cfg.tolerances
-    if not (math.isfinite(g.x_min) and math.isfinite(g.x_max) and g.x_min < g.x_max):
-        problems.append("grid.x_min must be finite and < grid.x_max")
+    if g.n <= MAX_GRID_N:
+        try:
+            g.build()
+        except ValueError as exc:
+            problems.append(f"grid.x_min, grid.x_max and grid.n give no grid: {exc}")
     if not 16 <= g.n <= MAX_GRID_N:
         problems.append(f"grid.n must lie in [16, 2**22], got {g.n}")
-    if not (math.isfinite(t.t_end) and t.t_end > 0):
-        problems.append(f"time.t_end must be > 0, got {t.t_end}")
-    if not (math.isfinite(t.dt) and t.dt > 0):
-        problems.append(f"time.dt must be > 0, got {t.dt}")
-    if t.record_every < 1:
-        problems.append(f"time.record_every must be >= 1, got {t.record_every}")
+    problems += [f"time.{p}" for p in _time_problems(t.t_end, t.dt, t.record_every)]
     if i.kind not in INITIAL_KINDS:
         problems.append(f"initial.kind must be one of {INITIAL_KINDS}, got '{i.kind}'")
     if not (math.isfinite(i.amplitude) and math.isfinite(i.center)):
@@ -218,46 +229,49 @@ def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1
 
     Analytic profiles carry exact derivative channels, momentum_gaussian the
     kernel-identity channel of inv_helmholtz; custom CSV data must provide
-    both channels, on the configured grid, or an AdmissibilityError says why
-    not.  Admissibility is checked by the solver the field is given to
-    (integrate or integrate_eulerian), once per run.
+    both channels, on the configured grid.  Data of any kind that cannot be
+    built is an AdmissibilityError("initial data rejected: ..."): a file
+    that read_field_csv refuses (ParseError), or samples that overflow to inf
+    or nan, which ScalarField1 refuses (ValueError; numpy's warnings are off
+    while the field is built).  Admissibility is checked by the solver the
+    field is given to (integrate or integrate_eulerian), once per run.
     """
     grid = cfg.grid.build()
     ic = cfg.initial
-    if ic.kind == "gaussian":
-        z = (grid.x - ic.center) / ic.width
-        u = ic.amplitude * np.exp(-z * z)
-        du = -2.0 * z / ic.width * u
-        field1 = ScalarField1(grid, u, du)
-    elif ic.kind == "antisymmetric_gaussian":
-        z = (grid.x - ic.center) / ic.width
-        bump = np.exp(-z * z)
-        u = ic.amplitude * (grid.x - ic.center) * bump
-        du = ic.amplitude * (1.0 - 2.0 * z * z) * bump
-        field1 = ScalarField1(grid, u, du)
-    elif ic.kind == "momentum_gaussian":
-        # u0 = (1 - d_xx)^(-1) m0 for the momentum density m0 = u0 - u0''
-        z = (grid.x - ic.center) / ic.width
-        m0 = ScalarField0(grid, ic.amplitude * np.exp(-z * z))
-        field1 = inv_helmholtz(m0, order=4)
-    elif ic.kind == "custom_csv":
-        path = ic.path
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        try:
-            field1 = read_field_csv(path)
-        except ParseError as exc:
-            raise AdmissibilityError(f"custom initial data rejected: {exc}") from None
-        if field1.grid != grid:
-            fg = field1.grid
-            close = (fg.n == grid.n
-                     and abs(fg.x_min - grid.x_min) <= 1e-9 * max(1.0, abs(grid.x_min))
-                     and abs(fg.h - grid.h) <= 1e-12 * grid.h)
-            if not close:
-                raise AdmissibilityError(
-                    "custom initial data grid does not match the configured grid")
-            field1 = ScalarField1(grid, field1.u, field1.du)
-    else:  # pragma: no cover - kinds are validated upstream
-        raise ValidationError([f"unsupported initial kind '{ic.kind}'"])
-
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if ic.kind == "gaussian":
+                z = (grid.x - ic.center) / ic.width
+                u = ic.amplitude * np.exp(-z * z)
+                du = -2.0 * z / ic.width * u
+                field1 = ScalarField1(grid, u, du)
+            elif ic.kind == "antisymmetric_gaussian":
+                z = (grid.x - ic.center) / ic.width
+                bump = np.exp(-z * z)
+                u = ic.amplitude * (grid.x - ic.center) * bump
+                du = ic.amplitude * (1.0 - 2.0 * z * z) * bump
+                field1 = ScalarField1(grid, u, du)
+            elif ic.kind == "momentum_gaussian":
+                # u0 = (1 - d_xx)^(-1) m0 for the momentum density m0 = u0 - u0''
+                z = (grid.x - ic.center) / ic.width
+                m0 = ScalarField0(grid, ic.amplitude * np.exp(-z * z))
+                field1 = inv_helmholtz(m0, order=4)
+            elif ic.kind == "custom_csv":
+                path = ic.path
+                if base_dir is not None and not os.path.isabs(path):
+                    path = os.path.join(base_dir, path)
+                field1 = read_field_csv(path)
+                if field1.grid != grid:
+                    fg = field1.grid
+                    close = (fg.n == grid.n
+                             and abs(fg.x_min - grid.x_min) <= 1e-9 * max(1.0, abs(grid.x_min))
+                             and abs(fg.h - grid.h) <= 1e-12 * grid.h)
+                    if not close:
+                        raise AdmissibilityError(
+                            "custom initial data grid does not match the configured grid")
+                    field1 = ScalarField1(grid, field1.u, field1.du)
+            else:  # pragma: no cover - kinds are validated upstream
+                raise ValidationError([f"unsupported initial kind '{ic.kind}'"])
+    except (ParseError, ValueError) as exc:
+        raise AdmissibilityError(f"initial data rejected: {exc}") from None
     return field1

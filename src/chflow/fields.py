@@ -278,8 +278,13 @@ def write_field_csv(f: ScalarField1, path) -> None:
 
 def read_field_csv(path) -> ScalarField1:
     """Read a field CSV produced by write_field_csv; grid is inferred from x."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field past csv's size limit
+        raise ParseError(f"{path}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
     if [c.strip() for c in rows[0]] != _FIELD_HEADER:

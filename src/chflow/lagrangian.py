@@ -265,16 +265,26 @@ def _diag_row(t: float, y: np.ndarray, h: float) -> tuple[float, float, float, f
             float(s.min()), float(np.abs(y[2]).max()))
 
 
+def _time_problems(t_end: float, dt: float, record_every: int) -> list[str]:
+    """One message per broken time-loop rule, for the solvers' and the configuration's checks."""
+    problems = []
+    if not (isfinite(t_end) and t_end > 0):
+        problems.append(f"t_end must be > 0, got {t_end}")
+    if not (isfinite(dt) and dt > 0):
+        problems.append(f"dt must be > 0, got {dt}")
+    if record_every < 1:
+        problems.append(f"record_every must be >= 1, got {record_every}")
+    return problems
+
+
 def _check_run(u0: ScalarField1, t_end: float, dt: float, record_every: int,
                tail_tol: float) -> None:
-    """The input check shared by both solvers' time loops."""
+    """The input check shared by both solvers' time loops: AdmissibilityError
+    for inadmissible u0, else one ValueError naming every broken time rule."""
     require_admissible(u0, tail_tol)
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if record_every < 1:
-        raise ValueError("record_every must be a positive integer")
+    problems = _time_problems(t_end, dt, record_every)
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,

@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -209,7 +210,63 @@ def test_csv_export_in_chunks_matches_csv_module_bytes(tmp_path, rows):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+# Inputs that pass the configuration's type checks but that no run can take:
+# grids whose spacing (x_max - x_min)/(n - 1) is inf or 0 (at n = 256, the
+# [0, 1e-320] grid is valid, but converge's default 4096 level is not), and
+# analytic data whose samples overflow.  The check suites take no initial data.
+_BAD_GRIDS = {"inf-spacing": {"x_min": -1e308, "x_max": 1e308, "n": 256},
+              "zero-spacing": {"x_min": 0.0, "x_max": 1e-321, "n": 1024}}
+_BAD_DATA = {"gaussian": {"kind": "gaussian", "width": 1e-300},
+             "antisymmetric": {"kind": "antisymmetric_gaussian", "amplitude": 1e300,
+                               "width": 1e-5},
+             "momentum": {"kind": "momentum_gaussian", "amplitude": 1e308}}
+_COMMANDS = ("run", "converge", "check-operators", "check-group", "oracle-compare")
+BAD_INPUTS = (
+    [pytest.param(command, grid, {}, "ValidationError", id=f"{command}-{name}")
+     for name, grid in _BAD_GRIDS.items() for command in _COMMANDS]
+    + [pytest.param("converge", {"x_min": 0.0, "x_max": 1e-320, "n": 256}, {},
+                    "ValidationError", id="converge-zero-spacing-at-4096")]
+    + [pytest.param(command, {}, initial, "AdmissibilityError", id=f"{command}-{name}")
+       for name, initial in _BAD_DATA.items()
+       for command in ("run", "converge", "oracle-compare")])
+
+
 class TestFailurePaths:
+    @pytest.mark.parametrize("command, grid, initial, error", BAD_INPUTS)
+    def test_bad_input_ends_in_failure_report(self, tmp_path, capsys, monkeypatch,
+                                              command, grid, initial, error):
+        if error == "ValidationError":  # a bad grid is refused before any solve
+            monkeypatch.setattr(studies, "_run_tasks",
+                                lambda *a, **k: pytest.fail("a solve started"))
+        cfg = write_config(tmp_path)
+        payload = json.loads(cfg.read_text())
+        payload["grid"].update(grid)
+        payload["initial"].update(initial)
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert read_kv(out / "failure.txt")["error"] == error
+        assert "Traceback" not in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["run", "check-group"])
+    @pytest.mark.parametrize("text, fragment", [
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply to parse"),
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_config_is_a_parse_error(self, tmp_path, capsys, command,
+                                                 text, fragment):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "ParseError"
+        assert report["message"].startswith(f"{cfg}: {fragment}")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_config_exits_one_with_report(self, tmp_path, capsys):
         payload = {"grid": {"x_min": -20.0, "x_max": 20.0, "n": 4},
                    "time": {"t_end": 1.0}, "initial": {"kind": "gaussian"}}
@@ -455,6 +512,20 @@ class TestFailurePaths:
         report = read_kv(out / "failure.txt")
         assert report["error"] == "AdmissibilityError"
         assert "line 61 holds a non-finite entry" in report["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_undecodable_custom_csv_is_rejected_data(self, tmp_path, capsys):
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        write_field_csv(ScalarField1.zeros(grid), tmp_path / "u0.csv")
+        lines = (tmp_path / "u0.csv").read_bytes().splitlines(keepends=True)
+        lines[60] = lines[60].replace(b",", b",\xff", 1)
+        (tmp_path / "u0.csv").write_bytes(b"".join(lines))
+        cfg = write_config(tmp_path, n=128, kind="custom_csv", path="u0.csv")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "AdmissibilityError"
+        assert "u0.csv: not UTF-8 text" in report["message"]
         assert "Traceback" not in capsys.readouterr().err
 
 

@@ -121,8 +121,9 @@ class TestLoadConfig:
         payload["time"]["t_end"] = 10 ** 400
         with pytest.raises(ValidationError) as exc:
             config_from_dict(payload)
-        assert exc.value.violations == ["grid.x_min must be finite and < grid.x_max",
-                                        "time.t_end must be > 0, got inf"]
+        assert exc.value.violations == [
+            "grid.x_min, grid.x_max and grid.n give no grid: grid endpoints must be finite",
+            "time.t_end must be > 0, got inf"]
 
     def test_output_formats_is_an_unknown_key(self):
         # Every command writes its fixed set of files; there is no format switch.

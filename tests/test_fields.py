@@ -261,6 +261,17 @@ class TestCsv:
         with pytest.raises(ParseError):
             read_field_csv(path)
 
+    @pytest.mark.parametrize("row, fragment", [
+        (b"1,\xff,0", "not UTF-8 text"),
+        (b"1," + b"0" * 200_000 + b",0", "field larger than field limit"),
+    ], ids=["not-utf8", "oversized-field"])
+    def test_unreadable_text_named(self, tmp_path, row, fragment):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,u,du\n0,0,0\n" + row + b"\n2,0,0\n")
+        with pytest.raises(ParseError, match=fragment) as exc:
+            read_field_csv(path)
+        assert str(path) in str(exc.value)
+
     @pytest.mark.parametrize("row, columns", [("1,0", 2), ("1,0,0,0", 4)],
                              ids=["short", "long"])
     def test_ragged_row_named(self, tmp_path, row, columns):

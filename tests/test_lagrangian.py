@@ -270,6 +270,13 @@ class TestIntegrate:
         with pytest.raises(AdmissibilityError):
             integrate(ramp, 1.0, 1e-3)
 
+    def test_every_broken_time_rule_named_at_once(self, grid20):
+        # The solvers' input check and the configuration's share one owner
+        # of the time rules, which reports each broken rule.
+        with pytest.raises(ValueError) as exc:
+            lagrangian._check_run(ScalarField1.zeros(grid20), math.inf, 0.0, 1, 1e-6)
+        assert str(exc.value) == "t_end must be > 0, got inf; dt must be > 0, got 0.0"
+
     def test_small_data_reaches_final_time(self):
         grid = Grid.from_interval(-20.0, 20.0, 513)
         traj = integrate(gaussian_field(grid, amp=0.1), 1.0, 4e-3, record_every=50)
