@@ -203,8 +203,8 @@ def _summary_items(traj: Trajectory, cfg: SimConfig, order: int, tally: Counter)
     return items
 
 
-def cmd_run(args, cfg: SimConfig, out_dir: str, base_dir: str):
-    u0 = make_initial(cfg, base_dir=base_dir)
+def cmd_run(args, cfg: SimConfig, out_dir: str):
+    u0 = make_initial(cfg)
     traj = integrate(u0, **cfg.integrate_kwargs(args.order))
     tally = Counter()  # invert's counts over the reconstructed states
     _export_trajectory(traj, out_dir, tally)
@@ -226,10 +226,10 @@ def _breaking_exit(what: str, broken: dict, before: list, after: list):
                       f"t = {_fmt(broken[ns[0]].breakdown_time)}"]
 
 
-def cmd_converge(args, cfg: SimConfig, out_dir: str, base_dir: str):
+def cmd_converge(args, cfg: SimConfig, out_dir: str):
     levels = _entries(args.levels, int, "--levels")
     study = lagrangian_refinement(cfg, levels, quad_order=args.order,
-                                  workers=args.workers, base_dir=base_dir)
+                                  workers=args.workers)
     items = [(f"level_n{n}_h", run.final.grid.h) for n, run in study.levels.items()]
     items.append(("level_execution", study.execution))
     broken = {n: run for n, run in study.levels.items() if not run.completed}
@@ -247,7 +247,7 @@ def cmd_converge(args, cfg: SimConfig, out_dir: str, base_dir: str):
     return 0, items, [f"fitted spatial order {_fmt(study.fitted_order)}"]
 
 
-def cmd_check(args, cfg: SimConfig, out_dir: str, base_dir: str):
+def cmd_check(args, cfg: SimConfig, out_dir: str):
     """Run the bound suite args.suite: exit 1 unless every check passes."""
     checks = args.suite(cfg.grid.build(), args.samples, random.Random(args.seed))
     items = []
@@ -262,14 +262,14 @@ def cmd_check(args, cfg: SimConfig, out_dir: str, base_dir: str):
                                    f"ratio {_fmt(c.ratio)}" for c in checks]
 
 
-def cmd_oracle_compare(args, cfg: SimConfig, out_dir: str, base_dir: str):
+def cmd_oracle_compare(args, cfg: SimConfig, out_dir: str):
     levels = [] if args.levels is None else _entries(args.levels, int, "--levels")
     if args.levels is not None and not levels:
         raise ValidationError(["--levels must name at least one resolution, and none was "
                                "given; omit it to compare at the configuration's own n only"])
     times = _entries(args.times, float, "--times") if args.times is not None else None
     # Both solvers of every level, cfg's own n included, run as tasks of the study.
-    study = oracle_refinement(cfg, levels, times=times, base_dir=base_dir)
+    study = oracle_refinement(cfg, levels, times=times)
     traj, states = study.base
     for i, state in enumerate(states):
         write_csv(os.path.join(out_dir, f"eulerian_{i:05d}.csv"),
@@ -317,8 +317,7 @@ def main(argv=None) -> int:
                 os.remove(path)
         cfg = cfg or load_config(args.config)
         os.makedirs(out_dir, exist_ok=True)
-        code, items, lines = args.func(args, cfg, out_dir,
-                                       os.path.dirname(os.path.abspath(args.config)))
+        code, items, lines = args.func(args, cfg, out_dir)
         _write_kv(os.path.join(out_dir, args.report), items)
     except (CHFlowError, OSError) as exc:
         out_dir = out_dir or "."

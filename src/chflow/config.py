@@ -102,7 +102,8 @@ def _reject_duplicates(pairs):
 
 
 def load_config(path) -> SimConfig:
-    """Parse and validate a configuration file."""
+    """Parse and validate a configuration file; a relative initial.path is
+    joined to the file's directory."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_reject_duplicates)
@@ -116,7 +117,10 @@ def load_config(path) -> SimConfig:
         raise ParseError(f"{path}: nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
-    return config_from_dict(raw)
+    cfg = config_from_dict(raw)
+    if cfg.initial.path is not None:  # join keeps an absolute path as it is
+        cfg.initial.path = os.path.join(os.path.dirname(os.path.abspath(path)), cfg.initial.path)
+    return cfg
 
 
 def _is_number(value) -> bool:
@@ -224,17 +228,18 @@ def _validate(cfg: SimConfig, problems: list[str]):
         problems.append(f"tolerances.tail_tol must lie in (0, 1), got {tol.tail_tol}")
 
 
-def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1:
+def make_initial(cfg: SimConfig) -> ScalarField1:
     """Construct the initial velocity field.
 
     Analytic profiles carry exact derivative channels, momentum_gaussian the
-    kernel-identity channel of inv_helmholtz; custom CSV data must provide
-    both channels, on the configured grid.  Data of any kind that cannot be
-    built is an AdmissibilityError("initial data rejected: ..."): a file
-    that read_field_csv refuses (ParseError), or samples that overflow to inf
-    or nan, which ScalarField1 refuses (ValueError; numpy's warnings are off
-    while the field is built).  Admissibility is checked by the solver the
-    field is given to (integrate or integrate_eulerian), once per run.
+    kernel-identity channel of inv_helmholtz; custom CSV data, read from
+    initial.path as given, must provide both channels, on the configured
+    grid.  Data of any kind that cannot be built is an AdmissibilityError(
+    "initial data rejected: ..."): a file that read_field_csv refuses
+    (ParseError), or samples that overflow to inf or nan, which ScalarField1
+    refuses (ValueError; numpy's warnings are off while the field is built).
+    Admissibility is checked by the solver the field is given to (integrate
+    or integrate_eulerian), once per run.
     """
     grid = cfg.grid.build()
     ic = cfg.initial
@@ -257,10 +262,7 @@ def make_initial(cfg: SimConfig, *, base_dir: str | None = None) -> ScalarField1
                 m0 = ScalarField0(grid, ic.amplitude * np.exp(-z * z))
                 field1 = inv_helmholtz(m0, order=4)
             elif ic.kind == "custom_csv":
-                path = ic.path
-                if base_dir is not None and not os.path.isabs(path):
-                    path = os.path.join(base_dir, path)
-                field1 = read_field_csv(path)
+                field1 = read_field_csv(ic.path)
                 if field1.grid != grid:
                     fg = field1.grid
                     close = (fg.n == grid.n

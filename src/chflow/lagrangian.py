@@ -55,6 +55,9 @@ __all__ = [
 DEFAULT_EPS_BREAK = 1e-3
 DEFAULT_QUAD_ORDER = 4
 DEFAULT_RECORD_EVERY = 100
+# Largest record_every: float(record_every) is exact up to 2**53, and any value
+# at or above a run's step count records only 0 and t_end
+MAX_RECORD_EVERY = 2 ** 53
 
 
 @dataclass
@@ -272,8 +275,8 @@ def _time_problems(t_end: float, dt: float, record_every: int) -> list[str]:
         problems.append(f"t_end must be > 0, got {t_end}")
     if not (isfinite(dt) and dt > 0):
         problems.append(f"dt must be > 0, got {dt}")
-    if record_every < 1:
-        problems.append(f"record_every must be >= 1, got {record_every}")
+    if not 1 <= record_every <= MAX_RECORD_EVERY:
+        problems.append(f"record_every must lie in [1, 2**53], got {record_every}")
     return problems
 
 

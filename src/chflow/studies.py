@@ -104,12 +104,12 @@ def _run_tasks(task, payloads: list, workers: int | None) -> tuple[list, str]:
     """task(p) for every payload, in a process pool when one can be started.
 
     Payloads come slowest first, so the pool starts on them; the results keep
-    the payload order.  workers defaults to min(tasks, usable CPUs), and one
-    worker means serial.  Only a pool that cannot start or breaks falls back
-    to serial; a task's own error propagates once.
+    the payload order.  workers defaults to the usable CPUs and is capped at
+    the task count, so a study never starts more processes than it has
+    tasks; one worker means serial.  Only a pool that cannot start or breaks
+    falls back to serial; a task's own error propagates once.
     """
-    if workers is None:
-        workers = min(len(payloads), _usable_cpus())
+    workers = min(len(payloads), _usable_cpus() if workers is None else workers)
     if workers > 1:
         # Loaded here, so that a command that starts no pool loads none of it.
         from concurrent.futures import ProcessPoolExecutor
@@ -130,8 +130,8 @@ def _solve(payload) -> Trajectory | list[EulerianState]:
 
     The flow map keeps cfg's dt, the Eulerian reference scales it with h.
     """
-    solver, cfg, n, quad_order, base_dir, keep_all = payload
-    u0 = make_initial(_at(cfg, n), base_dir=base_dir)
+    solver, cfg, n, quad_order, keep_all = payload
+    u0 = make_initial(_at(cfg, n))
     if solver == "flow_map":
         traj = integrate(u0, **cfg.integrate_kwargs(quad_order))
         return traj if keep_all else replace(traj, states=traj.states[-1:])
@@ -161,11 +161,10 @@ def _orders(gaps: list[float], hs: list[float]) -> tuple[list[float], float]:
 
 
 def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int = 4,
-                          workers: int | None = None,
-                          base_dir: str | None = None) -> RefinementStudy:
+                          workers: int | None = None) -> RefinementStudy:
     """Self-convergence of the flow-map solver across grid resolutions."""
     _check_levels(cfg, levels, 2)
-    payloads = [("flow_map", cfg, n, quad_order, base_dir, False) for n in levels[::-1]]
+    payloads = [("flow_map", cfg, n, quad_order, False) for n in levels[::-1]]
     results, execution = _run_tasks(_solve, payloads, workers)
     trajs = results[::-1]
     study = RefinementStudy(dict(zip(levels, trajs)), gaps=[], orders=[],
@@ -186,8 +185,7 @@ def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int 
 
 
 def oracle_refinement(cfg: SimConfig, levels: list[int], *,
-                      times: list[float] | None = None,
-                      base_dir: str | None = None) -> RefinementStudy:
+                      times: list[float] | None = None) -> RefinementStudy:
     """Gap between the flow-map solver and the Eulerian reference per level.
 
     Each solver runs once at every level and at cfg's own resolution, each
@@ -207,7 +205,7 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     times = [t_end] if times is None else list(times)
     _check_record_times(times, t_end, cfg.time.dt, cfg.time.record_every, cfg.time.adaptive)
     resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
-    payloads = [(solver, cfg, n, DEFAULT_QUAD_ORDER, base_dir, n == cfg.grid.n)
+    payloads = [(solver, cfg, n, DEFAULT_QUAD_ORDER, n == cfg.grid.n)
                 for n in resolutions for solver in ("flow_map", "eulerian")]
     results, execution = _run_tasks(_solve, payloads, None)
     runs = {(p[0], p[2]): r for p, r in zip(payloads, results)}

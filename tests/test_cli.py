@@ -212,8 +212,10 @@ def test_csv_export_in_chunks_matches_csv_module_bytes(tmp_path, rows):
 
 # Inputs that pass the configuration's type checks but that no run can take:
 # grids whose spacing (x_max - x_min)/(n - 1) is inf or 0 (at n = 256, the
-# [0, 1e-320] grid is valid, but converge's default 4096 level is not), and
-# analytic data whose samples overflow.  The check suites take no initial data.
+# [0, 1e-320] grid is valid, but converge's default 4096 level is not), a
+# record_every past 2**53, whose product with dt can overflow, and analytic
+# data whose samples overflow.  The check suites take no initial data.  Each
+# case is a command and the keys it sets, by section.
 _BAD_GRIDS = {"inf-spacing": {"x_min": -1e308, "x_max": 1e308, "n": 256},
               "zero-spacing": {"x_min": 0.0, "x_max": 1e-321, "n": 1024}}
 _BAD_DATA = {"gaussian": {"kind": "gaussian", "width": 1e-300},
@@ -222,32 +224,38 @@ _BAD_DATA = {"gaussian": {"kind": "gaussian", "width": 1e-300},
              "momentum": {"kind": "momentum_gaussian", "amplitude": 1e308}}
 _COMMANDS = ("run", "converge", "check-operators", "check-group", "oracle-compare")
 BAD_INPUTS = (
-    [pytest.param(command, grid, {}, "ValidationError", id=f"{command}-{name}")
+    [pytest.param(command, {"grid": grid}, "ValidationError", id=f"{command}-{name}")
      for name, grid in _BAD_GRIDS.items() for command in _COMMANDS]
-    + [pytest.param("converge", {"x_min": 0.0, "x_max": 1e-320, "n": 256}, {},
+    + [pytest.param("converge", {"grid": {"x_min": 0.0, "x_max": 1e-320, "n": 256}},
                     "ValidationError", id="converge-zero-spacing-at-4096")]
-    + [pytest.param(command, {}, initial, "AdmissibilityError", id=f"{command}-{name}")
+    + [pytest.param(command, {"time": {"record_every": 10 ** 400}}, "ValidationError",
+                    id=f"{command}-huge-record-every") for command in ("run", "oracle-compare")]
+    + [pytest.param(command, {"initial": initial}, "AdmissibilityError", id=f"{command}-{name}")
        for name, initial in _BAD_DATA.items()
        for command in ("run", "converge", "oracle-compare")])
 
 
 class TestFailurePaths:
-    @pytest.mark.parametrize("command, grid, initial, error", BAD_INPUTS)
+    @pytest.mark.parametrize("command, edits, error", BAD_INPUTS)
     def test_bad_input_ends_in_failure_report(self, tmp_path, capsys, monkeypatch,
-                                              command, grid, initial, error):
-        if error == "ValidationError":  # a bad grid is refused before any solve
+                                              command, edits, error):
+        if error == "ValidationError":  # a bad configuration is refused before any solve
             monkeypatch.setattr(studies, "_run_tasks",
                                 lambda *a, **k: pytest.fail("a solve started"))
         cfg = write_config(tmp_path)
         payload = json.loads(cfg.read_text())
-        payload["grid"].update(grid)
-        payload["initial"].update(initial)
+        for section, values in edits.items():
+            payload[section].update(values)
         cfg.write_text(json.dumps(payload))
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
-        assert read_kv(out / "failure.txt")["error"] == error
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == error
+        if error == "ValidationError":  # the message names every key the case sets
+            assert all(f"{section}.{key}" in report["message"]
+                       for section, values in edits.items() for key in values)
         assert "Traceback" not in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -498,6 +506,30 @@ class TestFailurePaths:
         err = capsys.readouterr().err
         assert "error=FileNotFoundError" in err and "Traceback" not in err
 
+    def test_relative_custom_csv_resolves_against_config(self, tmp_path, monkeypatch):
+        # initial.path is taken against the configuration's directory, not
+        # the working directory: for run, for oracle-compare's pooled solves,
+        # and in the message that names a missing file.
+        data, elsewhere = tmp_path / "data", tmp_path / "elsewhere"
+        data.mkdir()
+        elsewhere.mkdir()
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        u = 0.5 * np.exp(-grid.x ** 2)
+        write_field_csv(ScalarField1(grid, u, -2.0 * grid.x * u), data / "u0.csv")
+        write_config(data, n=128, t_end=0.1, dt=1e-2, record_every=5,
+                     kind="custom_csv", path="u0.csv")
+        write_config(data, name="missing.json", kind="custom_csv", path="missing.csv")
+        monkeypatch.chdir(elsewhere)
+        monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)  # a pool on one CPU too
+        for command in ("run", "oracle-compare"):
+            assert main([command, "--config", "../data/config.json", "--out", command,
+                         "--quiet"]) == 0
+        assert read_kv("oracle-compare/oracle_compare.txt")["level_execution"] == "pool"
+        assert main(["run", "--config", "../data/missing.json", "--out", "missing",
+                     "--quiet"]) == 1
+        assert (read_kv("missing/failure.txt")["message"]
+                == f"[Errno 2] No such file or directory: '{data / 'missing.csv'}'")
+
     def test_non_finite_custom_csv_is_rejected_data(self, tmp_path, capsys):
         grid = Grid.from_interval(-20.0, 20.0, 128)
         u = 0.5 * np.exp(-grid.x ** 2)
@@ -552,6 +584,27 @@ class TestConverge:
                      "--levels", "128,256", "--workers", "2", "--quiet"])
         assert code == 0
         assert read_kv(out / "convergence.txt")["level_execution"] == "serial"
+
+    def test_workers_capped_at_level_count(self, tmp_path, monkeypatch):
+        # A pool forks all its workers on the first submit, so --workers above
+        # the task count would start processes with nothing to do.  The
+        # stand-in pool records max_workers and runs the tasks on one thread
+        # of this process, so no process starts.
+        seen = []
+
+        class OneThreadPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThreadPool)
+        cfg = write_config(tmp_path, n=64, t_end=0.1, dt=1e-2, record_every=1000)
+        for levels, workers in (("64,128", "5000"), ("64,128,256,512", "2")):
+            out = tmp_path / levels
+            assert main(["converge", "--config", str(cfg), "--out", str(out),
+                         "--levels", levels, "--workers", workers, "--quiet"]) == 0
+            assert read_kv(out / "convergence.txt")["level_execution"] == "pool"
+        assert seen == [2, 2]
 
     def test_breaking_levels_exit_two_without_gaps(self, tmp_path):
         cfg = write_config(tmp_path, n=128, t_end=3.0, dt=8e-3, record_every=1000,

@@ -53,6 +53,19 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match=r"grid.n must lie in \[16, 2\*\*22\]"):
             config_from_dict(payload)
 
+    def test_initial_path_resolved_against_config_directory(self, tmp_path):
+        # load_config knows where the file is: a relative initial.path is
+        # joined to its directory, an absolute one is kept.  config_from_dict
+        # knows no file and keeps the path as given.
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["initial"] = {"kind": "custom_csv", "path": "data/ic.csv"}
+        path = write_config(tmp_path, payload)
+        assert load_config(path).initial.path == str(tmp_path / "data" / "ic.csv")
+        assert config_from_dict(payload).initial.path == "data/ic.csv"
+        elsewhere = str(tmp_path.parent / "ic.csv")
+        payload["initial"]["path"] = elsewhere
+        assert load_config(write_config(tmp_path, payload)).initial.path == elsewhere
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text('{"grid": {"x_min": -1.0, "x_min": -2.0, "x_max": 1.0, '
@@ -198,28 +211,28 @@ class TestMakeInitial:
         f = antisymmetric_field(grid, amp=-0.5)
         write_field_csv(f, tmp_path / "ic.csv")
         payload = json.loads(json.dumps(MINIMAL))
-        payload["initial"] = {"kind": "custom_csv", "path": "ic.csv"}
+        payload["initial"] = {"kind": "custom_csv", "path": str(tmp_path / "ic.csv")}
         cfg = config_from_dict(payload)
-        g = make_initial(cfg, base_dir=str(tmp_path))
+        g = make_initial(cfg)
         np.testing.assert_array_equal(g.u, f.u)
         np.testing.assert_array_equal(g.du, f.du)
 
     def test_custom_csv_missing_column(self, tmp_path):
         (tmp_path / "ic.csv").write_text("x,u\n-20,0\n20,0\n")
         payload = json.loads(json.dumps(MINIMAL))
-        payload["initial"] = {"kind": "custom_csv", "path": "ic.csv"}
+        payload["initial"] = {"kind": "custom_csv", "path": str(tmp_path / "ic.csv")}
         cfg = config_from_dict(payload)
         with pytest.raises(AdmissibilityError):
-            make_initial(cfg, base_dir=str(tmp_path))
+            make_initial(cfg)
 
     def test_custom_csv_grid_mismatch(self, tmp_path):
         grid = Grid.from_interval(-10.0, 10.0, 256)
         write_field_csv(ScalarField1.zeros(grid), tmp_path / "ic.csv")
         payload = json.loads(json.dumps(MINIMAL))
-        payload["initial"] = {"kind": "custom_csv", "path": "ic.csv"}
+        payload["initial"] = {"kind": "custom_csv", "path": str(tmp_path / "ic.csv")}
         cfg = config_from_dict(payload)
         with pytest.raises(AdmissibilityError, match="grid"):
-            make_initial(cfg, base_dir=str(tmp_path))
+            make_initial(cfg)
 
 
 def test_readme_schema_example_holds_the_defaults():

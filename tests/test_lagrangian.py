@@ -1,5 +1,6 @@
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +277,15 @@ class TestIntegrate:
         with pytest.raises(ValueError) as exc:
             lagrangian._check_run(ScalarField1.zeros(grid20), math.inf, 0.0, 1, 1e-6)
         assert str(exc.value) == "t_end must be > 0, got inf; dt must be > 0, got 0.0"
+
+    def test_record_every_bounded_where_float_is_exact(self, grid20):
+        # Up to 2**53 float(record_every) is exact; past it dt * record_every
+        # may overflow, and no run records more than 0 and t_end anyway.
+        zeros = ScalarField1.zeros(grid20)
+        lagrangian._check_run(zeros, 1.0, 0.1, 2 ** 53, 1e-6)
+        for record_every in (2 ** 53 + 1, 10 ** 400):
+            with pytest.raises(ValueError, match=r"record_every must lie in \[1, 2\*\*53\]"):
+                lagrangian._check_run(zeros, 1.0, 0.1, record_every, 1e-6)
 
     def test_small_data_reaches_final_time(self):
         grid = Grid.from_interval(-20.0, 20.0, 513)
@@ -630,3 +640,14 @@ class TestStructure:
         u_fwd = reconstruct_u(fwd)
         u_bwd = reconstruct_u(bwd)
         assert norm_11(reflect(u_fwd) - u_bwd) <= 10 * grid.h ** 2
+
+
+def test_readme_library_quickstart_runs():
+    # The README "Library quickstart" block, run as written, reaches t_end and
+    # reconstructs a finite velocity.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Library quickstart", 1)[1]
+    scope = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], scope)
+    assert scope["traj"].completed
+    assert np.isfinite(scope["u_final"].u).all() and np.isfinite(scope["u_final"].du).all()

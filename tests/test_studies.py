@@ -85,8 +85,8 @@ def test_oracle_level_keeps_only_final_state(tmp_path, solver):
         "time": {"t_end": 0.1, "dt": 1e-2, "record_every": 2},
         "initial": {"kind": "gaussian", "amplitude": 0.5}}))
     cfg = load_config(path)
-    full = studies._solve((solver, cfg, 128, 4, None, True))
-    final = studies._solve((solver, cfg, 128, 4, None, False))
+    full = studies._solve((solver, cfg, 128, 4, True))
+    final = studies._solve((solver, cfg, 128, 4, False))
     if solver == "flow_map":
         full = [s.U for s in full.states]
         final = [s.U for s in final.states]
@@ -228,10 +228,10 @@ def test_solvers_and_times_check_share_the_record_rule(tmp_path, monkeypatch, t_
         "time": {"t_end": t_end, "dt": dt, "record_every": record_every},
         "initial": {"kind": "gaussian", "amplitude": 0.5}}))
     cfg = load_config(path)
-    traj = studies._solve(("flow_map", cfg, 64, 4, None, True))
+    traj = studies._solve(("flow_map", cfg, 64, 4, True))
     recorded = [s.t for s in traj.states]
     assert recorded == pytest.approx(expected, rel=1e-12, abs=1e-15)
-    assert [s.t for s in studies._solve(("eulerian", cfg, 64, 4, None, True))] == recorded
+    assert [s.t for s in studies._solve(("eulerian", cfg, 64, 4, True))] == recorded
     monkeypatch.setattr(studies, "_run_tasks", _started)
     steps = traj.diagnostics.t
     for t in np.concatenate((steps, 0.5 * (steps[1:] + steps[:-1]))).tolist():
