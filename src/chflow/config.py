@@ -102,10 +102,10 @@ def _reject_duplicates(pairs):
 
 
 def load_config(path) -> SimConfig:
-    """Parse and validate a configuration file; a relative initial.path is
-    joined to the file's directory."""
+    """Parse and validate a UTF-8 configuration file, a leading byte-order mark
+    allowed; a relative initial.path is joined to the file's directory."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh, object_pairs_hook=_reject_duplicates)
     except FileNotFoundError:
         raise ParseError(f"config file not found: {path}") from None

@@ -107,8 +107,8 @@ def _trapz(y: np.ndarray, h: float) -> float:
     return h * (y.sum() - 0.5 * (y[0] + y[-1]))
 
 
-def _hermite_eval(grid: Grid, u: np.ndarray, du: np.ndarray, x):
-    """Cubic Hermite value/derivative at x; (0, 0) outside the domain."""
+def _locate(grid: Grid, x) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
+    """(scalar, inside, clipped, cell) of the points x; ValueError for a non-finite one."""
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
@@ -116,7 +116,12 @@ def _hermite_eval(grid: Grid, u: np.ndarray, du: np.ndarray, x):
         raise ValueError("evaluation points must be finite")
     inside = (xa >= grid.x_min) & (xa <= grid.x_max)
     xc = np.clip(xa, grid.x_min, grid.x_max)
-    idx = np.clip(((xc - grid.x_min) / grid.h).astype(int), 0, grid.n - 2)
+    return scalar, inside, xc, np.clip(((xc - grid.x_min) / grid.h).astype(int), 0, grid.n - 2)
+
+
+def _hermite_eval(grid: Grid, u: np.ndarray, du: np.ndarray, x):
+    """Cubic Hermite value/derivative at x; (0, 0) outside the domain."""
+    scalar, inside, xc, idx = _locate(grid, x)
     h = grid.h
     t = (xc - (grid.x_min + idx * h)) / h
     t2 = t * t
@@ -189,18 +194,10 @@ class ScalarField0:
 
     def eval(self, x):
         """Cubic Lagrange interpolation of the value samples; zero outside."""
-        xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        xa = np.atleast_1d(xa)
-        if not np.isfinite(xa).all():
-            raise ValueError("evaluation points must be finite")
         grid = self.grid
         if grid.n < 4:
-            val, _ = _hermite_eval(grid, self.g, np.zeros(grid.n), xa)
-            return float(val[0]) if scalar else val
-        inside = (xa >= grid.x_min) & (xa <= grid.x_max)
-        xc = np.clip(xa, grid.x_min, grid.x_max)
-        cell = np.clip(((xc - grid.x_min) / grid.h).astype(int), 0, grid.n - 2)
+            return _hermite_eval(grid, self.g, np.zeros(grid.n), x)[0]
+        scalar, inside, xc, cell = _locate(grid, x)
         base = np.clip(cell - 1, 0, grid.n - 4)
         s = (xc - (grid.x_min + base * grid.h)) / grid.h
         g = self.g
@@ -277,9 +274,9 @@ def write_field_csv(f: ScalarField1, path) -> None:
 
 
 def read_field_csv(path) -> ScalarField1:
-    """Read a field CSV produced by write_field_csv; grid is inferred from x."""
+    """Read UTF-8 field CSV (a leading byte-order mark allowed); grid is inferred from x."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -22,7 +22,7 @@ Runge-Kutta steps apply.
 
 Solutions exist only until the chart condition min eta_x > 0 fails (wave
 breaking).  The integrator stops strictly before that boundary, at
-min eta_x <= eps_break, and reports the breakdown time instead of producing
+min eta_x <= _EPS_BREAK, and reports the breakdown time instead of producing
 non-finite values.
 """
 
@@ -36,10 +36,10 @@ from math import isfinite
 
 import numpy as np
 
-from .diffeo import DEFAULT_EPS_CHART, Diffeo, _chart_margin, comp1, invert
+from .diffeo import Diffeo, _chart_margin, comp1, invert
 from .errors import ChartViolation, GridMismatch, TimeMismatch, ValidationError
 from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, _trapz, require_admissible
-from .operators import _l_eta_arrays
+from .operators import _l_eta_arrays, _scan_plan
 # Unused here; bound so that perfbench/tracer.py can patch it in this module.
 from .operators import l_eta_direct  # noqa: F401
 
@@ -52,7 +52,8 @@ __all__ = [
     "reconstruct_u",
 ]
 
-DEFAULT_EPS_BREAK = 1e-3
+_EPS_BREAK = 1e-3  # chart margin of wave breaking, above diffeo.DEFAULT_EPS_CHART
+_ADAPT_TOL = 1e-10  # bound on an adaptive step's error estimate
 DEFAULT_QUAD_ORDER = 4
 DEFAULT_RECORD_EVERY = 100
 # Largest record_every: float(record_every) is exact up to 2**53, and any value
@@ -150,7 +151,7 @@ def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int) -> np.nda
     """Right side (U, U', -L_eta(source)) of the flat state; checks y's chart at t."""
     m, d = _chart(y, grid, eps, t)
     s = 1.0 + y[1]
-    val, der = _l_eta_arrays(m, s, _source(y, s), grid.h, order, d)
+    val, der = _l_eta_arrays(_scan_plan(m, d), s, _source(y, s), grid.h, order)
     k = np.empty_like(y)
     k[:2] = y[2:]
     np.negative(val, out=k[2])
@@ -241,22 +242,22 @@ def _unpack(y: np.ndarray, t: float, grid: Grid) -> FlowState:
 
 def rk4_step(state: FlowState, dt: float) -> FlowState:
     """One classical four-stage Runge-Kutta step at the integrator's scan order 4;
-    a chart margin at or below DEFAULT_EPS_BREAK at any stage raises ChartViolation."""
+    a chart margin at or below _EPS_BREAK at any stage raises ChartViolation."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be positive and finite, got {dt}")
     grid, t = state.grid, state.t
     y = _pack(state)
 
     def f(z, tz):
-        return _dydt(z, tz, grid, DEFAULT_EPS_BREAK, DEFAULT_QUAD_ORDER)
+        return _dydt(z, tz, grid, _EPS_BREAK, DEFAULT_QUAD_ORDER)
 
     y, _ = _rk_step(_RK4, y, t, dt, f, f(y, t))
-    _chart(y, grid, DEFAULT_EPS_BREAK, t + dt)
+    _chart(y, grid, _EPS_BREAK, t + dt)
     return _unpack(y, t + dt, grid)
 
 
 def _diag_row(t: float, y: np.ndarray, h: float) -> tuple[float, float, float, float, float]:
-    """Energy/momentum in Lagrangian variables by change of variables.
+    """The StepDiagnostics fields at t, in order; energy and momentum by change of variables.
 
     int (u^2 + u_x^2) dx = int (U^2 eta_x + U_x^2 / eta_x) dy and
     int u dx = int U eta_x dy, so no inversion is needed per step.
@@ -311,12 +312,16 @@ def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
     one whose stage or new state raises ChartViolation at half of it; at the
     floor the first is accepted anyway and the second ends the march.  tally
     counts "rejected" and "at_floor" steps.
+
+    t sums the steps by Kahan's rule, lost holding what rounding added to it.
+    The march ends once t is within near of t_end, and a step that comes that
+    close is taken whole, so a run whose t_end is a multiple of dt ends there.
     """
     t, dt_cur, floor = 0.0, dt, dt * 2.0 ** -12
-    steps = 0
+    steps, lost, near = 0, 0.0, 1e-12 * max(1.0, t_end)
     k1 = f(y, t)
-    while t < t_end - 1e-12 * max(1.0, t_end):
-        step = min(dt_cur, t_end - t)
+    while t < t_end - near:
+        step = dt_cur if dt_cur <= t_end - t + near else t_end - t
         try:
             new, ks = _rk_step(tab, y, t, step, f, k1)
             if not np.isfinite(new).all():
@@ -338,7 +343,9 @@ def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
                     tally["rejected"] += 1
                     continue
                 tally["at_floor"] += 1
-        y, k1, t = new, k_next, t + step
+        y, k1 = new, k_next
+        inc = step - lost
+        t, lost = t + inc, (t + inc - t) - inc
         steps += 1
         yield t, y, step, steps % record_every == 0
 
@@ -385,10 +392,9 @@ def _check_record_times(times: list[float], t_end: float, dt: float, record_ever
 
 def integrate(u0: ScalarField1, t_end: float, dt: float,
               record_every: int = DEFAULT_RECORD_EVERY,
-              *, eps_break: float = DEFAULT_EPS_BREAK,
-              quad_order: int = DEFAULT_QUAD_ORDER,
+              *, quad_order: int = DEFAULT_QUAD_ORDER,
               tail_tol: float = DEFAULT_TAIL_TOL,
-              adaptive: bool = False, adapt_tol: float = 1e-10) -> Trajectory:
+              adaptive: bool = False) -> Trajectory:
     """Integrate from (id, u0) to t_end, or to breakdown of the chart condition.
 
     States are recorded by _march's rule, diagnostics every step.  On wave
@@ -399,7 +405,7 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
     A fixed run steps by dt with classical RK4 (4 evaluations per step).  An
     adaptive run takes the Dormand-Prince 5(4) pair (6 evaluations per step),
     starts at dt and then sizes each step from the embedded fourth-order
-    error over the eta channels against adapt_tol, with no cap but t_end
+    error over the eta channels against _ADAPT_TOL, with no cap but t_end
     (the flow-map ODE has no CFL limit); a trial step that loses the chart
     is retried at half its size, and the run stops at breaking only once
     such a step is down to dt 2^-12, so breakdown_time lies within dt 2^-12
@@ -408,7 +414,6 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
     """
     _check_run(u0, t_end, dt, record_every, tail_tol)
     grid = u0.grid
-    eps = max(eps_break, DEFAULT_EPS_CHART)
     states = [FlowState(0.0, Diffeo.identity(grid), u0)]
     t = 0.0
     y = _pack(states[0])
@@ -421,11 +426,11 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
     def f(z, tz):
         nonlocal evals
         evals += 1
-        return _dydt(z, tz, grid, eps, quad_order)
+        return _dydt(z, tz, grid, _EPS_BREAK, quad_order)
 
     try:
         for t, y, step, recorded in _march(y, t_end, dt, record_every, f,
-                                           _DP54 if adaptive else _RK4, adapt_tol, tally):
+                                           _DP54 if adaptive else _RK4, _ADAPT_TOL, tally):
             step_min, step_max = min(step_min, step), max(step_max, step)
             rows.append(_diag_row(t, y, grid.h))
             if recorded:
@@ -439,10 +444,7 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
 
     if not recorded:
         states.append(_unpack(y, t, grid))
-    cols = np.array(rows).T
-    diags = StepDiagnostics(t=cols[0], energy=cols[1], momentum=cols[2],
-                            min_eta_x=cols[3], sup_u=cols[4])
-    return Trajectory(states=states, diagnostics=diags,
+    return Trajectory(states=states, diagnostics=StepDiagnostics(*np.array(rows).T),
                       breakdown_time=breakdown_time,
                       breakdown_min_slope=breakdown_slope,
                       breaking_time_estimate=estimate,

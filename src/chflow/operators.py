@@ -223,13 +223,10 @@ def l_op(phi: ScalarField0, *, order: int = 2) -> ScalarField1:
     return ScalarField1(grid, D, S - phi.g)
 
 
-def _l_eta_arrays(m: np.ndarray, slopes: np.ndarray, phi: np.ndarray, h: float,
-                  order: int, gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(value, derivative) of L_eta(phi) from raw node positions m = eta(x_k).
-
-    gaps, when given, are the checked np.diff(m) (see _scan_plan).
-    """
-    S, D = _scan_sd(_scan_plan(m, gaps), phi * slopes, h, slopes, order)
+def _l_eta_arrays(plan: tuple, slopes: np.ndarray, phi: np.ndarray, h: float,
+                  order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(value, derivative) of L_eta(phi) along the _scan_plan of the node positions eta(x_k)."""
+    S, D = _scan_sd(plan, phi * slopes, h, slopes, order)
     S -= phi
     S *= slopes
     return D, S
@@ -247,7 +244,7 @@ def l_eta_direct(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
     """
     if phi.grid != eta.grid:
         raise GridMismatch("source and diffeomorphism live on different grids")
-    val, der = _l_eta_arrays(eta.values(), eta.slopes(), phi.g, phi.grid.h, 2)
+    val, der = _l_eta_arrays(_scan_plan(eta.values()), eta.slopes(), phi.g, phi.grid.h, 2)
     return ScalarField1(phi.grid, val, der)
 
 

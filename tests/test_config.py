@@ -66,6 +66,28 @@ class TestLoadConfig:
         payload["initial"]["path"] = elsewhere
         assert load_config(write_config(tmp_path, payload)).initial.path == elsewhere
 
+    @pytest.mark.parametrize("marked", ["config", "csv"])
+    def test_byte_order_mark_accepted(self, tmp_path, marked):
+        # UTF-8 text may start with a byte-order mark, as some editors write
+        # it; the configuration and its custom_csv file load the same either way.
+        grid = Grid.from_interval(-20.0, 20.0, 256)
+        payload = {**MINIMAL, "initial": {"kind": "custom_csv", "path": "ic.csv"}}
+        loaded = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            write_field_csv(antisymmetric_field(grid, amp=0.3), tmp_path / name / "ic.csv")
+            path = write_config(tmp_path / name, payload)
+            target = path if marked == "config" else tmp_path / name / "ic.csv"
+            target.write_bytes(mark + target.read_bytes())
+            cfg = load_config(path)
+            u0 = make_initial(cfg)
+            cfg.initial.path = None
+            loaded.append((cfg, u0.u, u0.du))
+        (plain, u, du), (cfg, u_marked, du_marked) = loaded
+        assert cfg == plain
+        np.testing.assert_array_equal(u_marked, u)
+        np.testing.assert_array_equal(du_marked, du)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text('{"grid": {"x_min": -1.0, "x_min": -2.0, "x_max": 1.0, '

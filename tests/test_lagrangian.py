@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 from pathlib import Path
 
@@ -52,10 +53,13 @@ def dydt(state, order=4):
 
 @functools.lru_cache(maxsize=None)
 def breaking_run(amp, n=512, eps_break=1e-3):
-    """Adaptive run of odd data with u0'(0) = amp < 0, dt and t_end scaled by 1/|amp|."""
+    """Adaptive run of odd data with u0'(0) = amp < 0, dt and t_end scaled by 1/|amp|,
+    with the breaking threshold _EPS_BREAK set to eps_break."""
     grid = Grid.from_interval(-20.0, 20.0, n)
-    return integrate(antisymmetric_field(grid, amp=amp), 3.0 / abs(amp), 2e-3 / abs(amp),
-                     record_every=10 ** 9, eps_break=eps_break, adaptive=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lagrangian, "_EPS_BREAK", eps_break)
+        return integrate(antisymmetric_field(grid, amp=amp), 3.0 / abs(amp), 2e-3 / abs(amp),
+                         record_every=10 ** 9, adaptive=True)
 
 
 class TestQuadraticSource:
@@ -293,6 +297,27 @@ class TestIntegrate:
         assert traj.completed
         assert traj.final.t == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t_end, dt, record_every", [(2.0, 1e-3, 100), (1.0, 8e-3, 25)])
+    def test_fixed_run_ends_at_t_end(self, t_end, dt, record_every):
+        # t sums the steps with compensation, so every step is dt, the run
+        # ends at t_end exactly and its k-th record lies within an ulp of
+        # k * record_every * dt.
+        grid = Grid.from_interval(-20.0, 20.0, 64)
+        traj = integrate(gaussian_field(grid, amp=0.1), t_end, dt, record_every=record_every)
+        assert traj.final.t == t_end
+        assert traj.step_min == traj.step_max == dt
+        for k, state in enumerate(traj.states):
+            expected = k * record_every * dt
+            assert abs(state.t - expected) <= np.spacing(expected)
+
+    def test_integrate_takes_only_what_a_run_sets(self):
+        # Every parameter but the data is one that a configuration sets for a
+        # run; the breaking threshold and the adaptive tolerance are constants.
+        cfg = config_from_dict({"grid": {"x_min": -20.0, "x_max": 20.0, "n": 256},
+                                "time": {"t_end": 1.0}, "initial": {"kind": "gaussian"}})
+        params = inspect.signature(integrate).parameters
+        assert sorted(params) == sorted(["u0", *cfg.integrate_kwargs(4)])
+
     def test_energy_conservation_moderate_run(self):
         grid = Grid.from_interval(-20.0, 20.0, 1024)
         traj = integrate(gaussian_field(grid, amp=0.5), 0.5, 2e-3, record_every=50)
@@ -350,12 +375,12 @@ class TestIntegrate:
         assert times[-1] == pytest.approx(0.1, abs=1e-12)
         assert len(traj.diagnostics.t) == 11
 
-    def test_adaptive_matches_fixed_step(self):
+    def test_adaptive_matches_fixed_step(self, monkeypatch):
         grid = Grid.from_interval(-20.0, 20.0, 256)
         u0 = gaussian_field(grid, amp=0.3)
         fixed = integrate(u0, 0.2, 2e-3, record_every=10 ** 9)
-        adaptive = integrate(u0, 0.2, 2e-3, record_every=10 ** 9,
-                             adaptive=True, adapt_tol=1e-10)
+        monkeypatch.setattr(lagrangian, "_ADAPT_TOL", 1e-10)
+        adaptive = integrate(u0, 0.2, 2e-3, record_every=10 ** 9, adaptive=True)
         assert adaptive.completed
         assert np.abs(fixed.final.U.u - adaptive.final.U.u).max() <= 1e-7
 
@@ -396,8 +421,9 @@ class TestIntegrate:
             return real(*args)
 
         monkeypatch.setattr(lagrangian, "_dydt", counting)
+        monkeypatch.setattr(lagrangian, "_ADAPT_TOL", adapt_tol)
         traj = integrate(gaussian_field(grid, amp=0.3), t_end, dt, record_every=10 ** 9,
-                         adaptive=adaptive, adapt_tol=adapt_tol)
+                         adaptive=adaptive)
         accepted = len(traj.diagnostics.t) - 1
         assert traj.completed
         assert accepted >= 10
@@ -432,14 +458,15 @@ class TestIntegrate:
         assert len(evals) == traj.rhs_evaluations
         assert len(charts) == len(evals)
 
-    def test_unreachable_tolerance_accepts_at_floor(self):
-        # No step meets adapt_tol: the first step, 6 dt 2^-12 long, shrinks by
+    def test_unreachable_tolerance_accepts_at_floor(self, monkeypatch):
+        # No step meets _ADAPT_TOL: the first step, 6 dt 2^-12 long, shrinks by
         # the factor 0.2 until it reaches the floor dt 2^-12 (two rejections),
         # and every step is accepted there and counted.
         grid = Grid.from_interval(-20.0, 20.0, 128)
         dt = 1e-2
+        monkeypatch.setattr(lagrangian, "_ADAPT_TOL", 1e-30)
         traj = integrate(gaussian_field(grid, amp=0.3), 6.0 * dt * 2.0 ** -12, dt,
-                         record_every=10 ** 9, adaptive=True, adapt_tol=1e-30)
+                         record_every=10 ** 9, adaptive=True)
         assert traj.completed
         assert traj.steps_rejected == 2
         assert traj.steps_at_floor == len(traj.diagnostics.t) - 1 == 6
@@ -507,7 +534,7 @@ class TestIntegrate:
         assert abs(one.breakdown_time - 2.0 * two.breakdown_time) <= 1e-12
 
     def test_breaking_time_estimate_independent_of_guard(self):
-        # The guard eps_break decides where the run stops, not the estimate
+        # The guard _EPS_BREAK decides where the run stops, not the estimate
         # of when the wave breaks; both stay below the bound 2/|A|.
         near, deep = breaking_run(-1.0), breaking_run(-1.0, eps_break=1e-5)
         assert deep.breakdown_time > near.breakdown_time + 0.02

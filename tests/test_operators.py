@@ -135,7 +135,7 @@ class TestScanPair:
         # value (B - A)/2 and derivative eta' ((A + B)/2 - phi) of the node loop
         _, m, phi, h, slopes = case
         slopes = np.ones_like(m) if slopes is None else slopes
-        val, der = _l_eta_arrays(m, slopes, phi, h, order)
+        val, der = _l_eta_arrays(_scan_plan(m), slopes, phi, h, order)
         A0, B0 = reference_scans(m, phi * slopes, h, slopes=slopes, order=order)
         scale = max(np.abs(A0).max(), np.abs(B0).max())
         assert np.abs(val - 0.5 * (B0 - A0)).max() <= 1e-13 * scale
