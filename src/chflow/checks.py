@@ -67,16 +67,14 @@ class BoundCheck:
         return self.measured <= self.allowed
 
 
-def _gaussian_sum(grid: Grid, rng: Uniform, amps: float = 1.0,
-                  centers: tuple[float, float] = (-5.0, 5.0),
-                  widths: tuple[float, float] = (0.8, 2.5)) -> tuple[np.ndarray, np.ndarray]:
+def _gaussian_sum(grid: Grid, rng: Uniform, amps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     x = grid.x
     u = np.zeros(grid.n)
     du = np.zeros(grid.n)
     for _ in range(3):
         a = rng.uniform(-amps, amps)
-        c = rng.uniform(*centers)
-        w = rng.uniform(*widths)
+        c = rng.uniform(-5.0, 5.0)
+        w = rng.uniform(0.8, 2.5)
         z = (x - c) / w
         bump = a * np.exp(-z * z)
         u += bump
@@ -96,10 +94,8 @@ def random_bump_field1(grid: Grid, rng: Uniform, *,
     return ScalarField1(grid, u, du)
 
 
-def random_bump_field0(grid: Grid, rng: Uniform, *, amps: float = 1.0,
-                       centers: tuple[float, float] = (-5.0, 5.0),
-                       widths: tuple[float, float] = (0.8, 2.5)) -> ScalarField0:
-    u, _ = _gaussian_sum(grid, rng, amps, centers, widths)
+def random_bump_field0(grid: Grid, rng: Uniform, *, amps: float = 1.0) -> ScalarField0:
+    u, _ = _gaussian_sum(grid, rng, amps)
     return ScalarField0(grid, u)
 
 

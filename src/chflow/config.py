@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import AdmissibilityError, ParseError, ValidationError
-from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField0, ScalarField1, read_field_csv
+from .fields import Grid, ScalarField0, ScalarField1, read_field_csv
 from .lagrangian import DEFAULT_RECORD_EVERY, _time_problems
 from .operators import inv_helmholtz
 
@@ -27,7 +27,6 @@ __all__ = [
     "GridConfig",
     "TimeConfig",
     "InitialConfig",
-    "ToleranceConfig",
     "OutputConfig",
     "SimConfig",
     "load_config",
@@ -68,11 +67,6 @@ class InitialConfig:
 
 
 @dataclass
-class ToleranceConfig:
-    tail_tol: float = DEFAULT_TAIL_TOL
-
-
-@dataclass
 class OutputConfig:
     directory: str = "out"
 
@@ -82,14 +76,13 @@ class SimConfig:
     grid: GridConfig
     time: TimeConfig
     initial: InitialConfig
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def integrate_kwargs(self, order: int) -> dict:
         """Keyword arguments of ``lagrangian.integrate`` for this run at scan order ``order``."""
         return dict(t_end=self.time.t_end, dt=self.time.dt,
                     record_every=self.time.record_every, quad_order=order,
-                    tail_tol=self.tolerances.tail_tol, adaptive=self.time.adaptive)
+                    adaptive=self.time.adaptive)
 
 
 def _reject_duplicates(pairs):
@@ -207,7 +200,7 @@ def _validate(cfg: SimConfig, problems: list[str]):
     MAX_GRID_N gets only the range message, as no grid is built for it.  The
     time rules come from lagrangian._time_problems, prefixed with 'time.'.
     """
-    g, t, i, tol = cfg.grid, cfg.time, cfg.initial, cfg.tolerances
+    g, t, i = cfg.grid, cfg.time, cfg.initial
     if g.n <= MAX_GRID_N:
         try:
             g.build()
@@ -224,8 +217,8 @@ def _validate(cfg: SimConfig, problems: list[str]):
         problems.append(f"initial.width must be > 0, got {i.width}")
     if i.kind == "custom_csv" and not i.path:
         problems.append("initial.path is required for kind 'custom_csv'")
-    if not (0 < tol.tail_tol < 1):
-        problems.append(f"tolerances.tail_tol must lie in (0, 1), got {tol.tail_tol}")
+    if not cfg.output.directory:
+        problems.append("output.directory must name a directory, got ''")
 
 
 def make_initial(cfg: SimConfig) -> ScalarField1:

@@ -33,7 +33,7 @@ __all__ = [
     "distance",
 ]
 
-DEFAULT_EPS_CHART = 1e-10
+_EPS_CHART = 1e-10
 _INV_TOL = 1e-12
 _MAX_SWEEPS = 80
 
@@ -55,8 +55,8 @@ class Diffeo:
     def __init__(self, v: ScalarField1):
         m = v.grid.x + v.u
         margin = _chart_margin(v.du, m[1:] - m[:-1], v.grid.h)
-        if not margin > DEFAULT_EPS_CHART:
-            raise ChartViolation(f"chart margin {margin:.6g} <= {DEFAULT_EPS_CHART:g}: "
+        if not margin > _EPS_CHART:
+            raise ChartViolation(f"chart margin {margin:.6g} <= {_EPS_CHART:g}: "
                                  "the map is not a diffeomorphism", min_slope=margin)
         self.v = v
         self.a = 1.0 + float(v.du.min())

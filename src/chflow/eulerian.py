@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, _own_array, _trapz
+from .fields import Grid, ScalarField1, _own_array, _trapz
 from .lagrangian import (DEFAULT_RECORD_EVERY, Trajectory, _check_run, _march, _match_time,
                          reconstruct_u)
 # l_op is unused here; bound so that perfbench/tracer.py can patch it in this module.
@@ -76,8 +76,7 @@ def _dudt(u: np.ndarray, plan: tuple, h: float) -> np.ndarray:
 
 
 def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
-                       record_every: int = DEFAULT_RECORD_EVERY, *,
-                       tail_tol: float = DEFAULT_TAIL_TOL) -> list[EulerianState]:
+                       record_every: int = DEFAULT_RECORD_EVERY) -> list[EulerianState]:
     """RK4 time stepping of the Eulerian form from u0 to t_end.
 
     The nonlocal term takes the order-2 (per-cell trapezoid) scan.  Steps
@@ -86,7 +85,7 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     state or in its right side, the run halts and ends at the last state
     whose right side is finite.
     """
-    _check_run(u0, t_end, dt, record_every, tail_tol)
+    _check_run(u0, t_end, dt, record_every)
     grid = u0.grid
     plan = _scan_plan(grid.x)
     t, u = 0.0, u0.u

@@ -53,7 +53,7 @@ __all__ = [
     "read_field_csv",
 ]
 
-DEFAULT_TAIL_TOL = 1e-8
+_TAIL_TOL = 1e-8  # bound on both channels at the truncation boundary
 _FIELD_HEADER = ["x", "u", "du"]
 _CSV_CHUNK = 256
 
@@ -232,11 +232,11 @@ def norm_11(f: ScalarField1) -> float:
     return c.sup_u + c.sup_du + float(np.hypot(c.l2_u, c.l2_du))
 
 
-def require_admissible(f: ScalarField1, tail_tol: float = DEFAULT_TAIL_TOL) -> None:
+def require_admissible(f: ScalarField1) -> None:
     """Raise AdmissibilityError unless f is admissible C1 + H1 data on this grid.
 
     It names each failed condition: l2_norms_finite (overflow breaks it) and
-    boundary_decay (both channels within tail_tol at the truncation boundary,
+    boundary_decay (both channels within _TAIL_TOL at the truncation boundary,
     the grid surrogate for vanishing at infinity).  The C1 bound is always
     finite, since a ScalarField1 holds only finite samples.
     """
@@ -245,7 +245,7 @@ def require_admissible(f: ScalarField1, tail_tol: float = DEFAULT_TAIL_TOL) -> N
     failed = []
     if not np.isfinite([c.l2_u, c.l2_du]).all():
         failed.append("l2_norms_finite")
-    if not max(abs(f.u[0]), abs(f.u[-1]), abs(f.du[0]), abs(f.du[-1])) <= tail_tol:
+    if not max(abs(f.u[0]), abs(f.u[-1]), abs(f.du[0]), abs(f.du[-1])) <= _TAIL_TOL:
         failed.append("boundary_decay")
     if failed:
         raise AdmissibilityError(

@@ -38,7 +38,7 @@ import numpy as np
 
 from .diffeo import Diffeo, _chart_margin, comp1, invert
 from .errors import ChartViolation, GridMismatch, TimeMismatch, ValidationError
-from .fields import DEFAULT_TAIL_TOL, Grid, ScalarField1, _trapz, require_admissible
+from .fields import Grid, ScalarField1, _trapz, require_admissible
 from .operators import _l_eta_arrays, _scan_plan
 # Unused here; bound so that perfbench/tracer.py can patch it in this module.
 from .operators import l_eta_direct  # noqa: F401
@@ -52,7 +52,7 @@ __all__ = [
     "reconstruct_u",
 ]
 
-_EPS_BREAK = 1e-3  # chart margin of wave breaking, above diffeo.DEFAULT_EPS_CHART
+_EPS_BREAK = 1e-3  # chart margin of wave breaking, above diffeo._EPS_CHART
 _ADAPT_TOL = 1e-10  # bound on an adaptive step's error estimate
 DEFAULT_QUAD_ORDER = 4
 DEFAULT_RECORD_EVERY = 100
@@ -118,22 +118,22 @@ class Trajectory:
         return self.states[-1]
 
 
-def _chart(y: np.ndarray, grid: Grid, eps: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _chart(y: np.ndarray, grid: Grid, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Node positions m = x + v of the state and their gaps, after the chart check.
 
-    A chart margin at or below eps is wave breaking, a non-finite margin or
-    end position an error.  With every gap positive and both ends finite the
-    positions are finite and strictly increasing, so the kernel scan takes
-    them without checking again.
+    A chart margin at or below _EPS_BREAK is wave breaking, a non-finite
+    margin or end position an error.  With every gap positive and both ends
+    finite the positions are finite and strictly increasing, so the kernel
+    scan takes them without checking again.
     """
     m = grid.x + y[0]
     d = m[1:] - m[:-1]
     slope = _chart_margin(y[1], d, grid.h)
     if not (isfinite(slope) and isfinite(m[-1] - m[0])):
         raise ValueError(f"flow map became non-finite at t = {t:.9g}")
-    if not slope > eps:
+    if not slope > _EPS_BREAK:
         raise ChartViolation(
-            f"flow map slope reached {slope:.6g} <= {eps:g} at t = {t:.9g}; "
+            f"flow map slope reached {slope:.6g} <= {_EPS_BREAK:g} at t = {t:.9g}; "
             "wave breaking, chart lost", min_slope=slope, time=t)
     return m, d
 
@@ -147,9 +147,9 @@ def _source(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return q
 
 
-def _dydt(y: np.ndarray, t: float, grid: Grid, eps: float, order: int) -> np.ndarray:
+def _dydt(y: np.ndarray, t: float, grid: Grid, order: int) -> np.ndarray:
     """Right side (U, U', -L_eta(source)) of the flat state; checks y's chart at t."""
-    m, d = _chart(y, grid, eps, t)
+    m, d = _chart(y, grid, t)
     s = 1.0 + y[1]
     val, der = _l_eta_arrays(_scan_plan(m, d), s, _source(y, s), grid.h, order)
     k = np.empty_like(y)
@@ -249,10 +249,10 @@ def rk4_step(state: FlowState, dt: float) -> FlowState:
     y = _pack(state)
 
     def f(z, tz):
-        return _dydt(z, tz, grid, _EPS_BREAK, DEFAULT_QUAD_ORDER)
+        return _dydt(z, tz, grid, DEFAULT_QUAD_ORDER)
 
     y, _ = _rk_step(_RK4, y, t, dt, f, f(y, t))
-    _chart(y, grid, _EPS_BREAK, t + dt)
+    _chart(y, grid, t + dt)
     return _unpack(y, t + dt, grid)
 
 
@@ -281,11 +281,10 @@ def _time_problems(t_end: float, dt: float, record_every: int) -> list[str]:
     return problems
 
 
-def _check_run(u0: ScalarField1, t_end: float, dt: float, record_every: int,
-               tail_tol: float) -> None:
+def _check_run(u0: ScalarField1, t_end: float, dt: float, record_every: int) -> None:
     """The input check shared by both solvers' time loops: AdmissibilityError
     for inadmissible u0, else one ValueError naming every broken time rule."""
-    require_admissible(u0, tail_tol)
+    require_admissible(u0)
     problems = _time_problems(t_end, dt, record_every)
     if problems:
         raise ValueError("; ".join(problems))
@@ -293,7 +292,7 @@ def _check_run(u0: ScalarField1, t_end: float, dt: float, record_every: int,
 
 def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
            f: Callable[[np.ndarray, float], np.ndarray], tab: _Tableau = _RK4,
-           tol: float = 0.0, tally: Counter | None = None):
+           tally: Counter | None = None):
     """Accepted steps (t, y_n, step, recorded) of tab from the flat state y at t = 0 to t_end.
 
     The record rule of both solvers: a run records its initial state, every
@@ -306,12 +305,12 @@ def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
     in tab every step is dt.  With them, dt is only the first step: the error
     err = max |sum_j (step e_j) k_j|, the _lincomb of tab.err, is taken over
     rows 0-1 of the state (the flow-map channels v, v'), and the next step is
-    step * clamp(0.9 (tol / err)^(1/(p+1)), 0.2, 4) for an embedded solution
-    of order p (4 when err = 0), never below the floor dt 2^-12 and capped
-    by nothing but t_end.  A step with err > tol is retried at that size, and
-    one whose stage or new state raises ChartViolation at half of it; at the
-    floor the first is accepted anyway and the second ends the march.  tally
-    counts "rejected" and "at_floor" steps.
+    step * clamp(0.9 (_ADAPT_TOL / err)^(1/(p+1)), 0.2, 4) for an embedded
+    solution of order p (4 when err = 0), never below the floor dt 2^-12 and
+    capped by nothing but t_end.  A step with err > _ADAPT_TOL is retried at
+    that size, and one whose stage or new state raises ChartViolation at half
+    of it; at the floor the first is accepted anyway and the second ends the
+    march.  tally counts "rejected" and "at_floor" steps.
 
     t sums the steps by Kahan's rule, lost holding what rounding added to it.
     The march ends once t is within near of t_end, and a step that comes that
@@ -336,9 +335,10 @@ def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
         if tab.err is not None:
             ks.append(k_next)
             err = float(np.abs(_lincomb([k[:2] for k in ks], tab.err, step)).max())
-            factor = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** tab.exponent))
+            factor = (4.0 if err == 0.0 else
+                      min(4.0, max(0.2, 0.9 * (_ADAPT_TOL / err) ** tab.exponent)))
             dt_cur = max(factor * step, floor)
-            if err > tol:
+            if err > _ADAPT_TOL:
                 if step > floor:
                     tally["rejected"] += 1
                     continue
@@ -393,7 +393,6 @@ def _check_record_times(times: list[float], t_end: float, dt: float, record_ever
 def integrate(u0: ScalarField1, t_end: float, dt: float,
               record_every: int = DEFAULT_RECORD_EVERY,
               *, quad_order: int = DEFAULT_QUAD_ORDER,
-              tail_tol: float = DEFAULT_TAIL_TOL,
               adaptive: bool = False) -> Trajectory:
     """Integrate from (id, u0) to t_end, or to breakdown of the chart condition.
 
@@ -412,7 +411,7 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
     of the last valid state.  The stage loop evolves one (4, n) array
     (v, v', U, U'); typed states are built only for recorded times.
     """
-    _check_run(u0, t_end, dt, record_every, tail_tol)
+    _check_run(u0, t_end, dt, record_every)
     grid = u0.grid
     states = [FlowState(0.0, Diffeo.identity(grid), u0)]
     t = 0.0
@@ -426,11 +425,11 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
     def f(z, tz):
         nonlocal evals
         evals += 1
-        return _dydt(z, tz, grid, _EPS_BREAK, quad_order)
+        return _dydt(z, tz, grid, quad_order)
 
     try:
         for t, y, step, recorded in _march(y, t_end, dt, record_every, f,
-                                           _DP54 if adaptive else _RK4, _ADAPT_TOL, tally):
+                                           _DP54 if adaptive else _RK4, tally):
             step_min, step_max = min(step_min, step), max(step_max, step)
             rows.append(_diag_row(t, y, grid.h))
             if recorded:

@@ -286,8 +286,8 @@ def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1) -> ScalarField
     plan = _scan_plan(eta.values())
     slopes = eta.slopes()
     w1 = phi.g * slopes
-    S1, _ = _scan_sd(plan, w1, grid.h, slopes)
-    S2, _ = _scan_sd(plan, rho.u * w1, grid.h, slopes)
-    _, D3 = _scan_sd(plan, phi.g * rho.du, grid.h, slopes)
+    S1, _ = _scan_sd(plan, w1, grid.h)
+    S2, _ = _scan_sd(plan, rho.u * w1, grid.h)
+    _, D3 = _scan_sd(plan, phi.g * rho.du, grid.h)
     value = rho.u * S1 - S2 + D3
     return ScalarField1(grid, value, np.gradient(value, grid.h, edge_order=2))

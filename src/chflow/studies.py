@@ -137,8 +137,7 @@ def _solve(payload) -> Trajectory | list[EulerianState]:
         return traj if keep_all else replace(traj, states=traj.states[-1:])
     states = integrate_eulerian(u0, cfg.time.t_end,
                                 cfg.time.dt * ((cfg.grid.n - 1) / (n - 1)),
-                                record_every=cfg.time.record_every,
-                                tail_tol=cfg.tolerances.tail_tol)
+                                record_every=cfg.time.record_every)
     return states if keep_all else states[-1:]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import concurrent.futures
 import csv
 import hashlib
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import chflow
-from chflow import Grid, ScalarField1, cli, integrate, invert, studies, write_field_csv
+from chflow import Grid, ScalarField1, cli, fields, integrate, invert, studies, write_field_csv
 from chflow.cli import main
 from chflow.config import load_config, make_initial
 from chflow.fields import _CSV_CHUNK, write_csv
@@ -213,9 +214,10 @@ def test_csv_export_in_chunks_matches_csv_module_bytes(tmp_path, rows):
 # Inputs that pass the configuration's type checks but that no run can take:
 # grids whose spacing (x_max - x_min)/(n - 1) is inf or 0 (at n = 256, the
 # [0, 1e-320] grid is valid, but converge's default 4096 level is not), a
-# record_every past 2**53, whose product with dt can overflow, and analytic
-# data whose samples overflow.  The check suites take no initial data.  Each
-# case is a command and the keys it sets, by section.
+# record_every past 2**53, whose product with dt can overflow, analytic data
+# whose samples overflow, and an empty output directory, which names none.
+# The check suites take no initial data.  Each case is a command and the keys
+# it sets, by section.
 _BAD_GRIDS = {"inf-spacing": {"x_min": -1e308, "x_max": 1e308, "n": 256},
               "zero-spacing": {"x_min": 0.0, "x_max": 1e-321, "n": 1024}}
 _BAD_DATA = {"gaussian": {"kind": "gaussian", "width": 1e-300},
@@ -232,7 +234,9 @@ BAD_INPUTS = (
                     id=f"{command}-huge-record-every") for command in ("run", "oracle-compare")]
     + [pytest.param(command, {"initial": initial}, "AdmissibilityError", id=f"{command}-{name}")
        for name, initial in _BAD_DATA.items()
-       for command in ("run", "converge", "oracle-compare")])
+       for command in ("run", "converge", "oracle-compare")]
+    + [pytest.param("run", {"output": {"directory": ""}}, "ValidationError",
+                    id="run-empty-output-directory")])
 
 
 class TestFailurePaths:
@@ -245,12 +249,19 @@ class TestFailurePaths:
         cfg = write_config(tmp_path)
         payload = json.loads(cfg.read_text())
         for section, values in edits.items():
-            payload[section].update(values)
+            payload.setdefault(section, {}).update(values)
         cfg.write_text(json.dumps(payload))
         out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--quiet"]
+        if "output" in edits:  # no --out, from a directory holding an earlier run's file
+            monkeypatch.chdir(tmp_path)
+            (tmp_path / "state_00007.csv").write_text("kept")
+            out = tmp_path
+        else:
+            argv += ["--out", str(out)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+            assert main(argv) == 1
         report = read_kv(out / "failure.txt")
         assert report["error"] == error
         if error == "ValidationError":  # the message names every key the case sets
@@ -258,6 +269,8 @@ class TestFailurePaths:
                        for section, values in edits.items() for key in values)
         assert "Traceback" not in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if "output" in edits:
+            assert (tmp_path / "state_00007.csv").read_text() == "kept"
 
     @pytest.mark.parametrize("command", ["run", "check-group"])
     @pytest.mark.parametrize("text, fragment", [
@@ -715,21 +728,33 @@ class TestOracleCompare:
         if "128" in levels.split(","):
             assert report["gap_n128"] == report["sup_diff_t0.25"]
 
-    def test_wide_data_within_tail_tol(self, tmp_path):
-        # A width-5 Gaussian passes tail_tol 1e-5 on [-20, 20] but not the
-        # default 1e-8: both solvers must take the configured tail_tol, and
-        # its flow map's end displacements must not stall the inversion.
+    def test_wide_data_within_tail_tol(self, tmp_path, monkeypatch):
+        # A width-5 Gaussian passes a boundary tolerance of 1e-5 on [-20, 20]
+        # but not the fixed 1e-8: both solvers must read fields._TAIL_TOL, and
+        # its flow map's end displacements must not stall the inversion.  The
+        # study runs serially, so that every solve sees the patched tolerance.
+        monkeypatch.setattr(fields, "_TAIL_TOL", 1e-5)
+        monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)
         cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=1000,
                            width=5.0)
-        payload = json.loads(cfg.read_text())
-        payload["tolerances"] = {"tail_tol": 1e-5}
-        cfg.write_text(json.dumps(payload))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"),
                      "--quiet"]) == 0
         assert main(["oracle-compare", "--config", str(cfg), "--out", str(tmp_path / "cmp"),
                      "--levels", "64,128,256", "--quiet"]) == 0
         report = read_kv(tmp_path / "cmp" / "oracle_compare.txt")
         assert 1.8 <= float(report["fitted_order"]) <= 2.2
+
+    @pytest.mark.parametrize("command", ["run", "oracle-compare"])
+    def test_wide_data_fails_at_the_fixed_tail_tol(self, tmp_path, command):
+        # At fields._TAIL_TOL = 1e-8 the same data is cut off at the domain's
+        # ends, and no configuration key can loosen the check.
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=1000,
+                           width=5.0)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "AdmissibilityError"
+        assert report["message"].endswith("boundary_decay")
 
     @pytest.mark.parametrize("levels, broken", [(None, [256]), ("512", [256, 512]),
                                                 ("256,512", [256, 512])])
@@ -939,6 +964,24 @@ def test_benchmark_commands_parse():
         for name, _, argv, _ in workloads.commands(workload, 0):
             args = cli._build_parser().parse_args([*argv, "--config", "c.json", "--out", "o"])
             assert args.command == name, (workload, argv)
+
+
+def test_no_function_takes_a_tolerance():
+    # Every numerical tolerance and threshold is a private module constant,
+    # read at call time: no function, method, nested function or lambda of
+    # the solver modules takes one as a parameter.
+    tolerance = re.compile(r"eps(_\w*)?|(\w*_)?tol")
+    found = []
+    for name in ("fields", "diffeo", "operators", "lagrangian", "eulerian", "studies",
+                 "config", "checks"):
+        path = Path(chflow.__file__).with_name(f"{name}.py")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                found += [f"{name}:{node.lineno} {p.arg}" for p in params
+                          if p is not None and tolerance.fullmatch(p.arg)]
+    assert found == []
 
 
 def test_tracer_targets_resolve():

@@ -33,7 +33,6 @@ class TestLoadConfig:
         assert cfg.time.dt == 1e-3
         assert cfg.time.record_every == 100
         assert cfg.time.adaptive is False
-        assert cfg.tolerances.tail_tol == 1e-8
         assert cfg.output.directory == "out"
         assert cfg.initial.amplitude == 1.0
 
@@ -167,12 +166,21 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="unknown key 'output.formats'"):
             config_from_dict(payload)
 
-    @pytest.mark.parametrize("key", ["inv_tol", "eps_break"])
+    @pytest.mark.parametrize("key", ["inv_tol", "eps_break", "tail_tol"])
     def test_fixed_tolerance_is_an_unknown_key(self, key):
-        # The inversion tolerance and the breaking threshold are not configurable.
+        # The inversion tolerance, the breaking threshold and the boundary
+        # tolerance are not configurable.
         payload = json.loads(json.dumps(MINIMAL))
         payload["tolerances"] = {key: 1e-3}
-        with pytest.raises(ParseError, match=f"unknown key 'tolerances.{key}'"):
+        with pytest.raises(ParseError, match="unknown section 'tolerances'"):
+            config_from_dict(payload)
+
+    def test_tolerances_is_an_unknown_section(self):
+        # Every solver tolerance is a module constant, so the section is gone,
+        # even empty.
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["tolerances"] = {}
+        with pytest.raises(ParseError, match="unknown section 'tolerances'"):
             config_from_dict(payload)
 
     def test_custom_csv_needs_path(self):

@@ -12,6 +12,7 @@ from chflow import (
     require_admissible,
     write_field_csv,
 )
+from chflow import fields
 from chflow.errors import AdmissibilityError, GridMismatch, ParseError
 
 from conftest import derivative_consistency, gaussian_field, reflect
@@ -190,11 +191,13 @@ class TestMembership:
     def test_zero_passes(self, grid20):
         require_admissible(ScalarField1.zeros(grid20))
 
-    def test_tolerance_is_configurable(self, grid20):
+    def test_tolerance_is_configurable(self, grid20, monkeypatch):
+        # The tolerance is the module constant _TAIL_TOL, read at call time.
         f = gaussian_field(grid20, width=8.0)
         with pytest.raises(AdmissibilityError):
-            require_admissible(f, tail_tol=1e-8)
-        require_admissible(f, tail_tol=1e-2)
+            require_admissible(f)
+        monkeypatch.setattr(fields, "_TAIL_TOL", 1e-2)
+        require_admissible(f)
 
     def test_overflow_fails_l2(self, grid20):
         f = gaussian_field(grid20, amp=1e160)

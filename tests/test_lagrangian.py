@@ -47,7 +47,7 @@ def source(state):
 
 def dydt(state, order=4):
     """(d eta/dt, dU/dt) of the state from the stage loop's right side."""
-    k = lagrangian._dydt(lagrangian._pack(state), state.t, state.grid, 1e-3, order)
+    k = lagrangian._dydt(lagrangian._pack(state), state.t, state.grid, order)
     return ScalarField1(state.grid, k[0], k[1]), ScalarField1(state.grid, k[2], k[3])
 
 
@@ -165,7 +165,7 @@ class TestRk4Step:
         y = lagrangian._pack(id_state(grid20, gaussian_field(grid20, amp=0.3)))
         y[0, -1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            lagrangian._dydt(y, 0.0, grid20, 1e-3, 4)
+            lagrangian._dydt(y, 0.0, grid20, 4)
 
     def test_end_state_chart_checked(self, grid20, monkeypatch):
         # Stages are checked where they are evaluated; the returned state is
@@ -173,7 +173,7 @@ class TestRk4Step:
         # x = 0 from 1 to 1 - dt without any stage check in the way.
         k = np.zeros((4, grid20.n))
         k[1] = -np.exp(-grid20.x ** 2)
-        monkeypatch.setattr(lagrangian, "_dydt", lambda y, t, grid, eps, order: k)
+        monkeypatch.setattr(lagrangian, "_dydt", lambda y, t, grid, order: k)
         state = id_state(grid20, ScalarField1.zeros(grid20))
         assert rk4_step(state, 0.998).eta.v.du.min() == pytest.approx(-0.998)
         with pytest.raises(ChartViolation) as exc:
@@ -229,7 +229,7 @@ class TestTableaus:
         y = lagrangian._pack(id_state(grid, gaussian_field(grid, amp=0.4)))
 
         def f(z, tz):
-            return lagrangian._dydt(z, tz, grid, 1e-3, 4)
+            return lagrangian._dydt(z, tz, grid, 4)
 
         def step(z, dt):
             new, ks = lagrangian._rk_step(tab, z, 0.0, dt, f, f(z, 0.0))
@@ -279,17 +279,17 @@ class TestIntegrate:
         # The solvers' input check and the configuration's share one owner
         # of the time rules, which reports each broken rule.
         with pytest.raises(ValueError) as exc:
-            lagrangian._check_run(ScalarField1.zeros(grid20), math.inf, 0.0, 1, 1e-6)
+            lagrangian._check_run(ScalarField1.zeros(grid20), math.inf, 0.0, 1)
         assert str(exc.value) == "t_end must be > 0, got inf; dt must be > 0, got 0.0"
 
     def test_record_every_bounded_where_float_is_exact(self, grid20):
         # Up to 2**53 float(record_every) is exact; past it dt * record_every
         # may overflow, and no run records more than 0 and t_end anyway.
         zeros = ScalarField1.zeros(grid20)
-        lagrangian._check_run(zeros, 1.0, 0.1, 2 ** 53, 1e-6)
+        lagrangian._check_run(zeros, 1.0, 0.1, 2 ** 53)
         for record_every in (2 ** 53 + 1, 10 ** 400):
             with pytest.raises(ValueError, match=r"record_every must lie in \[1, 2\*\*53\]"):
-                lagrangian._check_run(zeros, 1.0, 0.1, record_every, 1e-6)
+                lagrangian._check_run(zeros, 1.0, 0.1, record_every)
 
     def test_small_data_reaches_final_time(self):
         grid = Grid.from_interval(-20.0, 20.0, 513)
