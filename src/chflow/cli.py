@@ -16,10 +16,10 @@ significant digits so artifacts are bit-reproducible for identical
 configurations.
 
 Each command returns its exit code, report and stdout lines.  main owns the
-output directory (--out, else the config's output.directory): before a command
-runs it deletes there the files that command writes (failure.txt, its report,
-and run's state_*.csv and diagnostics.csv or oracle-compare's eulerian_*.csv),
-so a rerun leaves no stale artifact; --out is cleared before the config loads.
+directory that --out names (default out): before the config loads it deletes
+there the files the command writes (failure.txt, its report, and run's
+state_*.csv and diagnostics.csv or oracle-compare's eulerian_*.csv), so a
+rerun leaves no stale artifact, and the report or failure.txt goes there.
 """
 
 from __future__ import annotations
@@ -79,6 +79,13 @@ _positive_int = _int_at_least(1, "a positive integer")
 _seed = _int_at_least(0, "a non-negative integer")
 
 
+def _directory(text: str) -> str:
+    """argparse type of --out: an empty path names no directory, a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
+
+
 def _entries(text: str, kind, option: str) -> list:
     """The comma-separated entries of an option's value as kind; ParseError if one is not."""
     try:
@@ -103,7 +110,8 @@ def _build_parser() -> _Parser:
     def common(name, text, func, report, *artifacts, **defaults):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to a JSON configuration")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
+        p.add_argument("--out", type=_directory, default="out",
+                       help="directory for the report and artifacts (default: out)")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
         p.set_defaults(func=func, report=report, artifacts=artifacts, **defaults)
         return p
@@ -306,24 +314,20 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except ParseError as exc:
         return _report_error(exc)  # a usage error writes no failure.txt
-    out_dir = args.out
     try:
-        cfg = None if out_dir else load_config(args.config)  # it names out_dir
-        out_dir = out_dir or cfg.output.directory
-        # Delete what an earlier run left of this command's files; with --out
-        # before the config loads, so a config that fails to load leaves none.
+        # Delete what an earlier run left of this command's files before the
+        # config loads, so a config that fails to load leaves none.
         for pattern in ("failure.txt", args.report, *args.artifacts):
-            for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            for path in glob.glob(os.path.join(glob.escape(args.out), pattern)):
                 os.remove(path)
-        cfg = cfg or load_config(args.config)
-        os.makedirs(out_dir, exist_ok=True)
-        code, items, lines = args.func(args, cfg, out_dir)
-        _write_kv(os.path.join(out_dir, args.report), items)
+        cfg = load_config(args.config)
+        os.makedirs(args.out, exist_ok=True)
+        code, items, lines = args.func(args, cfg, args.out)
+        _write_kv(os.path.join(args.out, args.report), items)
     except (CHFlowError, OSError) as exc:
-        out_dir = out_dir or "."
         try:
-            os.makedirs(out_dir, exist_ok=True)
-            _write_kv(os.path.join(out_dir, "failure.txt"),
+            os.makedirs(args.out, exist_ok=True)
+            _write_kv(os.path.join(args.out, "failure.txt"),
                       [("error", type(exc).__name__), ("message", str(exc))])
         except OSError:
             pass  # stderr still carries the structured message

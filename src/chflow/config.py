@@ -14,7 +14,7 @@ time loop, and make_initial, after validation, for the initial data.
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "GridConfig",
     "TimeConfig",
     "InitialConfig",
-    "OutputConfig",
     "SimConfig",
     "load_config",
     "config_from_dict",
@@ -67,16 +66,10 @@ class InitialConfig:
 
 
 @dataclass
-class OutputConfig:
-    directory: str = "out"
-
-
-@dataclass
 class SimConfig:
     grid: GridConfig
     time: TimeConfig
     initial: InitialConfig
-    output: OutputConfig = field(default_factory=OutputConfig)
 
     def integrate_kwargs(self, order: int) -> dict:
         """Keyword arguments of ``lagrangian.integrate`` for this run at scan order ``order``."""
@@ -143,7 +136,7 @@ _TYPES = {
 
 
 def _required(f) -> bool:
-    return f.default is MISSING and f.default_factory is MISSING
+    return f.default is MISSING
 
 
 def config_from_dict(raw: dict) -> SimConfig:
@@ -217,8 +210,6 @@ def _validate(cfg: SimConfig, problems: list[str]):
         problems.append(f"initial.width must be > 0, got {i.width}")
     if i.kind == "custom_csv" and not i.path:
         problems.append("initial.path is required for kind 'custom_csv'")
-    if not cfg.output.directory:
-        problems.append("output.directory must name a directory, got ''")
 
 
 def make_initial(cfg: SimConfig) -> ScalarField1:

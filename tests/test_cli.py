@@ -214,10 +214,9 @@ def test_csv_export_in_chunks_matches_csv_module_bytes(tmp_path, rows):
 # Inputs that pass the configuration's type checks but that no run can take:
 # grids whose spacing (x_max - x_min)/(n - 1) is inf or 0 (at n = 256, the
 # [0, 1e-320] grid is valid, but converge's default 4096 level is not), a
-# record_every past 2**53, whose product with dt can overflow, analytic data
-# whose samples overflow, and an empty output directory, which names none.
-# The check suites take no initial data.  Each case is a command and the keys
-# it sets, by section.
+# record_every past 2**53, whose product with dt can overflow, and analytic
+# data whose samples overflow.  The check suites take no initial data.  Each
+# case is a command and the keys it sets, by section.
 _BAD_GRIDS = {"inf-spacing": {"x_min": -1e308, "x_max": 1e308, "n": 256},
               "zero-spacing": {"x_min": 0.0, "x_max": 1e-321, "n": 1024}}
 _BAD_DATA = {"gaussian": {"kind": "gaussian", "width": 1e-300},
@@ -234,9 +233,7 @@ BAD_INPUTS = (
                     id=f"{command}-huge-record-every") for command in ("run", "oracle-compare")]
     + [pytest.param(command, {"initial": initial}, "AdmissibilityError", id=f"{command}-{name}")
        for name, initial in _BAD_DATA.items()
-       for command in ("run", "converge", "oracle-compare")]
-    + [pytest.param("run", {"output": {"directory": ""}}, "ValidationError",
-                    id="run-empty-output-directory")])
+       for command in ("run", "converge", "oracle-compare")])
 
 
 class TestFailurePaths:
@@ -252,16 +249,9 @@ class TestFailurePaths:
             payload.setdefault(section, {}).update(values)
         cfg.write_text(json.dumps(payload))
         out = tmp_path / "out"
-        argv = [command, "--config", str(cfg), "--quiet"]
-        if "output" in edits:  # no --out, from a directory holding an earlier run's file
-            monkeypatch.chdir(tmp_path)
-            (tmp_path / "state_00007.csv").write_text("kept")
-            out = tmp_path
-        else:
-            argv += ["--out", str(out)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(argv) == 1
+            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         report = read_kv(out / "failure.txt")
         assert report["error"] == error
         if error == "ValidationError":  # the message names every key the case sets
@@ -269,8 +259,6 @@ class TestFailurePaths:
                        for section, values in edits.items() for key in values)
         assert "Traceback" not in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if "output" in edits:
-            assert (tmp_path / "state_00007.csv").read_text() == "kept"
 
     @pytest.mark.parametrize("command", ["run", "check-group"])
     @pytest.mark.parametrize("text, fragment", [
@@ -356,21 +344,16 @@ class TestFailurePaths:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         assert read_kv(out / "failure.txt")["error"] == "AdmissibilityError"
 
-    def test_failure_report_without_out_goes_to_config_directory(self, tmp_path):
-        cfg = write_config(tmp_path, width=15.0)
-        payload = json.loads(cfg.read_text())
-        payload["output"] = {"directory": str(tmp_path / "cfg_out")}
-        cfg.write_text(json.dumps(payload))
-        assert main(["run", "--config", str(cfg), "--quiet"]) == 1
-        assert read_kv(tmp_path / "cfg_out" / "failure.txt")["error"] == "AdmissibilityError"
-
-    def test_unparsable_config_without_out_reports_to_working_directory(
-            self, tmp_path, monkeypatch):
+    def test_unparsable_config_without_out_reports_to_default_out(self, tmp_path,
+                                                                   monkeypatch):
+        # --out defaults to out, so even a config that does not parse
+        # reports there and not in the working directory.
         cfg = tmp_path / "broken.json"
         cfg.write_text("{")
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 1
-        assert read_kv(tmp_path / "failure.txt")["error"] == "ParseError"
+        assert read_kv(tmp_path / "out" / "failure.txt")["error"] == "ParseError"
+        assert not (tmp_path / "failure.txt").exists()
 
     @pytest.mark.parametrize("command", ["check-operators", "check-group"])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
@@ -381,6 +364,18 @@ class TestFailurePaths:
         err = capsys.readouterr().err
         assert "error=ParseError" in err and "must be a non-negative integer" in err
         assert not out.exists()
+
+    def test_empty_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # An empty --out names no directory; taken as one it would clear the
+        # command's files from the working directory.
+        cfg = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "state_00007.csv").write_text("kept")
+        assert main(["run", "--config", str(cfg), "--out", "", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "error=ParseError" in err and "must name a directory" in err
+        assert not (tmp_path / "failure.txt").exists()
+        assert (tmp_path / "state_00007.csv").read_text() == "kept"
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("args, report", [

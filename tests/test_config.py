@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from chflow import ScalarField1, integrate, load_config, make_initial, norm_11, write_field_csv
+from chflow import (ScalarField1, cli, integrate, load_config, make_initial, norm_11,
+                    write_field_csv)
 from chflow.config import SimConfig, config_from_dict
 from chflow.errors import AdmissibilityError, ParseError, ValidationError
 from chflow.fields import Grid
@@ -33,8 +34,9 @@ class TestLoadConfig:
         assert cfg.time.dt == 1e-3
         assert cfg.time.record_every == 100
         assert cfg.time.adaptive is False
-        assert cfg.output.directory == "out"
         assert cfg.initial.amplitude == 1.0
+        # The output directory is no config key: it is --out, default out.
+        assert cli._build_parser().parse_args(["run", "--config", "c.json"]).out == "out"
 
     def test_small_grid_rejected(self, tmp_path):
         payload = json.loads(json.dumps(MINIMAL))
@@ -159,11 +161,14 @@ class TestLoadConfig:
             "grid.x_min, grid.x_max and grid.n give no grid: grid endpoints must be finite",
             "time.t_end must be > 0, got inf"]
 
-    def test_output_formats_is_an_unknown_key(self):
-        # Every command writes its fixed set of files; there is no format switch.
+    @pytest.mark.parametrize("output", [{}, {"directory": "out"}, {"formats": ["csv"]}],
+                             ids=["empty", "directory", "formats"])
+    def test_output_is_an_unknown_section(self, output):
+        # Every command writes its fixed set of files into --out; the config
+        # names neither the directory nor a format.
         payload = json.loads(json.dumps(MINIMAL))
-        payload["output"] = {"formats": ["csv", "summary"]}
-        with pytest.raises(ParseError, match="unknown key 'output.formats'"):
+        payload["output"] = output
+        with pytest.raises(ParseError, match="unknown section 'output'"):
             config_from_dict(payload)
 
     @pytest.mark.parametrize("key", ["inv_tol", "eps_break", "tail_tol"])
