@@ -42,9 +42,7 @@ from .diffeo import (
     invert,
 )
 from .operators import (
-    gateaux_df,
     inv_helmholtz,
-    l_eta_conjugated,
     l_eta_direct,
     l_op,
 )
@@ -72,7 +70,7 @@ __all__ = [
     "norm_11", "norm_components", "read_field_csv", "require_admissible",
     "write_field_csv",
     "Diffeo", "comp1", "comp2", "distance", "invert",
-    "gateaux_df", "inv_helmholtz", "l_eta_conjugated", "l_eta_direct", "l_op",
+    "inv_helmholtz", "l_eta_direct", "l_op",
     "FlowState", "Trajectory", "integrate", "reconstruct_u", "rk4_step",
     "ComparisonReport", "EulerianState", "compare", "integrate_eulerian",
     "SimConfig", "load_config", "make_initial",

@@ -67,12 +67,12 @@ class BoundCheck:
         return self.measured <= self.allowed
 
 
-def _gaussian_sum(grid: Grid, rng: Uniform, amps: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def _gaussian_sum(grid: Grid, rng: Uniform) -> tuple[np.ndarray, np.ndarray]:
     x = grid.x
     u = np.zeros(grid.n)
     du = np.zeros(grid.n)
     for _ in range(3):
-        a = rng.uniform(-amps, amps)
+        a = rng.uniform(-1.0, 1.0)
         c = rng.uniform(-5.0, 5.0)
         w = rng.uniform(0.8, 2.5)
         z = (x - c) / w
@@ -94,8 +94,8 @@ def random_bump_field1(grid: Grid, rng: Uniform, *,
     return ScalarField1(grid, u, du)
 
 
-def random_bump_field0(grid: Grid, rng: Uniform, *, amps: float = 1.0) -> ScalarField0:
-    u, _ = _gaussian_sum(grid, rng, amps)
+def random_bump_field0(grid: Grid, rng: Uniform) -> ScalarField0:
+    u, _ = _gaussian_sum(grid, rng)
     return ScalarField0(grid, u)
 
 

@@ -172,11 +172,6 @@ class ScalarField1:
         self._check_same_grid(other)
         return ScalarField1(self.grid, self.u - other.u, self.du - other.du)
 
-    def __mul__(self, c: float) -> "ScalarField1":
-        return ScalarField1(self.grid, c * self.u, c * self.du)
-
-    __rmul__ = __mul__
-
 
 @dataclass
 class ScalarField0:
@@ -187,26 +182,6 @@ class ScalarField0:
 
     def __post_init__(self):
         self.g = _own_array(self.g, self.grid.n, "g")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField0":
-        return cls(grid, np.zeros(grid.n))
-
-    def eval(self, x):
-        """Cubic Lagrange interpolation of the value samples; zero outside."""
-        grid = self.grid
-        if grid.n < 4:
-            return _hermite_eval(grid, self.g, np.zeros(grid.n), x)[0]
-        scalar, inside, xc, cell = _locate(grid, x)
-        base = np.clip(cell - 1, 0, grid.n - 4)
-        s = (xc - (grid.x_min + base * grid.h)) / grid.h
-        g = self.g
-        val = (-(s - 1) * (s - 2) * (s - 3) / 6.0 * g[base]
-               + s * (s - 2) * (s - 3) / 2.0 * g[base + 1]
-               - s * (s - 1) * (s - 3) / 2.0 * g[base + 2]
-               + s * (s - 1) * (s - 2) / 6.0 * g[base + 3])
-        val = np.where(inside, val, 0.0)
-        return float(val[0]) if scalar else val
 
 
 class NormComponents(NamedTuple):

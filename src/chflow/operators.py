@@ -47,12 +47,7 @@ weight, so no pass forms A or B).  Without any numerical differentiation:
   (the operator gains one derivative),
 * the flow-conjugated operator  L_eta(phi) = L(phi o eta^(-1)) o eta,
   evaluated directly from eta-weighted scans: value D, derivative channel
-  eta' * (S - phi),
-* the directional derivative of (phi, eta) -> L_eta(phi) in eta, assembled
-  from three weighted scans as rho S_1 - S_2 + D_3; with the shared per-cell
-  rule the assembly is the exact algebraic derivative of the discrete direct
-  operator, so central finite differences of l_eta_direct converge to it at
-  O(eps^2) with no grid floor.
+  eta' * (S - phi).
 
 Quadrature: per-cell trapezoid on the weighted integrand with the exponential
 factor pulled out per cell (order=2), q = h w / 2.  order=4 adds the
@@ -60,17 +55,17 @@ Euler-Maclaurin endpoint correction (h^2/12)(W'_left - W'_right) per cell
 with the integrand derivative estimated by centered differences, raising
 smooth accuracy to O(h^4); the corrections of adjacent cells cancel at every
 interior node and survive only in q.  inv_helmholtz and l_op take either
-order (2 by default); l_eta_direct, l_eta_conjugated and gateaux_df use
-order 2, and the time stepper's scans the order it is given.  Integrals
-are truncated at the grid boundary; the error is O(exp(-a * margin)) for
-data supported margin away from the ends.
+order (2 by default); l_eta_direct uses order 2, and the time stepper's
+scans the order it is given.  Integrals are truncated at the grid boundary;
+the error is O(exp(-a * margin)) for data supported margin away from the
+ends.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diffeo import Diffeo, comp1, invert
+from .diffeo import Diffeo
 from .errors import GridMismatch
 from .fields import ScalarField0, ScalarField1
 
@@ -78,8 +73,6 @@ __all__ = [
     "inv_helmholtz",
     "l_op",
     "l_eta_direct",
-    "l_eta_conjugated",
-    "gateaux_df",
 ]
 
 
@@ -247,47 +240,3 @@ def l_eta_direct(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
     val, der = _l_eta_arrays(_scan_plan(eta.values()), eta.slopes(), phi.g, phi.grid.h, 2)
     return ScalarField1(phi.grid, val, der)
 
-
-def l_eta_conjugated(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
-    """The conjugation identity L(phi o eta^(-1)) o eta computed literally.
-
-    Inverts eta by diffeo.invert, resamples phi along the inverse, applies
-    l_op with the order-2 cell rule, and composes back.  Exists as an
-    independent discretization used to cross-check l_eta_direct; the two
-    agree at the quadrature/interpolation error level.
-    """
-    if phi.grid != eta.grid:
-        raise GridMismatch("source and diffeomorphism live on different grids")
-    psi = ScalarField0(phi.grid, phi.eval(invert(eta).values()))
-    return comp1(l_op(psi), eta)
-
-
-def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1) -> ScalarField1:
-    """Directional derivative of (phi, eta) -> l_eta_direct(phi, eta) in eta.
-
-    With G the derivative in direction rho,
-
-        G(x) = 1/2 int_{-inf}^x exp(eta(y)-eta(x)) phi(y)
-                   (rho(x) eta'(y) - rho(y) eta'(y) - rho'(y)) dy
-             + 1/2 int_x^{inf}   exp(eta(x)-eta(y)) phi(y)
-                   (rho(x) eta'(y) - rho(y) eta'(y) + rho'(y)) dy,
-
-    assembled as rho S_1 - S_2 + D_3 from three scans with weights phi*eta',
-    phi*rho*eta', phi*rho'.
-    Sharing the per-cell rule with l_eta_direct makes this the exact
-    derivative of the discrete operator, not merely a consistent one.
-
-    The derivative channel is a centered-difference diagnostic; the time
-    stepper never consumes it.
-    """
-    if phi.grid != eta.grid or rho.grid != eta.grid:
-        raise GridMismatch("operands live on different grids")
-    grid = phi.grid
-    plan = _scan_plan(eta.values())
-    slopes = eta.slopes()
-    w1 = phi.g * slopes
-    S1, _ = _scan_sd(plan, w1, grid.h)
-    S2, _ = _scan_sd(plan, rho.u * w1, grid.h)
-    _, D3 = _scan_sd(plan, phi.g * rho.du, grid.h)
-    value = rho.u * S1 - S2 + D3
-    return ScalarField1(grid, value, np.gradient(value, grid.h, edge_order=2))

@@ -34,8 +34,8 @@ import numpy as np
 from .config import SimConfig, _validate, make_initial
 from .errors import ValidationError
 from .eulerian import ComparisonReport, EulerianState, compare, integrate_eulerian
-from .lagrangian import (DEFAULT_QUAD_ORDER, Trajectory, _check_record_times, integrate,
-                         reconstruct_u)
+from .lagrangian import (DEFAULT_QUAD_ORDER, Trajectory, _check_record_times, _is_time,
+                         integrate, reconstruct_u)
 
 __all__ = [
     "RefinementStudy",
@@ -191,13 +191,14 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     run a task of its own; the flow map takes the integrator's scan order 4.
     study.base holds the pair at cfg's resolution and study.report compares
     it at times (default: t_end); a level at cfg's resolution takes its gap
-    from that report when t_end is among the times.  Other levels keep only
-    their final states, all their gap reads.  levels may be empty: then only
-    cfg's own resolution runs, and there are no gaps.  If any flow-map run
-    broke down, the study compares nothing: no report, no gaps, and the
-    breakdowns are on study.levels and study.base.  A time that cfg's run is
-    not sure to record, or that repeats an earlier one, is a ValidationError
-    before any solve (lagrangian._check_record_times).
+    from that report when one of the times names t_end (lagrangian._is_time).
+    Other levels keep only their final states, all their gap reads.  levels
+    may be empty: then only cfg's own resolution runs, and there are no
+    gaps.  If any flow-map run broke down, the study compares nothing: no
+    report, no gaps, and the breakdowns are on study.levels and study.base.
+    A time that cfg's run is not sure to record, or that repeats an earlier
+    one, is a ValidationError before any solve
+    (lagrangian._check_record_times).
     """
     _check_levels(cfg, levels, 0)
     t_end = cfg.time.t_end
@@ -215,9 +216,10 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     if not all(runs["flow_map", n].completed for n in resolutions):
         return study
     study.report = compare(*base, times)
+    own = next((k for k, t in enumerate(times) if _is_time(t_end, t)), None)
     for n in levels:
-        if n == cfg.grid.n and t_end in times:
-            study.gaps.append(study.report.sup_diff[times.index(t_end)])
+        if n == cfg.grid.n and own is not None:
+            study.gaps.append(study.report.sup_diff[own])
         else:
             study.gaps.append(
                 compare(runs["flow_map", n], runs["eulerian", n], [t_end]).sup_diff[0])

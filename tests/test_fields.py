@@ -102,7 +102,7 @@ class TestNorms:
             f = random_field(grid20, rng)
             c = rng.uniform(-3, 3)
             base = np.array(norm_components(f))
-            scaled = np.array(norm_components(c * f))
+            scaled = np.array(norm_components(ScalarField1(grid20, c * f.u, c * f.du)))
             assert np.abs(scaled - abs(c) * base).max() <= 1e-12 * max(1.0, abs(c))
 
     def test_triangle_inequality(self, grid20, rng):

@@ -166,6 +166,29 @@ def test_flow_map_solves_keep_config_dt(tmp_path, monkeypatch):
                                         (256, 1e-2 * 63 / 255)]
 
 
+def test_oracle_own_level_gap_comes_from_the_main_report(tmp_path, monkeypatch):
+    # A time that names t_end within the record-time tolerance, not bit for
+    # bit, still gives the config's own level the gap of the main comparison.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
+        "time": {"t_end": 0.1, "dt": 1e-2},
+        "initial": {"kind": "gaussian", "amplitude": 0.5}}))
+    cfg = load_config(path)
+    calls = []
+    real = studies.compare
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(studies, "compare", counting)
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)
+    study = studies.oracle_refinement(cfg, [64], times=[0.1 + 1e-11])
+    assert calls == [[0.1 + 1e-11]]
+    assert study.gaps == [real(*study.base, [0.1]).sup_diff[0]]
+
+
 class _Started(Exception):
     pass
 
