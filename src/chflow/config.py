@@ -217,11 +217,12 @@ def make_initial(cfg: SimConfig) -> ScalarField1:
 
     Analytic profiles carry exact derivative channels, momentum_gaussian the
     kernel-identity channel of inv_helmholtz; custom CSV data, read from
-    initial.path as given, must provide both channels, on the configured
-    grid.  Data of any kind that cannot be built is an AdmissibilityError(
-    "initial data rejected: ..."): a file that read_field_csv refuses
-    (ParseError), or samples that overflow to inf or nan, which ScalarField1
-    refuses (ValueError; numpy's warnings are off while the field is built).
+    initial.path as given, must provide both channels on the configured
+    grid, which read_field_csv checks.  Data of any kind that cannot be built
+    is an AdmissibilityError("initial data rejected: ..."): a file that
+    read_field_csv refuses (ParseError), or samples that overflow to inf or
+    nan, which ScalarField1 refuses (ValueError; numpy's warnings are off
+    while the field is built).
     Admissibility is checked by the solver the field is given to (integrate
     or integrate_eulerian), once per run.
     """
@@ -246,16 +247,7 @@ def make_initial(cfg: SimConfig) -> ScalarField1:
                 m0 = ScalarField0(grid, ic.amplitude * np.exp(-z * z))
                 field1 = inv_helmholtz(m0, order=4)
             elif ic.kind == "custom_csv":
-                field1 = read_field_csv(ic.path)
-                if field1.grid != grid:
-                    fg = field1.grid
-                    close = (fg.n == grid.n
-                             and abs(fg.x_min - grid.x_min) <= 1e-9 * max(1.0, abs(grid.x_min))
-                             and abs(fg.h - grid.h) <= 1e-12 * grid.h)
-                    if not close:
-                        raise AdmissibilityError(
-                            "custom initial data grid does not match the configured grid")
-                    field1 = ScalarField1(grid, field1.u, field1.du)
+                field1 = read_field_csv(ic.path, grid)
             else:  # pragma: no cover - kinds are validated upstream
                 raise ValidationError([f"unsupported initial kind '{ic.kind}'"])
     except (ParseError, ValueError) as exc:

@@ -244,12 +244,17 @@ def write_csv(path, header, columns) -> None:
 
 
 def write_field_csv(f: ScalarField1, path) -> None:
-    """Serialize as x,u,du CSV with 17 significant digits per value."""
+    """Serialize as x,u,du CSV with 17 significant digits per value;
+    read_field_csv(path, f.grid) reads it back bit for bit."""
     write_csv(path, _FIELD_HEADER, [f.grid.x, f.u, f.du])
 
 
-def read_field_csv(path) -> ScalarField1:
-    """Read UTF-8 field CSV (a leading byte-order mark allowed); grid is inferred from x."""
+def read_field_csv(path, grid: Grid) -> ScalarField1:
+    """Read a UTF-8 field CSV (a leading byte-order mark allowed) sampled on grid.
+
+    The file must hold grid.n data rows, each x within 1e-9 * max(1, |x_k|)
+    of its node x_k; the field comes back on grid itself.
+    """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
@@ -265,8 +270,8 @@ def read_field_csv(path) -> ScalarField1:
     for line, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise ParseError(f"{path}: line {line} has {len(row)} columns, not 3")
-    if len(rows) < 3:
-        raise ParseError(f"{path}: need at least two rows of three columns")
+    if len(rows) - 1 != grid.n:
+        raise ParseError(f"{path}: {len(rows) - 1} data rows, but the grid has {grid.n} nodes")
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
     except ValueError as exc:
@@ -274,9 +279,9 @@ def read_field_csv(path) -> ScalarField1:
     bad = ~np.isfinite(data).all(axis=1)
     if bad.any():
         raise ParseError(f"{path}: line {int(bad.argmax()) + 2} holds a non-finite entry")
-    x = data[:, 0]
-    h = x[1] - x[0]
-    if h <= 0 or np.abs(np.diff(x) - h).max() > 1e-9 * max(1.0, abs(h)):
-        raise ParseError(f"{path}: x column is not a uniform increasing grid")
-    grid = Grid(float(x[0]), float(h), len(x))
+    off = np.abs(data[:, 0] - grid.x) > 1e-9 * np.maximum(1.0, np.abs(grid.x))
+    if off.any():
+        k = int(off.argmax())
+        raise ParseError(f"{path}: line {k + 2} has x = {data[k, 0]:.17g}, "
+                         f"off the grid node {grid.x[k]:.17g}")
     return ScalarField1(grid, data[:, 1], data[:, 2])

@@ -236,6 +236,11 @@ BAD_INPUTS = (
        for command in ("run", "converge", "oracle-compare")])
 
 
+def shift_x_on_line_61(lines):
+    x, rest = lines[60].split(",", 1)
+    lines[60] = f"{float(x) + 1e-6!r},{rest}"
+
+
 class TestFailurePaths:
     @pytest.mark.parametrize("command, edits, error", BAD_INPUTS)
     def test_bad_input_ends_in_failure_report(self, tmp_path, capsys, monkeypatch,
@@ -552,6 +557,25 @@ class TestFailurePaths:
         report = read_kv(out / "failure.txt")
         assert report["error"] == "AdmissibilityError"
         assert "line 61 holds a non-finite entry" in report["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, fragment", [
+        (shift_x_on_line_61, "line 61 has x = "),
+        (list.pop, "127 data rows, but the grid has 128 nodes"),
+    ], ids=["x-off-node", "row-dropped"])
+    def test_off_grid_custom_csv_is_rejected_data(self, tmp_path, capsys, edit, fragment):
+        grid = Grid.from_interval(-20.0, 20.0, 128)
+        u = 0.5 * np.exp(-grid.x ** 2)
+        write_field_csv(ScalarField1(grid, u, -2.0 * grid.x * u), tmp_path / "u0.csv")
+        lines = (tmp_path / "u0.csv").read_text().splitlines(keepends=True)
+        edit(lines)
+        (tmp_path / "u0.csv").write_text("".join(lines))
+        cfg = write_config(tmp_path, n=128, kind="custom_csv", path="u0.csv")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "AdmissibilityError"
+        assert fragment in report["message"]
         assert "Traceback" not in capsys.readouterr().err
 
     def test_undecodable_custom_csv_is_rejected_data(self, tmp_path, capsys):

@@ -241,11 +241,15 @@ class TestMakeInitial:
         with pytest.raises(AdmissibilityError, match="boundary_decay"):
             integrate(make_initial(cfg), **cfg.integrate_kwargs(4))
 
-    def test_custom_csv_round_trip(self, tmp_path):
-        grid = Grid.from_interval(-20.0, 20.0, 256)
+    @pytest.mark.parametrize("n", [256, 40001])
+    def test_custom_csv_round_trip(self, tmp_path, n):
+        # At n = 40001 (h = 1e-3) x1 - x0 carries the rounding of x_min and
+        # misses h by 1.2e-12 relative, so the file is checked node by node.
+        grid = Grid.from_interval(-20.0, 20.0, n)
         f = antisymmetric_field(grid, amp=-0.5)
         write_field_csv(f, tmp_path / "ic.csv")
         payload = json.loads(json.dumps(MINIMAL))
+        payload["grid"]["n"] = n
         payload["initial"] = {"kind": "custom_csv", "path": str(tmp_path / "ic.csv")}
         cfg = config_from_dict(payload)
         g = make_initial(cfg)

@@ -241,7 +241,7 @@ class TestCsv:
         f = random_field(grid20, rng)
         path = tmp_path / "field.csv"
         write_field_csv(f, path)
-        g = read_field_csv(path)
+        g = read_field_csv(path, f.grid)
         assert g.grid == f.grid
         np.testing.assert_array_equal(g.u, f.u)
         np.testing.assert_array_equal(g.du, f.du)
@@ -250,19 +250,19 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x,u\n0,1\n1,2\n")
         with pytest.raises(ParseError):
-            read_field_csv(path)
+            read_field_csv(path, Grid(0.0, 1.0, 2))
 
     def test_non_uniform_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,u,du\n0,0,0\n1,0,0\n3,0,0\n")
-        with pytest.raises(ParseError):
-            read_field_csv(path)
+        with pytest.raises(ParseError, match="line 4 has x = 3, off the grid node 2$"):
+            read_field_csv(path, Grid(0.0, 1.0, 3))
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,u,du\n0,zero,0\n1,0,0\n")
         with pytest.raises(ParseError):
-            read_field_csv(path)
+            read_field_csv(path, Grid(0.0, 1.0, 2))
 
     @pytest.mark.parametrize("row, fragment", [
         (b"1,\xff,0", "not UTF-8 text"),
@@ -272,7 +272,7 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"x,u,du\n0,0,0\n" + row + b"\n2,0,0\n")
         with pytest.raises(ParseError, match=fragment) as exc:
-            read_field_csv(path)
+            read_field_csv(path, Grid(0.0, 1.0, 3))
         assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("row, columns", [("1,0", 2), ("1,0,0,0", 4)],
@@ -281,7 +281,7 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text(f"x,u,du\n0,0,0\n{row}\n2,0,0\n")
         with pytest.raises(ParseError, match=f"line 3 has {columns} columns, not 3"):
-            read_field_csv(path)
+            read_field_csv(path, Grid(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("column", range(3), ids=["x", "u", "du"])
     def test_non_finite_entry_named(self, tmp_path, column):
@@ -290,4 +290,4 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x,u,du\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
         with pytest.raises(ParseError, match="line 3 holds a non-finite entry"):
-            read_field_csv(path)
+            read_field_csv(path, Grid(0.0, 1.0, 3))
