@@ -215,41 +215,35 @@ def _validate(cfg: SimConfig, problems: list[str]):
 def make_initial(cfg: SimConfig) -> ScalarField1:
     """Construct the initial velocity field.
 
-    Analytic profiles carry exact derivative channels, momentum_gaussian the
-    kernel-identity channel of inv_helmholtz; custom CSV data, read from
-    initial.path as given, must provide both channels on the configured
-    grid, which read_field_csv checks.  Data of any kind that cannot be built
-    is an AdmissibilityError("initial data rejected: ..."): a file that
+    A custom_csv file is read first, from initial.path as given, and must
+    provide both channels on the configured grid, which read_field_csv
+    checks.  The analytic kinds share one bump exp(-z^2), z = (x - x0)/w,
+    with exact derivative channels (momentum_gaussian's from inv_helmholtz's
+    kernel identity).  Data of any kind that cannot be built is an
+    AdmissibilityError("initial data rejected: ..."): a file that
     read_field_csv refuses (ParseError), or samples that overflow to inf or
     nan, which ScalarField1 refuses (ValueError; numpy's warnings are off
-    while the field is built).
-    Admissibility is checked by the solver the field is given to (integrate
-    or integrate_eulerian), once per run.
+    while the field is built).  The solver the field is given to, integrate
+    or integrate_eulerian, checks its admissibility once per run.
     """
     grid = cfg.grid.build()
     ic = cfg.initial
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            if ic.kind == "custom_csv":
+                return read_field_csv(ic.path, grid)
+            z = (grid.x - ic.center) / ic.width
+            bump = np.exp(-z * z)
             if ic.kind == "gaussian":
-                z = (grid.x - ic.center) / ic.width
-                u = ic.amplitude * np.exp(-z * z)
-                du = -2.0 * z / ic.width * u
-                field1 = ScalarField1(grid, u, du)
-            elif ic.kind == "antisymmetric_gaussian":
-                z = (grid.x - ic.center) / ic.width
-                bump = np.exp(-z * z)
-                u = ic.amplitude * (grid.x - ic.center) * bump
-                du = ic.amplitude * (1.0 - 2.0 * z * z) * bump
-                field1 = ScalarField1(grid, u, du)
-            elif ic.kind == "momentum_gaussian":
+                u = ic.amplitude * bump
+                return ScalarField1(grid, u, -2.0 * z / ic.width * u)
+            if ic.kind == "antisymmetric_gaussian":
+                return ScalarField1(grid, ic.amplitude * (grid.x - ic.center) * bump,
+                                    ic.amplitude * (1.0 - 2.0 * z * z) * bump)
+            if ic.kind == "momentum_gaussian":
                 # u0 = (1 - d_xx)^(-1) m0 for the momentum density m0 = u0 - u0''
-                z = (grid.x - ic.center) / ic.width
-                m0 = ScalarField0(grid, ic.amplitude * np.exp(-z * z))
-                field1 = inv_helmholtz(m0, order=4)
-            elif ic.kind == "custom_csv":
-                field1 = read_field_csv(ic.path, grid)
-            else:  # pragma: no cover - kinds are validated upstream
-                raise ValidationError([f"unsupported initial kind '{ic.kind}'"])
+                return inv_helmholtz(ScalarField0(grid, ic.amplitude * bump), order=4)
     except (ParseError, ValueError) as exc:
         raise AdmissibilityError(f"initial data rejected: {exc}") from None
-    return field1
+    # Reached only by a SimConfig built without config_from_dict's validation
+    raise ValidationError([f"unsupported initial kind '{ic.kind}'"])

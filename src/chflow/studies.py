@@ -81,7 +81,8 @@ def _at(cfg: SimConfig, n: int) -> SimConfig:
 
 def _check_levels(cfg: SimConfig, levels: list[int], fewest: int) -> None:
     """ValidationError unless levels are at least fewest strictly increasing
-    resolutions, each giving a valid configuration."""
+    resolutions, each giving a valid configuration; a custom_csv file holds
+    the samples of one grid, so its every level must be grid.n."""
     problems = []
     if len(levels) < fewest:
         problems.append(f"a refinement study needs at least {fewest} levels, "
@@ -90,6 +91,9 @@ def _check_levels(cfg: SimConfig, levels: list[int], fewest: int) -> None:
         problems.append(f"levels must be strictly increasing, got {levels}")
     for n in levels:
         _validate(_at(cfg, n), problems)
+    if cfg.initial.kind == "custom_csv" and any(n != cfg.grid.n for n in levels):
+        problems.append(f"a custom_csv file holds the samples of one grid, so every "
+                        f"level must be the configured grid.n = {cfg.grid.n}, got {levels}")
     if problems:
         raise ValidationError(dict.fromkeys(problems))
 

@@ -214,9 +214,11 @@ def test_csv_export_in_chunks_matches_csv_module_bytes(tmp_path, rows):
 # Inputs that pass the configuration's type checks but that no run can take:
 # grids whose spacing (x_max - x_min)/(n - 1) is inf or 0 (at n = 256, the
 # [0, 1e-320] grid is valid, but converge's default 4096 level is not), a
-# record_every past 2**53, whose product with dt can overflow, and analytic
-# data whose samples overflow.  The check suites take no initial data.  Each
-# case is a command and the keys it sets, by section.
+# record_every past 2**53, whose product with dt can overflow, analytic data
+# whose samples overflow, and an Eulerian reference whose values stop being
+# finite before t_end (at n = 512 its step is time.dt = 0.8).  The check
+# suites take no initial data.  Each case is a command and the keys it sets,
+# by section.
 _BAD_GRIDS = {"inf-spacing": {"x_min": -1e308, "x_max": 1e308, "n": 256},
               "zero-spacing": {"x_min": 0.0, "x_max": 1e-321, "n": 1024}}
 _BAD_DATA = {"gaussian": {"kind": "gaussian", "width": 1e-300},
@@ -233,7 +235,16 @@ BAD_INPUTS = (
                     id=f"{command}-huge-record-every") for command in ("run", "oracle-compare")]
     + [pytest.param(command, {"initial": initial}, "AdmissibilityError", id=f"{command}-{name}")
        for name, initial in _BAD_DATA.items()
-       for command in ("run", "converge", "oracle-compare")])
+       for command in ("run", "converge", "oracle-compare")]
+    + [pytest.param("oracle-compare", {"grid": {"n": 512}, "time": {"t_end": 4.0, "dt": 0.8}},
+                    "TimeMismatch", id="oracle-compare-eulerian-ends-early")])
+
+
+def write_gaussian_csv(path):
+    """A 128-node field file on [-20, 20], as write_field_csv writes it."""
+    grid = Grid.from_interval(-20.0, 20.0, 128)
+    u = 0.5 * np.exp(-grid.x ** 2)
+    write_field_csv(ScalarField1(grid, u, -2.0 * grid.x * u), path)
 
 
 def shift_x_on_line_61(lines):
@@ -564,9 +575,7 @@ class TestFailurePaths:
         (list.pop, "127 data rows, but the grid has 128 nodes"),
     ], ids=["x-off-node", "row-dropped"])
     def test_off_grid_custom_csv_is_rejected_data(self, tmp_path, capsys, edit, fragment):
-        grid = Grid.from_interval(-20.0, 20.0, 128)
-        u = 0.5 * np.exp(-grid.x ** 2)
-        write_field_csv(ScalarField1(grid, u, -2.0 * grid.x * u), tmp_path / "u0.csv")
+        write_gaussian_csv(tmp_path / "u0.csv")
         lines = (tmp_path / "u0.csv").read_text().splitlines(keepends=True)
         edit(lines)
         (tmp_path / "u0.csv").write_text("".join(lines))
@@ -577,6 +586,36 @@ class TestFailurePaths:
         assert report["error"] == "AdmissibilityError"
         assert fragment in report["message"]
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["converge", "--levels", "128,256"],
+                                      ["oracle-compare", "--levels", "256"]],
+                             ids=["converge", "oracle-compare"])
+    def test_custom_csv_ladder_fails_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                      args):
+        # A field file holds the samples of one grid, so no other level can read it.
+        monkeypatch.setattr(studies, "_run_tasks",
+                            lambda *a, **k: pytest.fail("a solve started"))
+        write_gaussian_csv(tmp_path / "u0.csv")
+        cfg = write_config(tmp_path, n=128, kind="custom_csv", path="u0.csv")
+        out = tmp_path / "out"
+        assert main([args[0], "--config", str(cfg), "--out", str(out), *args[1:],
+                     "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "ValidationError"
+        assert "every level must be the configured grid.n = 128" in report["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_eulerian_reference_that_ends_early_is_named(self, tmp_path):
+        # At n = 512 the Eulerian step is time.dt = 0.8, and its values stop
+        # being finite after t = 3.2; the flow-map run reaches t_end = 4.
+        cfg = write_config(tmp_path, n=512, t_end=4.0, dt=0.8)
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 1
+        report = read_kv(out / "failure.txt")
+        assert report["error"] == "TimeMismatch"
+        assert report["message"] == ("the Eulerian reference ended at t = 3.2, before the "
+                                     "requested time 4: its values stopped being finite")
 
     def test_undecodable_custom_csv_is_rejected_data(self, tmp_path, capsys):
         grid = Grid.from_interval(-20.0, 20.0, 128)
@@ -708,6 +747,16 @@ class TestOracleCompare:
         assert sup and sup[0] <= 1e-2
         eul = sorted(out.glob("eulerian_*.csv"))
         assert eul and eul[0].read_text().splitlines()[0] == "x,u,u_x"
+
+    def test_custom_csv_runs_at_its_own_n(self, tmp_path):
+        write_gaussian_csv(tmp_path / "u0.csv")
+        cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=1000,
+                           kind="custom_csv", path="u0.csv")
+        out = tmp_path / "out"
+        for levels in ([], ["--levels", "128"]):
+            assert main(["oracle-compare", "--config", str(cfg), "--out", str(out), *levels,
+                         "--quiet"]) == 0
+            assert float(read_kv(out / "oracle_compare.txt")["sup_diff_t0.25"]) <= 1e-2
 
     @pytest.mark.parametrize("levels, solved", [("128,256", [128, 256]),
                                                 ("64,256", [64, 128, 256])])

@@ -11,8 +11,9 @@ from chflow import (ScalarField1, cli, integrate, load_config, make_initial, nor
 from chflow.config import SimConfig, config_from_dict
 from chflow.errors import AdmissibilityError, ParseError, ValidationError
 from chflow.fields import Grid
+from chflow.operators import inv_helmholtz
 
-from conftest import antisymmetric_field
+from conftest import antisymmetric_field, gaussian_field, gaussian_source
 
 
 MINIMAL = {
@@ -218,8 +219,25 @@ class TestMakeInitial:
         f = make_initial(cfg)
         grid = Grid.from_interval(-20.0, 20.0, 513)
         expected = antisymmetric_field(grid, amp=-1.0)
-        assert np.abs(f.u - expected.u).max() <= 1e-15
-        assert np.abs(f.du - expected.du).max() <= 1e-15
+        np.testing.assert_array_equal(f.u, expected.u)
+        np.testing.assert_array_equal(f.du, expected.du)
+
+    @pytest.mark.parametrize("amp, center, width", [(1.0, 0.0, 1.0), (-1.3, 0.37, 0.55)],
+                             ids=["defaults", "shifted"])
+    @pytest.mark.parametrize("kind, reference", [
+        ("gaussian", gaussian_field),
+        ("antisymmetric_gaussian", antisymmetric_field),
+        ("momentum_gaussian", lambda *a: inv_helmholtz(gaussian_source(*a), order=4)),
+    ], ids=["gaussian", "antisymmetric", "momentum"])
+    def test_analytic_kind_is_its_closed_form_bit_for_bit(self, kind, reference, amp,
+                                                          center, width):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["initial"] = {"kind": kind, "amplitude": amp, "center": center,
+                              "width": width}
+        f = make_initial(config_from_dict(payload))
+        expected = reference(Grid.from_interval(-20.0, 20.0, 256), amp, center, width)
+        np.testing.assert_array_equal(f.u, expected.u)
+        np.testing.assert_array_equal(f.du, expected.du)
 
     def test_momentum_gaussian_closed_form(self):
         # u0 = (1 - d_xx)^(-1) A exp(-x^2)

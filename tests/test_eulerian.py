@@ -147,6 +147,16 @@ class TestCompare:
         with pytest.raises(TimeMismatch):
             compare(traj, states, [0.05])
 
+    def test_time_after_a_run_ended_names_that_run(self, grid20):
+        traj = integrate(ScalarField1.zeros(grid20), 0.1, 1e-2)
+        states = integrate_eulerian(ScalarField1.zeros(grid20), 0.1, 1e-2)
+        with pytest.raises(TimeMismatch, match="^the flow-map run ended at t = 0.1, "
+                                               "before the requested time 0.2$"):
+            compare(traj, states, [0.2])
+        with pytest.raises(TimeMismatch, match="^the Eulerian reference ended at t = 0, "
+                                               "before the requested time 0.1: its values"):
+            compare(traj, states[:1], [0.1])
+
     @pytest.mark.parametrize("t", [float("inf"), float("nan")])
     def test_non_finite_time_rejected(self, grid20, t):
         # inf is as far from every recorded time as it is from t = 0
