@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, TimeMismatch
+from .errors import GridMismatch
 from .fields import Grid, ScalarField1, _own_array, _trapz
-from .lagrangian import (DEFAULT_RECORD_EVERY, Trajectory, _check_run, _is_time, _march,
-                         _match_time, reconstruct_u)
+from .lagrangian import (DEFAULT_RECORD_EVERY, Trajectory, _check_run, _march, _state_at,
+                         reconstruct_u)
 # l_op is unused here; bound so that perfbench/tracer.py can patch it in this module.
 from .operators import _scan_plan, _scan_sd, l_op  # noqa: F401
 
@@ -118,27 +118,18 @@ class ComparisonReport:
         return list(zip(self.times, self.sup_diff, self.l2_diff))
 
 
-def _state_at(states: list, t: float, run: str, why: str = "") -> int:
-    """Index of the state of run recorded at t (lagrangian._match_time); a
-    TimeMismatch naming run, where it ended, t and why when it ended before t."""
-    times = [s.t for s in states]
-    if t > times[-1] and not _is_time(times[-1], t):
-        raise TimeMismatch(f"{run} ended at t = {times[-1]:.9g}, before the "
-                           f"requested time {t:.9g}{why}")
-    return _match_time(times, t)
-
-
 def compare(traj: Trajectory, eulerian_states: list[EulerianState],
             times: list[float]) -> ComparisonReport:
     """Gaps between the reconstructed flow-map velocity and the Eulerian one.
 
     Every requested time must be recorded in both inputs, which ran to the
-    same t_end, and reconstruct_u turns the flow-map state into a velocity
-    (invert at its fixed tolerance).  A time after a run's last state is a
-    TimeMismatch naming that run and where it ended; for the Eulerian
-    reference, given a time the flow-map run reached, this means its values
-    stopped being finite.  The report carries |.| sup and trapezoidal L2
-    differences per time and is symmetric in the two solutions.
+    same t_end; lagrangian._state_at finds each run's state at it.
+    reconstruct_u turns the flow-map state into a velocity (invert at its
+    fixed tolerance).  A time after a run's last state is a TimeMismatch
+    naming that run and where it ended; for the Eulerian reference, given a
+    time the flow-map run reached, this means its values stopped being
+    finite.  The report carries |.| sup and trapezoidal L2 differences per
+    time and is symmetric in the two solutions.
     """
     sup, l2 = [], []
     for t in times:

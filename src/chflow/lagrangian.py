@@ -355,8 +355,14 @@ def _is_time(recorded: float, t: float) -> bool:
     return isfinite(t) and abs(recorded - t) <= 1e-9 * max(1.0, abs(t))
 
 
-def _match_time(times: list[float], t: float) -> int:
-    """Index of the recorded time nearest to t; TimeMismatch unless _is_time holds."""
+def _state_at(states: list, t: float, run: str, why: str = "") -> int:
+    """Index of the state of run recorded at t (_is_time).  A TimeMismatch names
+    run, where it ended, t and why when it ended before t, and otherwise the
+    nearest recorded time when none names t."""
+    times = [s.t for s in states]
+    if t > times[-1] and not _is_time(times[-1], t):
+        raise TimeMismatch(f"{run} ended at t = {times[-1]:.9g}, before the "
+                           f"requested time {t:.9g}{why}")
     k = int(np.argmin(np.abs(np.subtract(times, t))))
     if not _is_time(times[k], t):
         raise TimeMismatch(f"time {t:.9g} is not recorded (nearest is {times[k]:.9g})")

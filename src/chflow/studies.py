@@ -34,8 +34,8 @@ import numpy as np
 from .config import SimConfig, _validate, make_initial
 from .errors import ValidationError
 from .eulerian import ComparisonReport, EulerianState, compare, integrate_eulerian
-from .lagrangian import (DEFAULT_QUAD_ORDER, Trajectory, _check_record_times, _is_time,
-                         integrate, reconstruct_u)
+from .lagrangian import (DEFAULT_QUAD_ORDER, Trajectory, _check_record_times, integrate,
+                         reconstruct_u)
 
 __all__ = [
     "RefinementStudy",
@@ -49,19 +49,19 @@ class RefinementStudy:
     """Gaps and observed orders across a resolution ladder.
 
     levels maps each ladder n, in order, to its flow-map trajectory (final
-    state only), whose grid and breakdown fields describe the level.
-    For a self-convergence study gap[i] compares levels i and i+1 (there is
-    one fewer gap than levels); for a cross-method study gap[i] belongs to
-    level i.  orders[i] is the observed rate between consecutive gaps and
-    fitted_order the least-squares slope over all of them, nan with fewer
-    than two positive gaps.  A study in which any flow-map run broke down
-    has no gaps (and a cross-method one no report): its final states belong
-    to different times.  When every level of a self-convergence study broke,
-    estimate_order is instead the fitted order of the differences between
-    consecutive breaking-time estimates.  execution is "pool" or "serial":
-    how the solves ran.  base is the (trajectory, Eulerian states) pair at
-    the configuration's own resolution of a cross-method study and report
-    compares it at the requested times.
+    state only), whose grid and breakdown fields describe the level.  For a
+    self-convergence study gap[i] compares levels i and i+1 (there is one
+    fewer gap than levels); for a cross-method study gap[i] is the sup gap
+    between level i's two solvers at t_end.  orders[i] is the observed rate
+    between consecutive gaps and fitted_order the least-squares slope over
+    all of them, nan with fewer than two positive gaps.  A study in which
+    any flow-map run broke down has no gaps (and a cross-method one no
+    report): its final states belong to different times.  When every level
+    of a self-convergence study broke, estimate_order is instead the fitted
+    order of the differences between consecutive breaking-time estimates.
+    execution is "pool" or "serial": how the solves ran.  base is the
+    (trajectory, Eulerian states) pair at the configuration's own resolution
+    of a cross-method study and report compares it at the requested times.
     """
 
     levels: dict[int, Trajectory]
@@ -194,12 +194,13 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     Each solver runs once at every level and at cfg's own resolution, each
     run a task of its own; the flow map takes the integrator's scan order 4.
     study.base holds the pair at cfg's resolution and study.report compares
-    it at times (default: t_end); a level at cfg's resolution takes its gap
-    from that report when one of the times names t_end (lagrangian._is_time).
-    Other levels keep only their final states, all their gap reads.  levels
-    may be empty: then only cfg's own resolution runs, and there are no
-    gaps.  If any flow-map run broke down, the study compares nothing: no
-    report, no gaps, and the breakdowns are on study.levels and study.base.
+    it at times (default: t_end).  Every level's gap is a comparison of its
+    own pair at t_end, cfg's resolution included, so there it equals the
+    report's sup_diff at t_end.  Levels other than cfg's keep only their
+    final states, all their gap reads.  levels may be empty: then only
+    cfg's own resolution runs, and there are no gaps.  If any flow-map run
+    broke down, the study compares nothing: no report, no gaps, and the
+    breakdowns are on study.levels and study.base.
     A time that cfg's run is not sure to record, or that repeats an earlier
     one, is a ValidationError before any solve
     (lagrangian._check_record_times).
@@ -220,13 +221,8 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     if not all(runs["flow_map", n].completed for n in resolutions):
         return study
     study.report = compare(*base, times)
-    own = next((k for k, t in enumerate(times) if _is_time(t_end, t)), None)
-    for n in levels:
-        if n == cfg.grid.n and own is not None:
-            study.gaps.append(study.report.sup_diff[own])
-        else:
-            study.gaps.append(
-                compare(runs["flow_map", n], runs["eulerian", n], [t_end]).sup_diff[0])
+    study.gaps = [compare(runs["flow_map", n], runs["eulerian", n], [t_end]).sup_diff[0]
+                  for n in levels]
     study.orders, study.fitted_order = _orders(
         study.gaps, [traj.final.grid.h for traj in study.levels.values()])
     return study

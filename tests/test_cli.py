@@ -787,9 +787,10 @@ class TestOracleCompare:
                      "--levels", levels, "--quiet"]) == 0
         assert sorted(runs["flow_map"]) == solved
         assert sorted(runs["eulerian"]) == solved
-        # One comparison per solved level: the config's own n at t_end
-        # serves both the report and its gap.
-        assert sorted(runs["compare"]) == solved
+        # One comparison for the report at the config's own n, and one per
+        # level for its gap at t_end, the own n's included.
+        assert sorted(runs["compare"]) == {"128,256": [128, 128, 256],
+                                           "64,256": [64, 128, 256]}[levels]
         report = read_kv(out / "oracle_compare.txt")
         assert report["level_execution"] == "serial"
         assert all(f"gap_n{n}" in report for n in levels.split(","))
@@ -1049,6 +1050,23 @@ def test_no_function_takes_a_tolerance():
                 params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
                 found += [f"{name}:{node.lineno} {p.arg}" for p in params
                           if p is not None and tolerance.fullmatch(p.arg)]
+    assert found == []
+
+
+def test_times_are_matched_only_in_lagrangian():
+    # lagrangian._state_at is the one lookup of a requested time among
+    # recorded states, beside the record rule: no other module of the package
+    # names _is_time, and no module defines or names a second lookup, _match_time.
+    found = []
+    for path in sorted(Path(chflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else
+                     [node.name] if isinstance(node, ast.FunctionDef) else [])
+            found += [(path.stem, name) for name in names
+                      if name == "_match_time" or (name == "_is_time"
+                                                   and path.stem != "lagrangian")]
     assert found == []
 
 

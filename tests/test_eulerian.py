@@ -144,7 +144,7 @@ class TestCompare:
     def test_missing_time_rejected(self, grid20):
         traj = integrate(ScalarField1.zeros(grid20), 0.1, 1e-2)
         states = integrate_eulerian(ScalarField1.zeros(grid20), 0.1, 1e-2)
-        with pytest.raises(TimeMismatch):
+        with pytest.raises(TimeMismatch, match=r"^time 0.05 is not recorded \(nearest is "):
             compare(traj, states, [0.05])
 
     def test_time_after_a_run_ended_names_that_run(self, grid20):

@@ -8,6 +8,7 @@ import pytest
 from chflow import studies
 from chflow.config import load_config
 from chflow.errors import AdmissibilityError, ValidationError
+from chflow.eulerian import compare
 
 
 def test_level_error_in_pool_propagates_without_serial_rerun(tmp_path, monkeypatch):
@@ -166,15 +167,14 @@ def test_flow_map_solves_keep_config_dt(tmp_path, monkeypatch):
                                         (256, 1e-2 * 63 / 255)]
 
 
-def test_oracle_own_level_gap_comes_from_the_main_report(tmp_path, monkeypatch):
-    # A time that names t_end within the record-time tolerance, not bit for
-    # bit, still gives the config's own level the gap of the main comparison.
+def _oracle_own_level(tmp_path, monkeypatch, times):
+    """The cross-method study of the own level n = 64 at times, serially, and
+    the times of each comparison it made."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "grid": {"x_min": -20.0, "x_max": 20.0, "n": 64},
         "time": {"t_end": 0.1, "dt": 1e-2},
         "initial": {"kind": "gaussian", "amplitude": 0.5}}))
-    cfg = load_config(path)
     calls = []
     real = studies.compare
 
@@ -184,9 +184,25 @@ def test_oracle_own_level_gap_comes_from_the_main_report(tmp_path, monkeypatch):
 
     monkeypatch.setattr(studies, "compare", counting)
     monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)
-    study = studies.oracle_refinement(cfg, [64], times=[0.1 + 1e-11])
-    assert calls == [[0.1 + 1e-11]]
-    assert study.gaps == [real(*study.base, [0.1]).sup_diff[0]]
+    return studies.oracle_refinement(load_config(path), [64], times=times), calls
+
+
+def test_oracle_own_level_gap_comes_from_the_main_report(tmp_path, monkeypatch):
+    # The config's own level takes its gap from a comparison of its own at
+    # t_end; a report time that names t_end within the record-time
+    # tolerance, not bit for bit, reads the same states, so the two agree.
+    study, calls = _oracle_own_level(tmp_path, monkeypatch, [0.1 + 1e-11])
+    assert calls == [[0.1 + 1e-11], [0.1]]
+    assert study.gaps == [compare(*study.base, [0.1]).sup_diff[0]]
+    assert study.gaps == study.report.sup_diff
+
+
+def test_oracle_own_level_gap_without_t_end_in_the_report(tmp_path, monkeypatch):
+    # With no requested time naming t_end, the config's own level still gets
+    # its gap at t_end, from a comparison after the report's.
+    study, calls = _oracle_own_level(tmp_path, monkeypatch, [0.0])
+    assert calls == [[0.0], [0.1]]
+    assert study.gaps == [compare(*study.base, [0.1]).sup_diff[0]]
 
 
 class _Started(Exception):
