@@ -30,6 +30,7 @@ import os
 import random
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 
@@ -213,7 +214,7 @@ def _summary_items(traj: Trajectory, cfg: SimConfig, order: int, tally: Counter)
 
 def cmd_run(args, cfg: SimConfig, out_dir: str):
     u0 = make_initial(cfg)
-    traj = integrate(u0, **cfg.integrate_kwargs(args.order))
+    traj = integrate(u0, **asdict(cfg.time), quad_order=args.order)
     tally = Counter()  # invert's counts over the reconstructed states
     _export_trajectory(traj, out_dir, tally)
     items = _summary_items(traj, cfg, args.order, tally)

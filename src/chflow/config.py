@@ -3,12 +3,13 @@
 The section dataclasses below are the schema.  Each section is a field of
 SimConfig and each key a field of its section's class: the field's name is
 the key, its annotation the JSON type, and a field without a default is
-required (grid, time.t_end and initial.kind).  A file that is not UTF-8 JSON,
-and unknown or duplicate keys, are parse errors.  Missing keys and wrong types
-are collected and reported together, and then, for a well-typed file, every
-invariant violation.  Each rule has one owner, which _validate asks: Grid
-for the grid (a finite, positive spacing), lagrangian._time_problems for the
-time loop, and make_initial, after validation, for the initial data.
+required (every section, the grid keys, time.t_end and initial.kind).  A
+file that is not UTF-8 JSON, and unknown or duplicate keys, are parse errors.
+Missing keys and wrong types are collected and reported together, and then,
+for a well-typed file, every invariant violation.  Each rule has one owner,
+which _validate asks: Grid for the grid (a finite, positive spacing),
+lagrangian._time_problems for the time loop, and make_initial, after
+validation, for the initial data.
 """
 
 import json
@@ -50,6 +51,7 @@ class GridConfig:
 
 @dataclass
 class TimeConfig:
+    """lagrangian.integrate's keywords other than quad_order, passed as asdict(time)."""
     t_end: float
     dt: float = 1e-3
     record_every: int = DEFAULT_RECORD_EVERY
@@ -70,12 +72,6 @@ class SimConfig:
     grid: GridConfig
     time: TimeConfig
     initial: InitialConfig
-
-    def integrate_kwargs(self, order: int) -> dict:
-        """Keyword arguments of ``lagrangian.integrate`` for this run at scan order ``order``."""
-        return dict(t_end=self.time.t_end, dt=self.time.dt,
-                    record_every=self.time.record_every, quad_order=order,
-                    adaptive=self.time.adaptive)
 
 
 def _reject_duplicates(pairs):
@@ -153,8 +149,7 @@ def config_from_dict(raw: dict) -> SimConfig:
     parsed = {}
     for name, section in sections.items():
         if name not in raw:
-            if _required(section):
-                problems.append(f"missing section '{name}'")
+            problems.append(f"missing section '{name}'")
             continue
         body = raw[name]
         if not isinstance(body, dict):

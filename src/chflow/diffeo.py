@@ -79,7 +79,7 @@ class Diffeo:
         return 1.0 + self.v.du
 
     def eval(self, x):
-        """(eta(x), eta'(x)); the identity continuation applies off-domain."""
+        """(eta(x), eta'(x)), numpy floats for a scalar x; the identity continues it off-domain."""
         val, der = self.v.eval(x)
         return np.asarray(x, dtype=float) + val, 1.0 + der
 

@@ -107,21 +107,19 @@ def _trapz(y: np.ndarray, h: float) -> float:
     return h * (y.sum() - 0.5 * (y[0] + y[-1]))
 
 
-def _locate(grid: Grid, x) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
-    """(scalar, inside, clipped, cell) of the points x; ValueError for a non-finite one."""
+def _locate(grid: Grid, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inside, clipped, cell) of the points x; ValueError for a non-finite one."""
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
     if not np.isfinite(xa).all():
         raise ValueError("evaluation points must be finite")
     inside = (xa >= grid.x_min) & (xa <= grid.x_max)
     xc = np.clip(xa, grid.x_min, grid.x_max)
-    return scalar, inside, xc, np.clip(((xc - grid.x_min) / grid.h).astype(int), 0, grid.n - 2)
+    return inside, xc, np.clip(((xc - grid.x_min) / grid.h).astype(int), 0, grid.n - 2)
 
 
 def _hermite_eval(grid: Grid, u: np.ndarray, du: np.ndarray, x):
     """Cubic Hermite value/derivative at x; (0, 0) outside the domain."""
-    scalar, inside, xc, idx = _locate(grid, x)
+    inside, xc, idx = _locate(grid, x)
     h = grid.h
     t = (xc - (grid.x_min + idx * h)) / h
     t2 = t * t
@@ -132,11 +130,7 @@ def _hermite_eval(grid: Grid, u: np.ndarray, du: np.ndarray, x):
            + (-2 * t3 + 3 * t2) * u1 + (t3 - t2) * h * m1)
     der = ((6 * t2 - 6 * t) / h * u0 + (3 * t2 - 4 * t + 1) * m0
            + (6 * t - 6 * t2) / h * u1 + (3 * t2 - 2 * t) * m1)
-    val = np.where(inside, val, 0.0)
-    der = np.where(inside, der, 0.0)
-    if scalar:
-        return float(val[0]), float(der[0])
-    return val, der
+    return np.where(inside, val, 0.0), np.where(inside, der, 0.0)
 
 
 @dataclass
@@ -157,7 +151,7 @@ class ScalarField1:
         return cls(grid, z, z)
 
     def eval(self, x):
-        """Value and derivative at x (scalar or array); zero outside the domain."""
+        """Value and derivative, arrays of x's shape (0-d for a scalar x); zero off-domain."""
         return _hermite_eval(self.grid, self.u, self.du, x)
 
     def _check_same_grid(self, other: "ScalarField1"):

@@ -424,19 +424,17 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
     y = _pack(states[0])
     rows = [_diag_row(t, y, grid.h)]
     breakdown_time = breakdown_slope = estimate = None
-    evals, recorded = 0, True
-    step_min, step_max = np.inf, 0.0
+    recorded, steps = True, []
     tally = Counter()
 
     def f(z, tz):
-        nonlocal evals
-        evals += 1
+        tally["evaluations"] += 1
         return _dydt(z, tz, grid, quad_order)
 
     try:
         for t, y, step, recorded in _march(y, t_end, dt, record_every, f,
                                            _DP54 if adaptive else _RK4, tally):
-            step_min, step_max = min(step_min, step), max(step_max, step)
+            steps.append(step)
             rows.append(_diag_row(t, y, grid.h))
             if recorded:
                 states.append(_unpack(y, t, grid))
@@ -454,9 +452,10 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
                       breakdown_min_slope=breakdown_slope,
                       breaking_time_estimate=estimate,
                       steps_rejected=tally["rejected"],
-                      steps_at_floor=tally["at_floor"], rhs_evaluations=evals,
-                      step_min=step_min if len(rows) > 1 else float("nan"),
-                      step_max=step_max if len(rows) > 1 else float("nan"))
+                      steps_at_floor=tally["at_floor"],
+                      rhs_evaluations=tally["evaluations"],
+                      step_min=min(steps, default=float("nan")),
+                      step_max=max(steps, default=float("nan")))
 
 
 def reconstruct_u(state: FlowState, *, tally: Counter | None = None) -> ScalarField1:

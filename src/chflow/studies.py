@@ -27,7 +27,7 @@ final state only: the level's spacing and breakdown are read from it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def _solve(payload) -> Trajectory | list[EulerianState]:
     solver, cfg, n, quad_order, keep_all = payload
     u0 = make_initial(_at(cfg, n))
     if solver == "flow_map":
-        traj = integrate(u0, **cfg.integrate_kwargs(quad_order))
+        traj = integrate(u0, **asdict(cfg.time), quad_order=quad_order)
         return traj if keep_all else replace(traj, states=traj.states[-1:])
     states = integrate_eulerian(u0, cfg.time.t_end,
                                 cfg.time.dt * ((cfg.grid.n - 1) / (n - 1)),
@@ -208,7 +208,7 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     _check_levels(cfg, levels, 0)
     t_end = cfg.time.t_end
     times = [t_end] if times is None else list(times)
-    _check_record_times(times, t_end, cfg.time.dt, cfg.time.record_every, cfg.time.adaptive)
+    _check_record_times(times, **asdict(cfg.time))
     resolutions = sorted(set(levels) | {cfg.grid.n}, reverse=True)
     payloads = [(solver, cfg, n, DEFAULT_QUAD_ORDER, n == cfg.grid.n)
                 for n in resolutions for solver in ("flow_map", "eulerian")]

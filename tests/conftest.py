@@ -62,7 +62,7 @@ def l_eta_conjugated(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
     quadrature/interpolation error level.
     """
     grid, g = phi.grid, phi.g
-    _, inside, xc, cell = _locate(grid, invert(eta).values())
+    inside, xc, cell = _locate(grid, invert(eta).values())
     base = np.clip(cell - 1, 0, grid.n - 4)
     s = (xc - (grid.x_min + base * grid.h)) / grid.h
     val = (-(s - 1) * (s - 2) * (s - 3) / 6.0 * g[base]

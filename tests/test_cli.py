@@ -13,6 +13,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +161,7 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
         cfg = load_config(cfg_path)
-        traj = integrate(make_initial(cfg), **cfg.integrate_kwargs(4))
+        traj = integrate(make_initial(cfg), **asdict(cfg.time), quad_order=4)
         tally = Counter()
         for state in traj.states:
             invert(state.eta, tally=tally)
@@ -217,8 +218,11 @@ def test_csv_export_in_chunks_matches_csv_module_bytes(tmp_path, rows):
 # record_every past 2**53, whose product with dt can overflow, analytic data
 # whose samples overflow, and an Eulerian reference whose values stop being
 # finite before t_end (at n = 512 its step is time.dt = 0.8).  The check
-# suites take no initial data.  Each case is a command and the keys it sets,
-# by section.
+# suites take no initial data, but every command reads the whole file: a
+# section that is missing or no object, an unknown initial.kind and a
+# non-finite amplitude are refused for each.  Each case is a command and the
+# keys it sets, by section; a section edited to None is dropped, and one
+# edited to a value that is no dict is replaced by it.
 _BAD_GRIDS = {"inf-spacing": {"x_min": -1e308, "x_max": 1e308, "n": 256},
               "zero-spacing": {"x_min": 0.0, "x_max": 1e-321, "n": 1024}}
 _BAD_DATA = {"gaussian": {"kind": "gaussian", "width": 1e-300},
@@ -237,7 +241,23 @@ BAD_INPUTS = (
        for name, initial in _BAD_DATA.items()
        for command in ("run", "converge", "oracle-compare")]
     + [pytest.param("oracle-compare", {"grid": {"n": 512}, "time": {"t_end": 4.0, "dt": 0.8}},
-                    "TimeMismatch", id="oracle-compare-eulerian-ends-early")])
+                    "TimeMismatch", id="oracle-compare-eulerian-ends-early")]
+    + [pytest.param(command, edits, error, id=f"{command}-{name}")
+       for name, edits, error in [
+           ("missing-section", {"initial": None}, "ValidationError"),
+           ("section-not-an-object", {"grid": 5}, "ParseError"),
+           ("unknown-kind", {"initial": {"kind": "sine"}}, "ValidationError"),
+           ("huge-amplitude", {"initial": {"amplitude": 10 ** 400}}, "ValidationError")]
+       for command in ("run", "check-group")])
+
+
+def _named(section, values) -> list[str]:
+    """What a refused configuration's message names for one edit of BAD_INPUTS."""
+    if values is None:
+        return [f"missing section '{section}'"]
+    if not isinstance(values, dict):
+        return [f"section '{section}' must be an object"]
+    return [f"{section}.{key}" for key in values]
 
 
 def write_gaussian_csv(path):
@@ -256,13 +276,19 @@ class TestFailurePaths:
     @pytest.mark.parametrize("command, edits, error", BAD_INPUTS)
     def test_bad_input_ends_in_failure_report(self, tmp_path, capsys, monkeypatch,
                                               command, edits, error):
-        if error == "ValidationError":  # a bad configuration is refused before any solve
+        refused = error in ("ValidationError", "ParseError")
+        if refused:  # a bad configuration is refused before any solve
             monkeypatch.setattr(studies, "_run_tasks",
                                 lambda *a, **k: pytest.fail("a solve started"))
         cfg = write_config(tmp_path)
         payload = json.loads(cfg.read_text())
         for section, values in edits.items():
-            payload.setdefault(section, {}).update(values)
+            if values is None:
+                del payload[section]
+            elif isinstance(values, dict):
+                payload[section].update(values)
+            else:
+                payload[section] = values
         cfg.write_text(json.dumps(payload))
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
@@ -270,9 +296,9 @@ class TestFailurePaths:
             assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         report = read_kv(out / "failure.txt")
         assert report["error"] == error
-        if error == "ValidationError":  # the message names every key the case sets
-            assert all(f"{section}.{key}" in report["message"]
-                       for section, values in edits.items() for key in values)
+        if refused:  # the message names every key or section the case edits
+            assert all(name in report["message"]
+                       for section, values in edits.items() for name in _named(section, values))
         assert "Traceback" not in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -280,7 +306,8 @@ class TestFailurePaths:
     @pytest.mark.parametrize("text, fragment", [
         (b"\xff\xfe{}", "not UTF-8 text"),
         (b"[" * 100_000 + b"]" * 100_000, "nested too deeply to parse"),
-    ], ids=["not-utf8", "nested-too-deep"])
+        (b"[]", "top level must be an object"),
+    ], ids=["not-utf8", "nested-too-deep", "not-an-object"])
     def test_undecodable_config_is_a_parse_error(self, tmp_path, capsys, command,
                                                  text, fragment):
         cfg = tmp_path / "config.json"
@@ -393,7 +420,7 @@ class TestFailurePaths:
         assert not (tmp_path / "failure.txt").exists()
         assert (tmp_path / "state_00007.csv").read_text() == "kept"
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
     @pytest.mark.parametrize("args, report", [
         (["check-operators", "--samples"], "operator_report.txt"),
         (["check-group", "--samples"], "group_report.txt"),
@@ -406,7 +433,7 @@ class TestFailurePaths:
         assert main([args[0], "--config", str(cfg), "--out", str(out), *args[1:], value,
                      "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert "error=ParseError" in err and "must be a positive integer" in err
+        assert "error=ParseError" in err and f"must be a positive integer, got '{value}'" in err
         assert not (out / report).exists()
 
     @pytest.mark.parametrize("args, error, fragment", [
@@ -573,7 +600,8 @@ class TestFailurePaths:
     @pytest.mark.parametrize("edit, fragment", [
         (shift_x_on_line_61, "line 61 has x = "),
         (list.pop, "127 data rows, but the grid has 128 nodes"),
-    ], ids=["x-off-node", "row-dropped"])
+        (list.clear, "u0.csv: empty file"),
+    ], ids=["x-off-node", "row-dropped", "empty-file"])
     def test_off_grid_custom_csv_is_rejected_data(self, tmp_path, capsys, edit, fragment):
         write_gaussian_csv(tmp_path / "u0.csv")
         lines = (tmp_path / "u0.csv").read_text().splitlines(keepends=True)
@@ -929,6 +957,18 @@ def test_single_gap_ladder_reports_nan_fitted_order(tmp_path, args, report):
                  "--quiet"]) == 0
     report = read_kv(out / report)
     assert np.isnan(float(report["fitted_order"]))
+
+
+def test_zero_gaps_report_nan_orders(tmp_path):
+    # Zero data stays zero at every level, so every gap is 0, and neither the
+    # rate between two gaps nor the fitted slope is defined.
+    cfg = write_config(tmp_path, **SMOOTH, amplitude=0.0)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(cfg), "--out", str(out), "--levels",
+                 "64,128,256", "--workers", "1", "--quiet"]) == 0
+    report = read_kv(out / "convergence.txt")
+    assert report["gap_n64"] == report["gap_n128"] == "0"
+    assert report["order_n64"] == report["fitted_order"] == "nan"
 
 
 def run_module(*args, cwd):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -257,7 +257,7 @@ class TestMakeInitial:
         payload["initial"]["width"] = 15.0
         cfg = config_from_dict(payload)
         with pytest.raises(AdmissibilityError, match="boundary_decay"):
-            integrate(make_initial(cfg), **cfg.integrate_kwargs(4))
+            integrate(make_initial(cfg), **asdict(cfg.time), quad_order=4)
 
     @pytest.mark.parametrize("n", [256, 40001])
     def test_custom_csv_round_trip(self, tmp_path, n):

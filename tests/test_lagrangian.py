@@ -1,6 +1,8 @@
+import ast
 import functools
 import inspect
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,8 @@ from chflow import (
     reconstruct_u,
     rk4_step,
 )
-from chflow import lagrangian
-from chflow.config import config_from_dict, make_initial
+from chflow import config, lagrangian
+from chflow.config import TimeConfig, config_from_dict, make_initial
 from chflow.errors import AdmissibilityError, ChartViolation, GridMismatch
 from chflow.eulerian import _dudt
 from chflow.fields import norm_11
@@ -311,12 +313,20 @@ class TestIntegrate:
             assert abs(state.t - expected) <= np.spacing(expected)
 
     def test_integrate_takes_only_what_a_run_sets(self):
-        # Every parameter but the data is one that a configuration sets for a
-        # run; the breaking threshold and the adaptive tolerance are constants.
-        cfg = config_from_dict({"grid": {"x_min": -20.0, "x_max": 20.0, "n": 256},
-                                "time": {"t_end": 1.0}, "initial": {"kind": "gaussian"}})
+        # Besides the data and the scan order, integrate takes the time
+        # section as it is; the breaking threshold and the adaptive tolerance
+        # are constants.
         params = inspect.signature(integrate).parameters
-        assert sorted(params) == sorted(["u0", *cfg.integrate_kwargs(4)])
+        assert sorted(params) == sorted(["u0", "quad_order",
+                                         *(f.name for f in fields(TimeConfig))])
+
+    def test_config_sections_hold_only_schema(self):
+        # A section class is its keys: the only method is the grid's build.
+        tree = ast.parse(Path(config.__file__).read_text())
+        methods = {node.name: [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+                   for node in tree.body if isinstance(node, ast.ClassDef)}
+        assert methods == {"GridConfig": ["build"], "TimeConfig": [], "InitialConfig": [],
+                           "SimConfig": []}
 
     def test_energy_conservation_moderate_run(self):
         grid = Grid.from_interval(-20.0, 20.0, 1024)
@@ -565,7 +575,7 @@ class TestIntegrate:
             "grid": {"x_min": -20.0, "x_max": 20.0, "n": 512},
             "time": {"t_end": 3.0, "dt": 2e-3, "adaptive": True},
             "initial": {"kind": "momentum_gaussian", "amplitude": 2.0}})
-        traj = integrate(make_initial(cfg), **cfg.integrate_kwargs(4))
+        traj = integrate(make_initial(cfg), **asdict(cfg.time), quad_order=4)
         assert traj.completed
         assert traj.final.t == pytest.approx(3.0, abs=1e-12)
         assert traj.diagnostics.min_eta_x.min() >= 0.05
