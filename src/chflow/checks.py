@@ -64,7 +64,7 @@ class BoundCheck:
 
     @property
     def passed(self) -> bool:
-        return self.measured <= self.allowed
+        return bool(self.measured <= self.allowed)
 
 
 def _gaussian_sum(grid: Grid, rng: Uniform) -> tuple[np.ndarray, np.ndarray]:

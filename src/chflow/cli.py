@@ -41,17 +41,16 @@ from .eulerian import fourth_order_dx
 from .fields import write_csv
 # Unused here; bound so that perfbench/tracer.py can patch them in this module.
 from .eulerian import compare, integrate_eulerian  # noqa: F401
-from .lagrangian import StepDiagnostics, Trajectory, integrate, reconstruct_u
+from .lagrangian import (DEFAULT_QUAD_ORDER, StepDiagnostics, Trajectory, integrate,
+                         reconstruct_u)
 from .studies import lagrangian_refinement, oracle_refinement
 
 __all__ = ["main"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -119,7 +118,7 @@ def _build_parser() -> _Parser:
 
     p_run = common("run", "integrate and export a trajectory", cmd_run, "summary.txt",
                    "state_*.csv", "diagnostics.csv")
-    p_run.add_argument("--order", type=int, default=4, choices=(2, 4),
+    p_run.add_argument("--order", type=int, default=DEFAULT_QUAD_ORDER, choices=(2, 4),
                        help="scan quadrature order used by the solver")
 
     p_conv = common("converge", "self-convergence study", cmd_converge, "convergence.txt")

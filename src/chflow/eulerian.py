@@ -22,14 +22,15 @@ that blows up ends at the last state whose right side is finite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatch
 from .fields import Grid, ScalarField1, _own_array, _trapz
-from .lagrangian import (DEFAULT_RECORD_EVERY, Trajectory, _check_run, _march, _state_at,
-                         reconstruct_u)
+from .lagrangian import (_RK4, DEFAULT_RECORD_EVERY, Trajectory, _check_run, _march,
+                         _state_at, reconstruct_u)
 # l_op is unused here; bound so that perfbench/tracer.py can patch it in this module.
 from .operators import _scan_plan, _scan_sd, l_op  # noqa: F401
 
@@ -88,22 +89,17 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
     _check_run(u0, t_end, dt, record_every)
     grid = u0.grid
     plan = _scan_plan(grid.x)
-    t, u = 0.0, u0.u
-    states = [EulerianState(t, grid, u)]
-    recorded = True
+    records = []
     # A blow-up overflows on its way to the ValueError that is the expected
     # end of the run, so numpy's overflow warnings are not raised.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for t, u, _, recorded in _march(u, t_end, dt, record_every,
-                                            lambda z, tz: _dudt(z, plan, grid.h)):
-                if recorded:
-                    states.append(EulerianState(t, grid, u))
+            for _ in _march(u0.u, t_end, dt, record_every,
+                            lambda z, tz: _dudt(z, plan, grid.h), _RK4, Counter(), records):
+                pass
         except ValueError:
             pass  # a value stopped being finite: the Eulerian form blew up
-    if not recorded:
-        states.append(EulerianState(t, grid, u))
-    return states
+    return [EulerianState(t, grid, u) for t, u in records]
 
 
 @dataclass

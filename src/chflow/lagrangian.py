@@ -291,13 +291,13 @@ def _check_run(u0: ScalarField1, t_end: float, dt: float, record_every: int) -> 
 
 
 def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
-           f: Callable[[np.ndarray, float], np.ndarray], tab: _Tableau = _RK4,
-           tally: Counter | None = None):
-    """Accepted steps (t, y_n, step, recorded) of tab from the flat state y at t = 0 to t_end.
+           f: Callable[[np.ndarray, float], np.ndarray], tab: _Tableau,
+           tally: Counter, records: list):
+    """Accepted steps (t, y_n, step) of tab from the flat state y at t = 0 to t_end.
 
-    The record rule of both solvers: a run records its initial state, every
-    record_every-th step (recorded true) and, however the march ends, its
-    last state if that step is not recorded.
+    The record rule of both solvers: records gets the (t, y) of the initial
+    state, of every record_every-th step and, however the march ends, of the
+    last state if that step is not one of them.
 
     The last evaluation of each step, f(y_{n+1}), is the next step's first
     stage, so f has accepted every yielded state; an error raised by f, or a
@@ -318,36 +318,43 @@ def _march(y: np.ndarray, t_end: float, dt: float, record_every: int,
     """
     t, dt_cur, floor = 0.0, dt, dt * 2.0 ** -12
     steps, lost, near = 0, 0.0, 1e-12 * max(1.0, t_end)
-    k1 = f(y, t)
-    while t < t_end - near:
-        step = dt_cur if dt_cur <= t_end - t + near else t_end - t
-        try:
-            new, ks = _rk_step(tab, y, t, step, f, k1)
-            if not np.isfinite(new).all():
-                raise ValueError(f"state became non-finite at t = {t + step:.9g}")
-            k_next = f(new, t + step)
-        except ChartViolation:
-            if tab.err is None or step <= floor:
-                raise
-            tally["rejected"] += 1
-            dt_cur = max(0.5 * step, floor)
-            continue
-        if tab.err is not None:
-            ks.append(k_next)
-            err = float(np.abs(_lincomb([k[:2] for k in ks], tab.err, step)).max())
-            factor = (4.0 if err == 0.0 else
-                      min(4.0, max(0.2, 0.9 * (_ADAPT_TOL / err) ** tab.exponent)))
-            dt_cur = max(factor * step, floor)
-            if err > _ADAPT_TOL:
-                if step > floor:
-                    tally["rejected"] += 1
-                    continue
-                tally["at_floor"] += 1
-        y, k1 = new, k_next
-        inc = step - lost
-        t, lost = t + inc, (t + inc - t) - inc
-        steps += 1
-        yield t, y, step, steps % record_every == 0
+    records.append((t, y))
+    try:
+        k1 = f(y, t)
+        while t < t_end - near:
+            step = dt_cur if dt_cur <= t_end - t + near else t_end - t
+            try:
+                new, ks = _rk_step(tab, y, t, step, f, k1)
+                if not np.isfinite(new).all():
+                    raise ValueError(f"state became non-finite at t = {t + step:.9g}")
+                k_next = f(new, t + step)
+            except ChartViolation:
+                if tab.err is None or step <= floor:
+                    raise
+                tally["rejected"] += 1
+                dt_cur = max(0.5 * step, floor)
+                continue
+            if tab.err is not None:
+                ks.append(k_next)
+                err = float(np.abs(_lincomb([k[:2] for k in ks], tab.err, step)).max())
+                factor = (4.0 if err == 0.0 else
+                          min(4.0, max(0.2, 0.9 * (_ADAPT_TOL / err) ** tab.exponent)))
+                dt_cur = max(factor * step, floor)
+                if err > _ADAPT_TOL:
+                    if step > floor:
+                        tally["rejected"] += 1
+                        continue
+                    tally["at_floor"] += 1
+            y, k1 = new, k_next
+            inc = step - lost
+            t, lost = t + inc, (t + inc - t) - inc
+            steps += 1
+            if steps % record_every == 0:
+                records.append((t, y))
+            yield t, y, step
+    finally:
+        if steps % record_every:
+            records.append((t, y))
 
 
 def _is_time(recorded: float, t: float) -> bool:
@@ -419,25 +426,20 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
     """
     _check_run(u0, t_end, dt, record_every)
     grid = u0.grid
-    states = [FlowState(0.0, Diffeo.identity(grid), u0)]
-    t = 0.0
-    y = _pack(states[0])
+    t, y = 0.0, _pack(FlowState(0.0, Diffeo.identity(grid), u0))
     rows = [_diag_row(t, y, grid.h)]
     breakdown_time = breakdown_slope = estimate = None
-    recorded, steps = True, []
-    tally = Counter()
+    steps, records, tally = [], [], Counter()
 
     def f(z, tz):
         tally["evaluations"] += 1
         return _dydt(z, tz, grid, quad_order)
 
     try:
-        for t, y, step, recorded in _march(y, t_end, dt, record_every, f,
-                                           _DP54 if adaptive else _RK4, tally):
+        for t, y, step in _march(y, t_end, dt, record_every, f,
+                                 _DP54 if adaptive else _RK4, tally, records):
             steps.append(step)
             rows.append(_diag_row(t, y, grid.h))
-            if recorded:
-                states.append(_unpack(y, t, grid))
     except ChartViolation as exc:
         breakdown_time = exc.time
         breakdown_slope = exc.min_slope
@@ -445,9 +447,8 @@ def integrate(u0: ScalarField1, t_end: float, dt: float,
         inf_ux = float((y[3] / (1.0 + y[1])).min())
         estimate = t - 2.0 / inf_ux if inf_ux < 0.0 else float("nan")
 
-    if not recorded:
-        states.append(_unpack(y, t, grid))
-    return Trajectory(states=states, diagnostics=StepDiagnostics(*np.array(rows).T),
+    return Trajectory(states=[_unpack(y, t, grid) for t, y in records],
+                      diagnostics=StepDiagnostics(*np.array(rows).T),
                       breakdown_time=breakdown_time,
                       breakdown_min_slope=breakdown_slope,
                       breaking_time_estimate=estimate,

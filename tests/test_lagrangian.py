@@ -2,6 +2,7 @@ import ast
 import functools
 import inspect
 import math
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -261,6 +262,45 @@ class TestRecords:
         for states in (traj.states[::-1], [traj.states[0], traj.final, traj.final]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 Trajectory(states=states, diagnostics=traj.diagnostics)
+
+
+    @pytest.mark.parametrize("tab, dt, fail_at, recorded", [
+        (lagrangian._RK4, 2.0 ** -3, None, [0, 3, 6, 7]),
+        (lagrangian._RK4, 2.0 ** -3, 1 + 4 * 5 + 2, [0, 3, 5]),  # in the sixth step's stages
+        (lagrangian._RK4, 2.0 ** -3, 1, [0]),
+        (lagrangian._DP54, 2.0 ** 9, None, [0, 3, 4]),
+    ], ids=["completed", "raises-later", "raises-first", "adaptive-at-floor"])
+    def test_march_records_by_its_rule(self, monkeypatch, tab, dt, fail_at, recorded):
+        # record_every = 3: _march records the initial state, every third
+        # accepted step and the last accepted one, however the march ends.
+        # No DP54 step meets this tolerance, so its first trial, the whole
+        # t_end, is rejected and it takes four steps at the floor dt 2^-12 =
+        # 2^-3, where the error estimate lies far above rounding.
+        monkeypatch.setattr(lagrangian, "_ADAPT_TOL", 1e-30)
+        t_end = (7 if tab is lagrangian._RK4 else 4) * 2.0 ** -3
+        calls = []
+
+        def f(y, t):
+            calls.append(t)
+            if len(calls) == fail_at:
+                raise ValueError("right side failed")
+            return np.cos(y)
+
+        y0 = np.ones((1, 4))
+        tally, records, accepted = Counter(), [], [(0.0, y0)]
+        try:
+            for t, y, _ in lagrangian._march(y0, t_end, dt, 3, f, tab, tally, records):
+                accepted.append((t, y))
+        except ValueError:
+            assert len(calls) == fail_at
+        assert [t for t, _ in records] == [accepted[k][0] for k in recorded]
+        assert all(y is accepted[k][1] for (_, y), k in zip(records, recorded))
+        if fail_at is None:
+            assert accepted[-1][0] == t_end
+        trials = (len(calls) - 1) // len(tab.b)
+        steps = len(accepted) - 1
+        assert tally == (Counter() if tab is lagrangian._RK4 else
+                         Counter(rejected=trials - steps, at_floor=steps))
 
 
 class TestIntegrate:
