@@ -126,7 +126,7 @@ def operator_bound_suite(grid: Grid, samples: int,
         eta = random_bump_diffeo(grid, rng)
         phi = random_bump_field0(grid, rng)
         plan, slopes = _scan_plan(eta.values()), eta.slopes()
-        f = ScalarField1(grid, *_l_eta_arrays(plan, slopes, phi.g, h, 2))
+        f = ScalarField1(grid, *_l_eta_arrays(plan, slopes, phi.g, h))
         a, b = eta.a, eta.b
         sup_phi = float(np.abs(phi.g).max())
         l2_phi = float(np.sqrt(_trapz(phi.g ** 2, h)))
@@ -137,8 +137,8 @@ def operator_bound_suite(grid: Grid, samples: int,
         worst["h1_bound"].update(h1, (np.sqrt(b / a) + b) * l2_phi + slack)
         phi2 = random_bump_field0(grid, rng)
         al, be = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        combo = _l_eta_arrays(plan, slopes, al * phi.g + be * phi2.g, h, 2)
-        f2 = _l_eta_arrays(plan, slopes, phi2.g, h, 2)
+        combo = _l_eta_arrays(plan, slopes, al * phi.g + be * phi2.g, h)
+        f2 = _l_eta_arrays(plan, slopes, phi2.g, h)
         lin = max(float(np.abs(combo[0] - al * f.u - be * f2[0]).max()),
                   float(np.abs(combo[1] - al * f.du - be * f2[1]).max()))
         worst["linearity"].update(lin, 1e-12)

@@ -41,8 +41,8 @@ from .eulerian import fourth_order_dx
 from .fields import write_csv
 # Unused here; bound so that perfbench/tracer.py can patch them in this module.
 from .eulerian import compare, integrate_eulerian  # noqa: F401
-from .lagrangian import (DEFAULT_QUAD_ORDER, StepDiagnostics, Trajectory, integrate,
-                         reconstruct_u)
+from .lagrangian import StepDiagnostics, Trajectory, integrate, reconstruct_u
+from .operators import DEFAULT_QUAD_ORDER
 from .studies import lagrangian_refinement, oracle_refinement
 
 __all__ = ["main"]
@@ -124,8 +124,8 @@ def _build_parser() -> _Parser:
     p_conv = common("converge", "self-convergence study", cmd_converge, "convergence.txt")
     p_conv.add_argument("--levels", default="512,1024,2048,4096",
                         help="comma-separated grid sizes")
-    p_conv.add_argument("--order", type=int, default=2, choices=(2, 4),
-                        help="scan quadrature order under study")
+    p_conv.add_argument("--order", type=int, default=DEFAULT_QUAD_ORDER, choices=(2, 4),
+                        help="scan quadrature order of the flow-map solves under study")
     p_conv.add_argument("--workers", type=_positive_int, default=None,
                         help="process count for concurrent levels (1 = serial)")
 

@@ -237,7 +237,7 @@ def make_initial(cfg: SimConfig) -> ScalarField1:
                                     ic.amplitude * (1.0 - 2.0 * z * z) * bump)
             if ic.kind == "momentum_gaussian":
                 # u0 = (1 - d_xx)^(-1) m0 for the momentum density m0 = u0 - u0''
-                return inv_helmholtz(ScalarField0(grid, ic.amplitude * bump), order=4)
+                return inv_helmholtz(ScalarField0(grid, ic.amplitude * bump))
     except (ParseError, ValueError) as exc:
         raise AdmissibilityError(f"initial data rejected: {exc}") from None
     # Reached only by a SimConfig built without config_from_dict's validation

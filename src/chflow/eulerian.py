@@ -6,8 +6,8 @@ Discretizes
 
 directly on the grid: u_x by fourth-order centered differences (with the
 zero continuation outside the domain supplying the boundary stencils, which
-is consistent with the decay convention), the nonlocal term by the same
-kernel scans as the flow-map solver (one scan plan of the fixed grid per run,
+is consistent with the decay convention), the nonlocal term by the flow-map
+solver's order-4 kernel scans (one scan plan of the fixed grid per run,
 applied to flat arrays), and classical RK4 in time through the flow-map
 solver's time loop (the FSAL RK4 march and its input check, at fixed dt).
 The two solvers share only the kernel and the time loop, so comparing them
@@ -80,11 +80,10 @@ def integrate_eulerian(u0: ScalarField1, t_end: float, dt: float,
                        record_every: int = DEFAULT_RECORD_EVERY) -> list[EulerianState]:
     """RK4 time stepping of the Eulerian form from u0 to t_end.
 
-    The nonlocal term takes the order-2 (per-cell trapezoid) scan.  Steps
-    run through the flow-map solver's time loop, input check and record rule,
-    with fixed dt.  If a value stops being finite, in a stage, in the new
-    state or in its right side, the run halts and ends at the last state
-    whose right side is finite.
+    The nonlocal term takes the order-4 scan.  Steps run through the flow-map
+    solver's time loop, input check and record rule, with fixed dt.  If a value
+    stops being finite, in a stage, in the new state or in its right side, the
+    run halts and ends at the last state whose right side is finite.
     """
     _check_run(u0, t_end, dt, record_every)
     grid = u0.grid

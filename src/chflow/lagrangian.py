@@ -39,7 +39,7 @@ import numpy as np
 from .diffeo import Diffeo, _chart_margin, comp1, invert
 from .errors import ChartViolation, GridMismatch, TimeMismatch, ValidationError
 from .fields import Grid, ScalarField1, _trapz, require_admissible
-from .operators import _l_eta_arrays, _scan_plan
+from .operators import DEFAULT_QUAD_ORDER, _l_eta_arrays, _scan_plan
 # Unused here; bound so that perfbench/tracer.py can patch it in this module.
 from .operators import l_eta_direct  # noqa: F401
 
@@ -54,7 +54,6 @@ __all__ = [
 
 _EPS_BREAK = 1e-3  # chart margin of wave breaking, above diffeo._EPS_CHART
 _ADAPT_TOL = 1e-10  # bound on an adaptive step's error estimate
-DEFAULT_QUAD_ORDER = 4
 DEFAULT_RECORD_EVERY = 100
 # Largest record_every: float(record_every) is exact up to 2**53, and any value
 # at or above a run's step count records only 0 and t_end

@@ -50,15 +50,15 @@ weight, so no pass forms A or B).  Without any numerical differentiation:
   eta' * (S - phi).
 
 Quadrature: per-cell trapezoid on the weighted integrand with the exponential
-factor pulled out per cell (order=2), q = h w / 2.  order=4 adds the
+factor pulled out per cell (order 2), q = h w / 2.  Order 4 adds the
 Euler-Maclaurin endpoint correction (h^2/12)(W'_left - W'_right) per cell
 with the integrand derivative estimated by centered differences, raising
 smooth accuracy to O(h^4); the corrections of adjacent cells cancel at every
-interior node and survive only in q.  inv_helmholtz and l_op take either
-order (2 by default); l_eta_direct uses order 2, and the time stepper's
-scans the order it is given.  Integrals are truncated at the grid boundary;
-the error is O(exp(-a * margin)) for data supported margin away from the
-ends.
+interior node and survive only in q.  Every scan takes DEFAULT_QUAD_ORDER = 4
+(inv_helmholtz, l_op, l_eta_direct, the check suites and the Eulerian
+oracle); order 2 runs only in a flow-map run that asks for it (integrate's
+quad_order).  Integrals are truncated at the grid boundary; the error is
+O(exp(-a * margin)) for data supported margin away from the ends.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ __all__ = [
 
 # Longest exponent range m_e - m_s over the sources of one scan block.
 _SPAN = 8.0
+DEFAULT_QUAD_ORDER = 4
 
 
 def _scan_plan(positions: np.ndarray, gaps: np.ndarray | None = None) -> tuple:
@@ -153,7 +154,7 @@ def _decay_scans(plan: tuple, g: np.ndarray, cl: float,
 
 
 def _scan_sd(plan: tuple, w: np.ndarray, h: float, slopes: np.ndarray | None = None,
-             order: int = 2) -> tuple[np.ndarray, np.ndarray]:
+             order: int = DEFAULT_QUAD_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Half sum S = (A+B)/2 and half difference D = (B-A)/2 of the left/right
     exponential-weighted prefix integrals of the weights w along plan's positions.
 
@@ -190,18 +191,18 @@ def _scan_sd(plan: tuple, w: np.ndarray, h: float, slopes: np.ndarray | None = N
     return S, D
 
 
-def inv_helmholtz(g: ScalarField0, *, order: int = 2) -> ScalarField1:
+def inv_helmholtz(g: ScalarField0) -> ScalarField1:
     """Solve f - f'' = g with decay at infinity: f(x) = (1/2) int exp(-|x-y|) g(y) dy.
 
     The derivative channel is the kernel identity f' = L g, evaluated from the
     same accumulators rather than by differencing f.
     """
     grid = g.grid
-    S, D = _scan_sd(_scan_plan(grid.x), g.g, grid.h, order=order)
+    S, D = _scan_sd(_scan_plan(grid.x), g.g, grid.h)
     return ScalarField1(grid, S, D)
 
 
-def l_op(phi: ScalarField0, *, order: int = 2) -> ScalarField1:
+def l_op(phi: ScalarField0) -> ScalarField1:
     """The smoothing derivative L = d_x (1 - d_xx)^(-1) with exponential kernel.
 
     Values follow the split-kernel form
@@ -212,12 +213,12 @@ def l_op(phi: ScalarField0, *, order: int = 2) -> ScalarField1:
     and the derivative channel uses d_x L = (1 - d_xx)^(-1) - id.
     """
     grid = phi.grid
-    S, D = _scan_sd(_scan_plan(grid.x), phi.g, grid.h, order=order)
+    S, D = _scan_sd(_scan_plan(grid.x), phi.g, grid.h)
     return ScalarField1(grid, D, S - phi.g)
 
 
 def _l_eta_arrays(plan: tuple, slopes: np.ndarray, phi: np.ndarray, h: float,
-                  order: int) -> tuple[np.ndarray, np.ndarray]:
+                  order: int = DEFAULT_QUAD_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """(value, derivative) of L_eta(phi) along the _scan_plan of the node positions eta(x_k)."""
     S, D = _scan_sd(plan, phi * slopes, h, slopes, order)
     S -= phi
@@ -233,10 +234,10 @@ def l_eta_direct(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
     -(m_{k+1} - m_k) <= -a h < 0.  The derivative channel comes from the
     analytic identity f' = eta' * (S - phi) with S = (A + B)/2, which is the
     inverse Helmholtz of phi o eta^(-1) carried back along eta.  The scan
-    takes the order-2 cell rule.
+    takes the order-4 cell rule.
     """
     if phi.grid != eta.grid:
         raise GridMismatch("source and diffeomorphism live on different grids")
-    val, der = _l_eta_arrays(_scan_plan(eta.values()), eta.slopes(), phi.g, phi.grid.h, 2)
+    val, der = _l_eta_arrays(_scan_plan(eta.values()), eta.slopes(), phi.g, phi.grid.h)
     return ScalarField1(phi.grid, val, der)
 

@@ -34,8 +34,8 @@ import numpy as np
 from .config import SimConfig, _validate, make_initial
 from .errors import ValidationError
 from .eulerian import ComparisonReport, EulerianState, compare, integrate_eulerian
-from .lagrangian import (DEFAULT_QUAD_ORDER, Trajectory, _check_record_times, integrate,
-                         reconstruct_u)
+from .lagrangian import Trajectory, _check_record_times, integrate, reconstruct_u
+from .operators import DEFAULT_QUAD_ORDER
 
 __all__ = [
     "RefinementStudy",
@@ -163,7 +163,8 @@ def _orders(gaps: list[float], hs: list[float]) -> tuple[list[float], float]:
     return orders, fitted
 
 
-def lagrangian_refinement(cfg: SimConfig, levels: list[int], *, quad_order: int = 4,
+def lagrangian_refinement(cfg: SimConfig, levels: list[int], *,
+                          quad_order: int = DEFAULT_QUAD_ORDER,
                           workers: int | None = None) -> RefinementStudy:
     """Self-convergence of the flow-map solver across grid resolutions."""
     _check_levels(cfg, levels, 2)
@@ -192,7 +193,7 @@ def oracle_refinement(cfg: SimConfig, levels: list[int], *,
     """Gap between the flow-map solver and the Eulerian reference per level.
 
     Each solver runs once at every level and at cfg's own resolution, each
-    run a task of its own; the flow map takes the integrator's scan order 4.
+    run a task of its own; both take the order-4 scans, DEFAULT_QUAD_ORDER.
     study.base holds the pair at cfg's resolution and study.report compares
     it at times (default: t_end).  Every level's gap is a comparison of its
     own pair at t_end, cfg's resolution included, so there it equals the

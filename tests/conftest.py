@@ -57,7 +57,7 @@ def l_eta_conjugated(phi: ScalarField0, eta: Diffeo) -> ScalarField1:
 
     Inverts eta by diffeo.invert, resamples phi along the inverse by cubic
     Lagrange interpolation (zero outside the grid), applies l_op with the
-    order-2 cell rule, and composes back.  An independent discretization
+    order-4 cell rule, and composes back.  An independent discretization
     that cross-checks operators.l_eta_direct; the two agree at the
     quadrature/interpolation error level.
     """
@@ -84,8 +84,9 @@ def gateaux_df(phi: ScalarField0, eta: Diffeo, rho: ScalarField1) -> ScalarField
 
     assembled as rho S_1 - S_2 + D_3 from three scans with weights phi*eta',
     phi*rho*eta', phi*rho'.
-    Sharing the per-cell rule with l_eta_direct makes this the exact
-    derivative of the discrete operator, not merely a consistent one, so
+    Sharing l_eta_direct's order-4 cell rule makes this the exact derivative
+    of the discrete operator for phi vanishing at the grid ends (only the
+    endpoint terms weigh eta' differently), not merely a consistent one, so
     central differences of l_eta_direct converge to it at O(eps^2) with no
     grid floor.  The derivative channel is a centered-difference diagnostic.
     """

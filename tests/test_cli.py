@@ -240,7 +240,7 @@ BAD_INPUTS = (
     + [pytest.param(command, {"initial": initial}, "AdmissibilityError", id=f"{command}-{name}")
        for name, initial in _BAD_DATA.items()
        for command in ("run", "converge", "oracle-compare")]
-    + [pytest.param("oracle-compare", {"grid": {"n": 512}, "time": {"t_end": 4.0, "dt": 0.8}},
+    + [pytest.param("oracle-compare", {"grid": {"n": 1024}, "time": {"t_end": 4.0, "dt": 0.8}},
                     "TimeMismatch", id="oracle-compare-eulerian-ends-early")]
     + [pytest.param(command, edits, error, id=f"{command}-{name}")
        for name, edits, error in [
@@ -634,9 +634,9 @@ class TestFailurePaths:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_eulerian_reference_that_ends_early_is_named(self, tmp_path):
-        # At n = 512 the Eulerian step is time.dt = 0.8, and its values stop
+        # At n = 1024 the Eulerian step is time.dt = 0.8, and its values stop
         # being finite after t = 3.2; the flow-map run reaches t_end = 4.
-        cfg = write_config(tmp_path, n=512, t_end=4.0, dt=0.8)
+        cfg = write_config(tmp_path, n=1024, t_end=4.0, dt=0.8)
         out = tmp_path / "out"
         assert main(["oracle-compare", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 1
@@ -661,16 +661,29 @@ class TestFailurePaths:
 
 
 class TestConverge:
-    def test_study_report(self, tmp_path):
+    @staticmethod
+    def study(tmp_path, *order):
         cfg = write_config(tmp_path, n=128, t_end=0.25, dt=8e-3, record_every=1000)
         out = tmp_path / "out"
         code = main(["converge", "--config", str(cfg), "--out", str(out),
-                     "--levels", "128,256,512", "--workers", "1", "--quiet"])
+                     "--levels", "128,256,512", "--workers", "1", *order, "--quiet"])
         assert code == 0
-        report = read_kv(out / "convergence.txt")
-        # The baseline (order-2 scans) study measures its textbook rate.
+        return read_kv(out / "convergence.txt")
+
+    def test_study_report(self, tmp_path):
+        # The order-2 scans, which only --order 2 asks for, measure their
+        # textbook rate.
+        report = self.study(tmp_path, "--order", "2")
+        assert report["quad_order"] == "2"
         assert 1.8 <= float(report["fitted_order"]) <= 2.2
         assert "gap_n128" in report and "gap_n256" in report
+
+    def test_study_report_at_default_order(self, tmp_path):
+        # Without --order the study takes the order-4 scans of every other run
+        # (measured 3.81).
+        report = self.study(tmp_path)
+        assert report["quad_order"] == "4"
+        assert 3.6 <= float(report["fitted_order"]) <= 4.4
 
     def test_reports_serial_levels_when_pool_fails(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -776,6 +789,18 @@ class TestOracleCompare:
         eul = sorted(out.glob("eulerian_*.csv"))
         assert eul and eul[0].read_text().splitlines()[0] == "x,u,u_x"
 
+    def test_smooth_data_gap_falls_at_fourth_order(self, tmp_path):
+        # The benchmark's smooth data: both solvers take the order-4 scans, so
+        # the gap is the flow map's error, not the oracle's own h^2 error
+        # (an order-2 oracle fits order 2.20 with a gap of 6.0e-5 here).
+        cfg = write_config(tmp_path, n=256, t_end=1.0, dt=8e-3, record_every=100)
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", str(cfg), "--out", str(out),
+                     "--levels", "256,512,1024", "--quiet"]) == 0
+        report = read_kv(out / "oracle_compare.txt")
+        assert float(report["fitted_order"]) >= 3.5
+        assert float(report["gap_n1024"]) <= 1e-5
+
     def test_custom_csv_runs_at_its_own_n(self, tmp_path):
         write_gaussian_csv(tmp_path / "u0.csv")
         cfg = write_config(tmp_path, n=128, t_end=0.25, dt=4e-3, record_every=1000,
@@ -839,7 +864,8 @@ class TestOracleCompare:
         assert main(["oracle-compare", "--config", str(cfg), "--out", str(tmp_path / "cmp"),
                      "--levels", "64,128,256", "--quiet"]) == 0
         report = read_kv(tmp_path / "cmp" / "oracle_compare.txt")
-        assert 1.8 <= float(report["fitted_order"]) <= 2.2
+        # Both solvers take the order-4 scans (measured 4.06).
+        assert 3.6 <= float(report["fitted_order"]) <= 4.4
 
     @pytest.mark.parametrize("command", ["run", "oracle-compare"])
     def test_wide_data_fails_at_the_fixed_tail_tol(self, tmp_path, command):

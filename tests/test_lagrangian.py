@@ -27,7 +27,7 @@ from chflow.config import TimeConfig, config_from_dict, make_initial
 from chflow.errors import AdmissibilityError, ChartViolation, GridMismatch
 from chflow.eulerian import _dudt
 from chflow.fields import norm_11
-from chflow.operators import _scan_plan
+from chflow.operators import _scan_plan, _scan_sd
 
 from conftest import (
     antisymmetric_field,
@@ -105,11 +105,15 @@ class TestRhs:
     def test_identity_map_matches_eulerian_nonlocal_term(self, grid20):
         # At eta = id the acceleration is -L(u^2 + u_x^2/2), the nonlocal
         # side of u_t + u u_x = -L(...); the Eulerian u_t carries the extra -u u_x.
+        # At order 2, which only integrate(quad_order=2) reaches, the reference
+        # is the order-2 scan pair itself: value D, derivative S - phi.
         u0 = gaussian_field(grid20, amp=0.5)
         state = id_state(grid20, u0)
         _, dU = dydt(state, order=2)
-        direct = l_op(source(state))
-        np.testing.assert_array_equal(dU.u, -direct.u)
+        phi = source(state).g
+        S, D = _scan_sd(_scan_plan(grid20.x), phi, grid20.h, order=2)
+        np.testing.assert_array_equal(dU.u, -D)
+        np.testing.assert_array_equal(dU.du, -(S - phi))
         eul = _dudt(u0.u, _scan_plan(grid20.x), grid20.h)
         ux = np.gradient(u0.u, grid20.h, edge_order=2)
         assert np.abs(dU.u - (eul + u0.u * ux)).max() <= 50 * grid20.h ** 2
@@ -118,7 +122,7 @@ class TestRhs:
         u0 = gaussian_field(grid20, amp=0.5)
         state = id_state(grid20, u0)
         _, dU = dydt(state, order=4)
-        direct = l_op(source(state), order=4)
+        direct = l_op(source(state))
         np.testing.assert_array_equal(dU.u, -direct.u)
         np.testing.assert_array_equal(dU.du, -direct.du)
         eul = _dudt(u0.u, _scan_plan(grid20.x), grid20.h)

@@ -220,7 +220,7 @@ class TestInvHelmholtz:
         errs = []
         for n in (513, 1025, 2049):
             grid = Grid.from_interval(-20.0, 20.0, n)
-            f = inv_helmholtz(gaussian_source(grid), order=4)
+            f = inv_helmholtz(gaussian_source(grid))
             errs.append(abs(f.u[(n - 1) // 2] - oracle))
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
         assert np.all(orders > 3.5)
